@@ -35,7 +35,7 @@ from .core import (
     protocol_config_from_items,
     validate_config,
 )
-from .decay import DecayResult, NegativeAge, Proposal, decay_score
+from .decay import DecayResult, NegativeAge, Proposal, combined_decay, decay_score
 from .epoch import EpochReport, MemoryAudit, SimulationResult, run_epoch, run_simulation
 from .relevance import (
     ContextProfile,
@@ -73,6 +73,7 @@ from .voting import (
     form_vote,
     quorum_decision,
     quorum_threshold,
+    vote_rule,
     weighted_forget_score,
 )
 from .workload import (

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import enum
 import logging
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import ProtocolConfig
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["Proposal", "DecayResult", "NegativeAge", "decay_score"]
+__all__ = ["Proposal", "DecayResult", "NegativeAge", "combined_decay", "decay_score"]
 
 
 class NegativeAge(ValueError):
@@ -39,23 +40,45 @@ class DecayResult:
     proposal: Proposal
 
 
+def _scale_scores(ages: np.ndarray, cfg: ProtocolConfig) -> list[np.ndarray]:
+    """exp(-age / S_i) per configured scale; raises NegativeAge on any negative age."""
+    if np.any(ages < 0):
+        raise NegativeAge(f"negative age {float(ages.min())}: now precedes t_last")
+    # exp underflows to 0.0 for very old memories; that is intended
+    # (combined 0 means propose_forget).
+    return [np.exp(-ages / s) for s in cfg.decay_scales]
+
+
+def _weighted(per_scale: list[np.ndarray], cfg: ProtocolConfig) -> np.ndarray:
+    # Accumulate from 0.0 in config order: the same summation for one age or many.
+    combined = np.zeros_like(per_scale[0])
+    for g, d in zip(cfg.decay_weights, per_scale):
+        combined += g * d
+    return combined
+
+
+def combined_decay(ages: np.ndarray, cfg: ProtocolConfig) -> np.ndarray:
+    """Batch kernel: the gamma-weighted decay sum_i g_i * exp(-age / S_i) per age.
+
+    decay_score is the scalar view of this kernel, so both agree bit for bit.
+    Raises NegativeAge if any age is negative.
+    """
+    return _weighted(_scale_scores(np.asarray(ages, dtype=np.float64), cfg), cfg)
+
+
 def decay_score(t_last: float, now: float, cfg: ProtocolConfig) -> DecayResult:
     """Score a memory's age across all configured time scales.
 
     per_scale[i] = exp(-(now - t_last) / S_i); combined is the gamma-weighted
     average; variance is the population spread of the per-scale scores around
     the combined (weighted) value. The proposal flag compares combined against
-    the decay threshold; it is reported but does not bypass voting.
+    the decay threshold; it is reported but does not bypass voting. The scores
+    come from the combined_decay kernel applied to a one-element age array.
     """
     age = now - t_last
-    if age < 0:
-        raise NegativeAge(f"now ({now}) precedes t_last ({t_last})")
-    # math.exp underflows to 0.0 for very old memories; that is intended
-    # (combined 0 means propose_forget).
-    per_scale = tuple(math.exp(-age / s) for s in cfg.decay_scales)
-    combined = 0.0
-    for g, d in zip(cfg.decay_weights, per_scale):
-        combined += g * d
+    scores = _scale_scores(np.array([age]), cfg)
+    combined = float(_weighted(scores, cfg)[0])
+    per_scale = tuple(float(d[0]) for d in scores)
     acc = 0.0
     for d in per_scale:
         diff = d - combined

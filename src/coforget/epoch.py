@@ -14,9 +14,11 @@ import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .consensus import ConsensusTimeout, PbftInstance, run_round, finalize
 from .core import AgentProfile, MemoryRecord, ProtocolConfig, Vote, validate_config
-from .decay import decay_score
+from .decay import combined_decay
 from .relevance import ContextProfile, RelevanceScorer, relevance
 from .store import MemoryStore
 from .transport import (
@@ -26,7 +28,7 @@ from .transport import (
     propose_forgetting,
     resolve_behavior,
 )
-from .voting import AgentVote, form_vote, quorum_threshold, weighted_forget_score
+from .voting import AgentVote, quorum_threshold, vote_rule, weighted_forget_score
 from .workload import (
     SummaryMetrics,
     WorkloadSpec,
@@ -86,20 +88,24 @@ class EpochReport:
 _VOTE_LABEL = {Vote.KEEP: "keep", Vote.FORGET: "forget"}
 
 
-def _relevance_for(
+def _relevance_column(
     store: MemoryStore,
-    memory_id: str,
+    ids: list[str],
     context: ContextProfile,
     scorer: RelevanceScorer | None,
     memo: dict,
-    key,
-) -> float:
-    if key in memo:
-        return memo[key]
-    record = store.peek(memory_id)
-    value = relevance(record, context, scorer)
-    memo[key] = value
-    return value
+    agent_id: str | None,
+) -> np.ndarray:
+    """Relevance of every snapshot id, scoring only the ids the memo lacks.
+
+    The memo key is the memory id for a shared scorer and (agent_id, memory
+    id) for an agent's own scorer.
+    """
+    keys = ids if agent_id is None else [(agent_id, memory_id) for memory_id in ids]
+    for key, memory_id in zip(keys, ids):
+        if key not in memo:
+            memo[key] = relevance(store.peek(memory_id), context, scorer)
+    return np.fromiter(map(memo.__getitem__, keys), dtype=np.float64, count=len(ids))
 
 
 def run_epoch(
@@ -135,68 +141,40 @@ def run_epoch(
     if relevance_memo is None:
         relevance_memo = {}
 
-    t_last_by_id = dict(store.scan_t_last())
+    snapshot = dict(store.scan_t_last())
+    ids = list(snapshot)
+    t_last = np.fromiter(snapshot.values(), dtype=np.float64, count=len(ids))
     if now is None:
-        now = max(t_last_by_id.values(), default=0.0)
+        now = float(t_last.max()) if ids else 0.0
 
-    # Phase 1: decay for every memory in the snapshot.
-    combined_decay = {
-        memory_id: decay_score(t_last, now, cfg).combined
-        for memory_id, t_last in t_last_by_id.items()
-    }
+    # Phase 1: decay for the whole snapshot in one kernel call.
+    decay = combined_decay(now - t_last, cfg)
 
-    # Phase 2: independent evaluation. With one shared scorer every honest
-    # agent sees identical (D, R) and therefore forms the same vote, so it is
-    # computed once and attributed to each agent.
+    # Phase 2: independent evaluation, one relevance column and one vote
+    # column per scorer. A shared scorer gives every agent identical (D, R),
+    # so its column is computed once and attributed to each agent.
     active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
-    per_agent_scorers = scorer if isinstance(scorer, Mapping) else None
-    memory_order = sorted(t_last_by_id)
-    votes_by_memory: dict[str, dict[str, AgentVote]] = {}
-    forget_lists: dict[str, list[str]] = {a.agent_id: [] for a in active}
-    for memory_id in memory_order:
-        d = combined_decay[memory_id]
-        cast: dict[str, AgentVote] = {}
-        if per_agent_scorers is None:
-            r = _relevance_for(store, memory_id, context, scorer, relevance_memo, memory_id)
-            vote, combined = form_vote(d, r, cfg)
-            for profile in active:
-                cast[profile.agent_id] = AgentVote(
-                    agent_id=profile.agent_id,
-                    memory_id=memory_id,
-                    vote=vote,
-                    combined_score=combined,
-                )
-                if vote is Vote.FORGET:
-                    forget_lists[profile.agent_id].append(memory_id)
-        else:
-            for profile in active:
-                r = _relevance_for(
-                    store,
-                    memory_id,
-                    context,
-                    per_agent_scorers.get(profile.agent_id),
-                    relevance_memo,
-                    (profile.agent_id, memory_id),
-                )
-                vote, combined = form_vote(d, r, cfg)
-                cast[profile.agent_id] = AgentVote(
-                    agent_id=profile.agent_id,
-                    memory_id=memory_id,
-                    vote=vote,
-                    combined_score=combined,
-                )
-                if vote is Vote.FORGET:
-                    forget_lists[profile.agent_id].append(memory_id)
-        votes_by_memory[memory_id] = cast
-
-    # Agents ship their forget lists to the coordinator; the proposal set is
-    # the union of acknowledged proposals.
-    proposed: dict[str, None] = {}
+    shared = not isinstance(scorer, Mapping)
+    by_scorer: dict[str | None, tuple[np.ndarray, np.ndarray]] = {}
+    agent_votes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for profile in active:
-        wanted = forget_lists[profile.agent_id]
+        key = None if shared else profile.agent_id
+        if key not in by_scorer:
+            agent_scorer = scorer if shared else scorer.get(profile.agent_id)
+            r = _relevance_column(store, ids, context, agent_scorer, relevance_memo, key)
+            by_scorer[key] = vote_rule(decay, r, cfg)
+        agent_votes[profile.agent_id] = by_scorer[key]
+
+    # Agents ship their forget lists, in id order, to the coordinator; the
+    # proposal set is the union of acknowledged proposals.
+    proposed: dict[str, None] = {}
+    row_of: dict[str, int] = {}
+    for agent_id, (_, forget) in agent_votes.items():
+        wanted = {ids[i]: i for i in np.flatnonzero(forget).tolist()}
         if not wanted:
             continue
-        for memory_id in propose_forgetting(wanted, profile.agent_id, coordinator, epoch=epoch_index):
+        row_of.update(wanted)
+        for memory_id in propose_forgetting(sorted(wanted), agent_id, coordinator, epoch=epoch_index):
             proposed[memory_id] = None
 
     # Phase 3: one consensus round per proposed memory, then the quorum gate.
@@ -207,7 +185,16 @@ def run_epoch(
     to_delete: list[str] = []
     q = quorum_threshold(agents, cfg.alpha) if active else 0.0
     for memory_id in sorted(proposed):
-        cast = votes_by_memory[memory_id]
+        i = row_of[memory_id]
+        cast = {
+            agent_id: AgentVote(
+                agent_id=agent_id,
+                memory_id=memory_id,
+                vote=Vote.FORGET if forget[i] else Vote.KEEP,
+                combined_score=float(combined[i]),
+            )
+            for agent_id, (combined, forget) in agent_votes.items()
+        }
         behaviors = {
             profile.agent_id: resolve_behavior(profile.fault, epoch_index, memory_id)
             for profile in active
@@ -252,8 +239,13 @@ def run_epoch(
             )
         )
 
-    # Phase 4: delete, persist, then admit the queued arrivals.
+    # Phase 4: delete, persist, then admit the queued arrivals. Ids are never
+    # reused, so the memo entries of deleted ids are dropped.
     deleted = store.delete(to_delete)
+    for memory_id in to_delete:
+        relevance_memo.pop(memory_id, None)
+        for profile in agents:
+            relevance_memo.pop((profile.agent_id, memory_id), None)
     store.commit(now)
     for record in arrivals:
         store.put(record, now)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import logging
 from collections import OrderedDict
-from typing import Iterable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Iterable, ItemsView, Sequence
 
 import numpy as np
 
@@ -105,11 +106,20 @@ class VectorIndex:
         return scored[:k]
 
 
+_SNAPSHOT_HEADER = "id,agent_id,timestamp,salience\r\n"
+
+
 class MetadataTable:
-    """Relational-style rows: id -> (agent_id, timestamp, salience)."""
+    """Relational-style rows: id -> (agent_id, timestamp, salience).
+
+    Each row's snapshot CSV line is kept formatted; update marks rows dirty
+    and write_snapshot re-formats only those, so a flush stays a dict update.
+    """
 
     def __init__(self) -> None:
         self.rows: dict[str, tuple[str, float, float]] = {}
+        self._lines: dict[str, str] = {}
+        self._dirty: set[str] = set()
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -119,6 +129,7 @@ class MetadataTable:
 
     def update(self, rows: dict[str, tuple[str, float, float]]) -> None:
         self.rows.update(rows)
+        self._dirty.update(rows)
 
     def get(self, memory_id: str) -> tuple[str, float, float] | None:
         return self.rows.get(memory_id)
@@ -128,15 +139,25 @@ class MetadataTable:
         for memory_id in memory_ids:
             if self.rows.pop(memory_id, None) is not None:
                 removed += 1
+                self._lines.pop(memory_id, None)
+                self._dirty.discard(memory_id)
         return removed
 
     def write_snapshot(self, path) -> int:
         """Rewrite the CSV snapshot (RFC 4180, CRLF, minimal quoting)."""
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["id", "agent_id", "timestamp", "salience"])
-            for memory_id, (agent_id, timestamp, salience) in self.rows.items():
+        if self._dirty:
+            dirty = list(self._dirty)
+            # csv.writer makes one write() call per row, so each row's
+            # formatted line lands as one element of `formatted`.
+            formatted: list[str] = []
+            writer = csv.writer(SimpleNamespace(write=formatted.append))
+            for memory_id in dirty:
+                agent_id, timestamp, salience = self.rows[memory_id]
                 writer.writerow([memory_id, agent_id, f"{timestamp:.6f}", repr(salience)])
+            self._lines.update(zip(dirty, formatted))
+            self._dirty.clear()
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write(_SNAPSHOT_HEADER + "".join(map(self._lines.__getitem__, self.rows)))
         return len(self.rows)
 
 
@@ -199,7 +220,9 @@ class MemoryStore:
         self.batch_interval_s = batch_interval_s
         self.snapshot_path = snapshot_path
         self._cache: OrderedDict[str, MemoryRecord] = OrderedDict()
-        self._insertion: dict[str, None] = {}
+        # Freshest t_last per live id, in insertion order; the same value the
+        # buffer -> table -> cache overlay would give.
+        self._t_last: dict[str, float] = {}
         self.hits = 0
         self.misses = 0
         self.size_flushes = 0
@@ -233,6 +256,7 @@ class MemoryStore:
         if cached is not None:
             self.hits += 1
             touched = cached.touched(now)
+            self._t_last[memory_id] = touched.t_last
             self._cache_set(touched)
             self.buffer.append(touched)
             self.maybe_flush(now)
@@ -264,7 +288,7 @@ class MemoryStore:
             raise DimensionMismatch(
                 f"embedding length {record.embedding.shape[0]} != store dimension {self.index.dimension}"
             )
-        self._insertion[record.id] = None
+        self._t_last[record.id] = record.t_last
         self._cache_set(record)
         self.buffer.append(record)
         self.maybe_flush(now)
@@ -316,7 +340,7 @@ class MemoryStore:
             present = bool(self.table.delete([memory_id])) or present
             if present:
                 removed += 1
-                self._insertion.pop(memory_id, None)
+                self._t_last.pop(memory_id, None)
             else:
                 self.unknown_deletes += 1
         return removed
@@ -348,34 +372,23 @@ class MemoryStore:
             salience=salience,
         )
 
-    def scan_t_last(self) -> Iterator[tuple[str, float]]:
-        """Yield (id, freshest t_last) per live id without rebuilding records.
+    def scan_t_last(self) -> ItemsView[str, float]:
+        """Live view of (id, freshest t_last) per live id, in insertion order.
 
-        The buffer always holds the newest timestamp for any id it contains;
-        everything else is authoritative in the table.
+        put records the new record's t_last and a cache hit the access time,
+        so no record is rebuilt and no structure is walked.
         """
-        for memory_id in self._insertion:
-            buffered = self.buffer.get(memory_id)
-            if buffered is not None:
-                yield memory_id, buffered.t_last
-                continue
-            row = self.table.get(memory_id)
-            if row is not None:
-                yield memory_id, row[1]
-                continue
-            cached = self._cache.get(memory_id)
-            if cached is not None:
-                yield memory_id, cached.t_last
+        return self._t_last.items()
 
     def records_snapshot(self) -> list[MemoryRecord]:
         """Materialize every live record through the freshest-first overlay."""
-        return [record for record in map(self.peek, self._insertion) if record is not None]
+        return [record for record in map(self.peek, self._t_last) if record is not None]
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(self._insertion)
+        return tuple(self._t_last)
 
     def count(self) -> int:
-        return len(self._insertion)
+        return len(self._t_last)
 
     def cache_len(self) -> int:
         return len(self._cache)

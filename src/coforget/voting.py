@@ -18,6 +18,7 @@ __all__ = [
     "UnknownAgent",
     "AgentVote",
     "QuorumDecision",
+    "vote_rule",
     "form_vote",
     "quorum_threshold",
     "weighted_forget_score",
@@ -54,14 +55,20 @@ class QuorumDecision:
     outcome: Vote
 
 
-def form_vote(d: float, r: float, cfg: ProtocolConfig) -> tuple[Vote, float]:
-    """Combine decay and relevance into (vote, combined_score).
+def vote_rule(d, r, cfg: ProtocolConfig):
+    """(combined, forget) for one memory or, elementwise, for arrays of them.
 
-    The boundary is strict: combined exactly at the threshold keeps.
+    combined = omega_d*D + omega_r*R; forget is true where combined falls
+    strictly below the vote threshold, so combined exactly at it keeps.
     """
     combined = cfg.omega_d * d + cfg.omega_r * r
-    vote = Vote.FORGET if combined < cfg.vote_threshold else Vote.KEEP
-    return vote, combined
+    return combined, combined < cfg.vote_threshold
+
+
+def form_vote(d: float, r: float, cfg: ProtocolConfig) -> tuple[Vote, float]:
+    """Combine decay and relevance into (vote, combined_score) by vote_rule."""
+    combined, forget = vote_rule(d, r, cfg)
+    return (Vote.FORGET if forget else Vote.KEEP), combined
 
 
 def quorum_threshold(agents: Sequence[AgentProfile], alpha: float) -> float:

@@ -4,10 +4,11 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
 
 from coforget.core import ProtocolConfig
-from coforget.decay import DecayResult, NegativeAge, Proposal, decay_score
+from coforget.decay import DecayResult, NegativeAge, Proposal, combined_decay, decay_score
 
 CFG = ProtocolConfig()
 
@@ -115,3 +116,21 @@ def test_result_is_frozen():
     assert isinstance(res, DecayResult)
     with pytest.raises(AttributeError):
         res.combined = 0.0
+
+
+def test_batch_kernel_matches_scalar_bit_for_bit():
+    # np.exp and math.exp disagree by one ulp on a few percent of inputs, so
+    # the scalar path must be a view of the batch kernel, not a re-derivation.
+    rng = np.random.default_rng(17)
+    ages = np.concatenate(
+        [[0.0, 1e-9, 1.0, 60.0, 1e9], rng.uniform(0.0, 50_000.0, 2000), rng.exponential(3600.0, 500)]
+    )
+    batch = combined_decay(ages, CFG)
+    assert batch.tolist() == [decay_score(0.0, float(age), CFG).combined for age in ages]
+    assert batch[0] == 1.0
+    assert batch[4] == 0.0  # exp underflows for a 1e9 s age
+
+
+def test_batch_kernel_rejects_any_negative_age():
+    with pytest.raises(NegativeAge):
+        combined_decay(np.array([0.0, 5.0, -1e-12]), CFG)

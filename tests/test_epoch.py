@@ -195,6 +195,41 @@ class TestRunEpochOutcomes:
         assert report.deleted == len(deleted_ids)
         assert set(st.ids()) == {r.id for r in records} - deleted_ids
 
+    @pytest.mark.parametrize("per_agent", [False, True], ids=["shared", "per_agent"])
+    def test_exact_boundary_vote_keeps(self, per_agent):
+        # Age 0 gives D = 1.0 and relevance 0.0 gives C = 0.4 = vote_threshold,
+        # which keeps; a microsecond of age puts C just below and forgets.
+        assert decay_score(100.0, 100.0, CFG).combined == 1.0
+        assert form_vote(1.0, 0.0, CFG) == (Vote.KEEP, CFG.vote_threshold)
+        zero = ExternalScorer(lambda m, c: 0.0)
+        scorer = {a.agent_id: ExternalScorer(lambda m, c: 0.0) for a in AGENTS} if per_agent else zero
+        st = fresh_store([record("m0", cos=0.0, t_last=100.0)], now=100.0)
+        at_boundary = run_epoch(st, AGENTS, context(), CFG, lossless(), now=100.0, scorer=scorer)
+        assert at_boundary.proposed == 0
+        assert at_boundary.per_memory_audit == []
+        assert st.count() == 1
+        below = run_epoch(st, AGENTS, context(), CFG, lossless(), now=100.000001, scorer=scorer)
+        assert below.proposed == 1
+        assert below.per_memory_audit[0].votes == tuple(
+            (a, "forget") for a in ("percept-1", "percept-2", "planner-1", "planner-2")
+        )
+
+    @pytest.mark.parametrize("per_agent", [False, True], ids=["shared", "per_agent"])
+    def test_relevance_memo_drops_deleted_ids(self, per_agent):
+        records = [record(f"m{i}", cos=0.0, t_last=0.0) for i in range(3)]
+        records.append(record("kept", cos=0.9, t_last=1e6))
+        st = fresh_store(records, now=1e6)
+        scorer = {a.agent_id: ExternalScorer(lambda m, c: 0.0) for a in AGENTS} if per_agent else None
+        memo: dict = {}
+        report = run_epoch(
+            st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo
+        )
+        assert report.deleted == 3
+        if per_agent:
+            assert set(memo) == {(a.agent_id, "kept") for a in AGENTS}
+        else:
+            assert set(memo) == {"kept"}
+
     def test_empty_store_epoch_is_a_no_op(self):
         st = MemoryStore.from_config(CFG, DIM)
         report = run_epoch(st, AGENTS, context(), CFG, lossless())

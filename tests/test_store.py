@@ -8,12 +8,15 @@ state equivalence.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import random
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from coforget.core import MemoryRecord
 from coforget.relevance import DimensionMismatch
@@ -449,3 +452,74 @@ class TestReferenceModels:
             np.testing.assert_array_equal(batched.index.fetch(mid), eager.index.fetch(mid))
         # Batching must actually economize on index writes.
         assert batched.index.upsert_calls < eager.index.upsert_calls
+
+
+# Ids and agent ids that need CSV quoting ride along with plain ones.
+PROPERTY_IDS = ("m1", "m,2", 'q"x', "m4", "m5")
+PROPERTY_OPS = hst.lists(
+    hst.one_of(
+        hst.tuples(
+            hst.just("put"),
+            hst.sampled_from(PROPERTY_IDS),
+            hst.floats(0.0, 1e6),
+            hst.floats(0.0, 1.0),
+            hst.sampled_from(("a1", "a,2")),
+        ),
+        hst.tuples(hst.just("get"), hst.sampled_from(PROPERTY_IDS)),
+        hst.tuples(hst.just("delete"), hst.sampled_from(PROPERTY_IDS)),
+        hst.tuples(hst.just("commit")),
+    ),
+    max_size=60,
+)
+
+
+def overlay_t_last(st: MemoryStore, order: dict[str, None]) -> list[tuple[str, float]]:
+    """Reference scan: buffer, then table, then cache, in insertion order."""
+    out = []
+    for memory_id in order:
+        buffered = st.buffer.get(memory_id)
+        row = st.table.get(memory_id)
+        cached = st._cache.get(memory_id)
+        if buffered is not None:
+            out.append((memory_id, buffered.t_last))
+        elif row is not None:
+            out.append((memory_id, row[1]))
+        elif cached is not None:
+            out.append((memory_id, cached.t_last))
+    return out
+
+
+def full_snapshot(rows: dict[str, tuple[str, float, float]]) -> bytes:
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(["id", "agent_id", "timestamp", "salience"])
+    for memory_id, (agent_id, timestamp, salience) in rows.items():
+        writer.writerow([memory_id, agent_id, f"{timestamp:.6f}", repr(salience)])
+    return handle.getvalue().encode("utf-8")
+
+
+class TestStoreProperties:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=PROPERTY_OPS, dts=hst.lists(hst.floats(0.0, 8.0), min_size=60, max_size=60))
+    def test_scan_and_snapshot_match_reference(self, tmp_path_factory, ops, dts):
+        path = tmp_path_factory.mktemp("snap") / "metadata.csv"
+        st = store(cache_capacity=2, batch_size=3, batch_interval_s=5.0, snapshot_path=path)
+        order: dict[str, None] = {}
+        now = 0.0
+        for op, dt in zip(ops, dts):
+            now += dt
+            if op[0] == "put":
+                _, memory_id, t_last, salience, agent_id = op
+                st.put(record(memory_id, t_last=t_last, salience=salience, agent_id=agent_id), now)
+                order.setdefault(memory_id)
+            elif op[0] == "get":
+                st.get(op[1], now)
+            elif op[0] == "delete":
+                if st.delete([op[1]]):
+                    del order[op[1]]
+            else:
+                st.commit(now)
+                assert path.read_bytes() == full_snapshot(st.table.rows)
+            assert list(st.scan_t_last()) == overlay_t_last(st, order)
+            assert st.ids() == tuple(order)
+            assert st.count() == len(order)

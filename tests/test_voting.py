@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from coforget.core import AgentProfile, ProtocolConfig, Vote
@@ -14,6 +15,7 @@ from coforget.voting import (
     form_vote,
     quorum_decision,
     quorum_threshold,
+    vote_rule,
     weighted_forget_score,
 )
 
@@ -58,6 +60,16 @@ class TestFormVote:
         vote, c = form_vote(1.0, 0.0, CFG)
         assert c == CFG.vote_threshold
         assert vote is Vote.KEEP
+
+    def test_array_rule_matches_scalar_votes(self):
+        rng = np.random.default_rng(4)
+        d = np.concatenate([[1.0, 0.0, 0.5], rng.uniform(0.0, 1.0, 500)])
+        r = np.concatenate([[0.0, 0.0, 0.25], rng.uniform(0.0, 1.0, 500)])
+        combined, forget = vote_rule(d, r, CFG)
+        scalar = [form_vote(float(di), float(ri), CFG) for di, ri in zip(d, r)]
+        assert combined.tolist() == [c for _, c in scalar]
+        assert forget.tolist() == [v is Vote.FORGET for v, _ in scalar]
+        assert not forget[0]  # exactly at the threshold keeps
 
 
 class TestQuorumThreshold:
