@@ -9,7 +9,6 @@ CLI simulator with fault injection.
 from .consensus import (
     Behavior,
     ConsensusTimeout,
-    DuplicateInstance,
     MessageKind,
     PbftInstance,
     PbftMessage,
@@ -34,6 +33,7 @@ from .core import (
     parse_config_text,
     protocol_config_from_items,
     validate_config,
+    validate_roster,
 )
 from .decay import DecayResult, NegativeAge, Proposal, combined_decay, decay_score
 from .epoch import EpochReport, MemoryAudit, SimulationResult, run_epoch, run_simulation

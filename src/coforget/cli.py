@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     config_violations,
     parse_config_text,
     protocol_config_from_items,
+    validate_roster,
 )
 from .epoch import SimulationResult, run_simulation
 from .transport import NetworkConfig, network_config_from_items
@@ -121,9 +121,12 @@ def _write_outputs(out_dir: Path, scenario: str, seed: int, epochs: int, result:
         "scenario": scenario,
         "seed": seed,
         "epochs_requested": epochs,
-        "summary": asdict(result.summary),
+        "summary": vars(result.summary),
         "baseline_footprints": result.baseline_footprints,
-        "epochs": [asdict(r) for r in result.reports],
+        "epochs": [
+            {**vars(r), "per_memory_audit": [vars(entry) for entry in r.per_memory_audit]}
+            for r in result.reports
+        ],
     }
     (out_dir / "report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -152,8 +155,7 @@ def _write_outputs(out_dir: Path, scenario: str, seed: int, epochs: int, result:
     with open(out_dir / "audit.jsonl", "w", encoding="utf-8") as handle:
         for r in result.reports:
             for entry in r.per_memory_audit:
-                line = {"epoch_index": r.epoch_index, **asdict(entry)}
-                line["votes"] = dict(entry.votes)
+                line = {"epoch_index": r.epoch_index, **vars(entry), "votes": dict(entry.votes)}
                 handle.write(json.dumps(line, sort_keys=True) + "\n")
 
 
@@ -202,6 +204,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         problems.append(str(exc))
     else:
         problems.extend(message for _, message in config_violations(cfg))
+        try:
+            validate_roster(cfg, default_agents())
+        except ConfigError as exc:
+            problems.append(str(exc))
     try:
         workload_spec_from_items(workload_items)
     except ConfigError as exc:

@@ -3,9 +3,18 @@
 A non-voting coordinator broadcasts EVALUATE for one (memory, epoch) instance;
 agents broadcast PREPARE with their vote, mark the instance prepared once any
 vote accumulates 2f identical senders, then broadcast COMMIT carrying their own
-vote; an observer decides when any vote reaches a 2f+1 commit tally. There is
+vote; an observer decides when any vote reaches a 2f+1 commit tally. A node
+that decides before it has seen 2f identical PREPAREs never commits. There is
 no view change: an instance that cannot decide within its message budget times
 out and the memory is kept for re-evaluation next epoch.
+
+run_round keeps one round's state in lists indexed by node position: the
+coordinator is position 0 and the active agents follow, sorted by id. Every
+node runs the same handler; the coordinator and silent agents simply have no
+vote to send. Each node tallies PREPAREs and COMMITs per vote as a bitmask of
+sender positions, and a message on the network is the tuple (kind, sender
+bit, vote index), so a delivery costs a few list and integer operations. The
+coordinator's PbftInstance is built once, when the round ends.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .core import AgentProfile, ProtocolConfig, Vote
-from .voting import AgentVote, decide, form_vote, quorum_threshold, weighted_forget_score
+from .voting import AgentVote, decide, quorum_threshold, weighted_forget_score
 
 logger = logging.getLogger(__name__)
 
@@ -26,15 +35,10 @@ __all__ = [
     "Behavior",
     "PbftMessage",
     "PbftInstance",
-    "DuplicateInstance",
     "ConsensusTimeout",
-    "start_instance",
-    "on_evaluate",
     "on_prepare",
     "on_commit",
     "finalize",
-    "AgentNode",
-    "ObserverNode",
     "RoundResult",
     "run_round",
     "DEFAULT_COORDINATOR_ID",
@@ -64,10 +68,6 @@ class Behavior(enum.Enum):
     HONEST = "honest"
     SILENT = "silent"
     EQUIVOCATE = "equivocate"
-
-
-class DuplicateInstance(RuntimeError):
-    """An instance for this (memory_id, epoch) already exists."""
 
 
 class ConsensusTimeout(RuntimeError):
@@ -118,59 +118,6 @@ class PbftInstance:
             )
             return False
         return True
-
-
-def start_instance(
-    memory_id: str,
-    epoch: int,
-    agents: Sequence[AgentProfile],
-    registry: dict[tuple[str, int], PbftInstance] | None = None,
-) -> tuple[PbftInstance, list[PbftMessage]]:
-    """Create the coordinator's instance and the EVALUATE fan-out.
-
-    One EVALUATE message is returned per active agent, paired positionally
-    with the active agents sorted by id. With a registry, a second start for
-    the same (memory_id, epoch) raises DuplicateInstance.
-    """
-    key = (memory_id, epoch)
-    if registry is not None and key in registry:
-        raise DuplicateInstance(f"instance already live for {key}")
-    instance = PbftInstance(memory_id=memory_id, epoch=epoch)
-    if registry is not None:
-        registry[key] = instance
-    active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
-    if not active:
-        logger.warning("instance (%s, %d) started with zero active agents; undecidable", memory_id, epoch)
-    evaluate = PbftMessage(
-        kind=MessageKind.EVALUATE, epoch=epoch, memory_id=memory_id, sender=DEFAULT_COORDINATOR_ID
-    )
-    return instance, [evaluate] * len(active)
-
-
-def on_evaluate(
-    agent: AgentProfile,
-    msg: PbftMessage,
-    d: float,
-    r: float,
-    cfg: ProtocolConfig,
-    behavior: Behavior = Behavior.HONEST,
-) -> PbftMessage | None:
-    """Form the agent's vote from (decay, relevance) and emit its PREPARE.
-
-    A silent agent emits nothing; an equivocating agent emits the inverted vote.
-    """
-    if behavior is Behavior.SILENT:
-        return None
-    vote, _ = form_vote(d, r, cfg)
-    if behavior is Behavior.EQUIVOCATE:
-        vote = vote.inverted()
-    return PbftMessage(
-        kind=MessageKind.PREPARE,
-        epoch=msg.epoch,
-        memory_id=msg.memory_id,
-        sender=agent.agent_id,
-        vote=vote,
-    )
 
 
 def on_prepare(
@@ -242,82 +189,6 @@ def finalize(
     return decide(s_m, q)
 
 
-class AgentNode:
-    """One voting agent's view of a single consensus round.
-
-    Wraps a PbftInstance with the agent's pre-formed vote and resolved fault
-    behavior; handle() returns the broadcasts the agent emits, with its own
-    copies absorbed immediately (self-delivery bypasses the network).
-    """
-
-    def __init__(
-        self,
-        profile: AgentProfile,
-        f: int,
-        memory_id: str,
-        epoch: int,
-        vote: Vote,
-        behavior: Behavior = Behavior.HONEST,
-    ):
-        self.profile = profile
-        self.agent_id = profile.agent_id
-        self.f = f
-        self.vote = vote
-        self.behavior = behavior
-        self.instance = PbftInstance(memory_id=memory_id, epoch=epoch)
-        self._sent_prepare = False
-
-    @property
-    def wire_vote(self) -> Vote:
-        """The vote this agent puts on the wire this round."""
-        if self.behavior is Behavior.EQUIVOCATE:
-            return self.vote.inverted()
-        return self.vote
-
-    def handle(self, msg: PbftMessage) -> list[PbftMessage]:
-        if msg.kind is MessageKind.EVALUATE:
-            if self._sent_prepare or self.behavior is Behavior.SILENT:
-                return []
-            self._sent_prepare = True
-            prepare = PbftMessage(
-                kind=MessageKind.PREPARE,
-                epoch=msg.epoch,
-                memory_id=msg.memory_id,
-                sender=self.agent_id,
-                vote=self.wire_vote,
-            )
-            return [prepare] + self._absorb(prepare)
-        return self._absorb(msg)
-
-    def _absorb(self, msg: PbftMessage) -> list[PbftMessage]:
-        out: list[PbftMessage] = []
-        if msg.kind is MessageKind.PREPARE:
-            own = None if self.behavior is Behavior.SILENT else self.wire_vote
-            commit = on_prepare(self.instance, msg, self.f, own_vote=own, self_id=self.agent_id)
-            if commit is not None:
-                out.append(commit)
-                out.extend(self._absorb(commit))
-        elif msg.kind is MessageKind.COMMIT:
-            on_commit(self.instance, msg, self.f)
-        return out
-
-
-class ObserverNode:
-    """A passive tallying view (the coordinator): receives everything, emits nothing."""
-
-    def __init__(self, node_id: str, f: int, instance: PbftInstance):
-        self.agent_id = node_id
-        self.f = f
-        self.instance = instance
-
-    def handle(self, msg: PbftMessage) -> list[PbftMessage]:
-        if msg.kind is MessageKind.PREPARE:
-            on_prepare(self.instance, msg, self.f)
-        elif msg.kind is MessageKind.COMMIT:
-            on_commit(self.instance, msg, self.f)
-        return []
-
-
 @dataclass
 class RoundResult:
     """Everything one consensus round produced, from the coordinator's view."""
@@ -336,6 +207,15 @@ class RoundResult:
     elapsed_virtual_s: float
 
 
+# Round-engine encodings: a vote is its index in _VOTES, a phase its index in
+# _PHASES, and a tally slot of node i for vote v is 2*i + v.
+_VOTES = (Vote.KEEP, Vote.FORGET)
+_VOTE_INDEX = {Vote.KEEP: 0, Vote.FORGET: 1}
+_PHASES = (Phase.IDLE, Phase.PREPARED, Phase.COMMITTED, Phase.DECIDED)
+_IDLE, _PREPARED, _COMMITTED, _DECIDED = range(4)
+_EVALUATE, _PREPARE, _COMMIT = int(MessageKind.EVALUATE), int(MessageKind.PREPARE), int(MessageKind.COMMIT)
+
+
 def run_round(
     memory_id: str,
     epoch: int,
@@ -346,70 +226,107 @@ def run_round(
     behaviors: Mapping[str, Behavior] | None = None,
     coordinator_id: str = DEFAULT_COORDINATOR_ID,
     budget: int | None = None,
-    registry: dict[tuple[str, int], PbftInstance] | None = None,
 ) -> RoundResult:
     """Drive one consensus instance to completion over a simulated network.
 
     `votes` holds each active agent's pre-formed vote; `behaviors` the resolved
-    fault behavior per agent (default honest). Delivery stops when the queue
-    drains or the message budget (default 10*N) is exhausted.
+    fault behavior per agent (default honest). The coordinator sends one
+    EVALUATE to each active agent; a silent agent sends nothing, an
+    equivocating one puts its inverted vote on the wire. Delivery stops when
+    the queue drains or the message budget (default 10*N) is exhausted.
     """
     if budget is None:
         budget = 10 * cfg.n_agents
-    behaviors = dict(behaviors or {})
+    behaviors = behaviors or {}
     active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
+    if not active:
+        logger.warning("instance (%s, %d) started with zero active agents; undecidable", memory_id, epoch)
+    ids = [coordinator_id] + [a.agent_id for a in active]
+    n = len(ids)
+    index = {node_id: i for i, node_id in enumerate(ids)}
+    peers = [ids[:i] + ids[i + 1 :] for i in range(n)]
+    behavior_of = {agent_id: behaviors.get(agent_id, Behavior.HONEST) for agent_id in ids[1:]}
+    # The vote index each node puts on the wire; None for the coordinator and
+    # for silent agents, which never PREPARE or COMMIT.
+    wire: list[int | None] = [None]
+    for agent_id, behavior in behavior_of.items():
+        vote = votes[agent_id]
+        if behavior is Behavior.SILENT:
+            wire.append(None)
+        else:
+            wire.append(_VOTE_INDEX[vote.inverted() if behavior is Behavior.EQUIVOCATE else vote])
+    two_f = 2 * cfg.f
+    prepare_masks = [0] * (2 * n)
+    commit_masks = [0] * (2 * n)
+    phase = [_IDLE] * n
+    decision: list[int | None] = [None] * n
 
-    coord_instance, evaluates = start_instance(memory_id, epoch, agents, registry)
-    coordinator = ObserverNode(coordinator_id, cfg.f, coord_instance)
-    nodes: dict[str, AgentNode | ObserverNode] = {coordinator_id: coordinator}
-    for agent in active:
-        nodes[agent.agent_id] = AgentNode(
-            agent,
-            cfg.f,
-            memory_id,
-            epoch,
-            votes[agent.agent_id],
-            behaviors.get(agent.agent_id, Behavior.HONEST),
-        )
-    for node_id in nodes:
-        net.register(node_id)
-
+    net.register(*ids)
     dropped_before = net.dropped
     latency_before = net.delivered_latency_s
-    for agent, evaluate in zip(active, evaluates):
-        net.submit(evaluate, coordinator_id, agent.agent_id)
+    net.broadcast((_EVALUATE, 1, None), coordinator_id, ids[1:])
 
+    poll = net.poll
+    broadcast = net.broadcast
     deliveries = 0
     while deliveries < budget:
-        event = net.poll()
+        event = poll()
         if event is None:
             break
         deliveries += 1
-        node = nodes.get(event.dest)
-        if node is None:
-            continue
-        for outbound in node.handle(event.msg):
-            for peer in nodes:
-                if peer != node.agent_id:
-                    net.submit(outbound, node.agent_id, peer)
+        node = index[event.dest]
+        kind, bit, vote = event.msg
+        if kind == _EVALUATE:
+            vote = wire[node]
+            if vote is None:
+                continue
+            kind, bit = _PREPARE, 1 << node
+            broadcast((kind, bit, vote), ids[node], peers[node])
+            # Falls through: the node absorbs its own PREPARE.
+        slot = 2 * node + vote
+        if kind == _PREPARE:
+            prepare_masks[slot] |= bit
+            if phase[node] != _IDLE or prepare_masks[slot].bit_count() < two_f:
+                continue
+            vote = wire[node]
+            if vote is None:
+                phase[node] = _PREPARED
+                continue
+            phase[node] = _COMMITTED
+            bit, slot = 1 << node, 2 * node + vote
+            broadcast((_COMMIT, bit, vote), ids[node], peers[node])
+            # Falls through: the node absorbs its own COMMIT.
+        commit_masks[slot] |= bit
+        if decision[node] is None and commit_masks[slot].bit_count() > two_f:
+            phase[node] = _DECIDED
+            decision[node] = vote
     undelivered = net.drain()
 
-    decision = coord_instance.decision
-    commit_count = 0
-    if decision is not None:
-        commit_count = len(coord_instance.commit_tally.get(decision, ()))
-    agent_decisions = {
-        agent.agent_id: nodes[agent.agent_id].instance.decision for agent in active
-    }
+    def tally(masks: list[int]) -> dict[Vote, set[str]]:
+        return {
+            _VOTES[v]: {ids[j] for j in range(n) if masks[v] >> j & 1} for v in (0, 1) if masks[v]
+        }
+
+    decided = decision[0]
+    instance = PbftInstance(
+        memory_id=memory_id,
+        epoch=epoch,
+        phase=_PHASES[phase[0]],
+        prepare_tally=tally(prepare_masks),
+        commit_tally=tally(commit_masks),
+        decision=None if decided is None else _VOTES[decided],
+    )
     return RoundResult(
         memory_id=memory_id,
         epoch=epoch,
-        instance=coord_instance,
-        decided=decision is not None,
-        decision=decision,
-        commit_count=commit_count,
-        agent_decisions=agent_decisions,
-        behaviors={a.agent_id: behaviors.get(a.agent_id, Behavior.HONEST) for a in active},
+        instance=instance,
+        decided=decided is not None,
+        decision=instance.decision,
+        commit_count=0 if decided is None else commit_masks[decided].bit_count(),
+        agent_decisions={
+            ids[i]: None if decision[i] is None else _VOTES[decision[i]] for i in range(1, n)
+        },
+        behaviors=behavior_of,
         deliveries=deliveries,
         dropped=net.dropped - dropped_before,
         undelivered=undelivered,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "WeightSumViolation",
     "LengthMismatch",
     "validate_config",
+    "validate_roster",
     "config_violations",
     "parse_config_text",
     "protocol_config_from_items",
@@ -235,6 +236,18 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
         err_cls, message = violations[0]
         raise err_cls(message)
     return cfg
+
+
+def validate_roster(cfg: ProtocolConfig, agents: Sequence[AgentProfile]) -> None:
+    """Raise FaultBoundViolation unless the roster has exactly cfg.n_agents agents.
+
+    f and each round's message budget are sized for cfg.n_agents, so a roster
+    of any other size runs every consensus round under the wrong bounds.
+    """
+    if len(agents) != cfg.n_agents:
+        raise FaultBoundViolation(
+            f"n_agents={cfg.n_agents} does not match the roster of {len(agents)} agents"
+        )
 
 
 # --- flat config file format -------------------------------------------------

@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .consensus import ConsensusTimeout, PbftInstance, run_round, finalize
-from .core import AgentProfile, MemoryRecord, ProtocolConfig, Vote, validate_config
+from .consensus import ConsensusTimeout, run_round, finalize
+from .core import AgentProfile, MemoryRecord, ProtocolConfig, Vote, validate_config, validate_roster
 from .decay import combined_decay
 from .relevance import ContextProfile, RelevanceScorer, relevance
 from .store import MemoryStore
@@ -121,7 +121,6 @@ def run_epoch(
     arrivals: Sequence[MemoryRecord] = (),
     relevance_memo: dict | None = None,
     coordinator: CoordinatorEndpoint | None = None,
-    registry: dict[tuple[str, int], PbftInstance] | None = None,
     budget: int | None = None,
     cache_hits_base: int | None = None,
     cache_misses_base: int | None = None,
@@ -208,7 +207,6 @@ def run_epoch(
             net,
             behaviors=behaviors,
             budget=budget,
-            registry=registry,
         )
         elapsed += result.elapsed_virtual_s
         vote_list = [cast[agent_id] for agent_id in sorted(cast)]
@@ -294,13 +292,15 @@ def run_simulation(
     The virtual clock starts at the end of the historical window and advances
     one interaction interval per interaction; an epoch fires every
     cfg.epoch_interactions interactions. The baseline series is the footprint
-    a no-forgetting twin would have (initial plus cumulative arrivals).
+    a no-forgetting twin would have (initial plus cumulative arrivals). A
+    roster whose size is not cfg.n_agents raises FaultBoundViolation.
     """
     validate_config(cfg)
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if agents is None:
         agents = default_agents()
+    validate_roster(cfg, agents)
     if net is None:
         net = SimulatedNetwork(net_cfg or NetworkConfig(seed=cfg.rng_seed))
 
@@ -314,7 +314,6 @@ def run_simulation(
     store.commit(now)
 
     rng = traffic_stream(spec)
-    registry: dict[tuple[str, int], PbftInstance] = {}
     relevance_memo: dict = {}
     coordinator = CoordinatorEndpoint()
     reports: list[EpochReport] = []
@@ -366,7 +365,6 @@ def run_simulation(
             arrivals=pending_arrivals,
             relevance_memo=relevance_memo,
             coordinator=coordinator,
-            registry=registry,
             cache_hits_base=hits_base,
             cache_misses_base=misses_base,
         )

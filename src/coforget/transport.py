@@ -14,7 +14,7 @@ import random
 import struct
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .consensus import Behavior, MessageKind, PbftMessage
 from .core import FaultKind, FaultProfile, Vote
@@ -91,15 +91,22 @@ class UnknownDestination(KeyError):
     """Message submitted to a destination that was never registered."""
 
 
-@dataclass(frozen=True)
-class Delivery:
-    """One delivered message with its timing."""
+class Delivery(NamedTuple):
+    """One scheduled message with its timing.
 
-    msg: PbftMessage
-    sender: str
-    dest: str
+    The network's heap holds these tuples directly, so they order by
+    (time_s, sender, seq); seq is unique per sender, so no two compare equal.
+    """
+
     time_s: float
+    sender: str
+    seq: int
+    dest: str
+    msg: object
     latency_s: float
+
+
+_new_delivery = tuple.__new__  # builds a Delivery without its Python-level __new__
 
 
 class SimulatedNetwork:
@@ -113,7 +120,7 @@ class SimulatedNetwork:
     def __init__(self, config: NetworkConfig | None = None):
         self.config = config or NetworkConfig()
         self._rng = random.Random(self.config.seed)
-        self._heap: list[tuple[float, str, int, Delivery]] = []
+        self._heap: list[Delivery] = []
         self._seq: dict[str, int] = {}
         self._destinations: set[str] = set()
         self.clock = 0.0
@@ -121,33 +128,52 @@ class SimulatedNetwork:
         self.dropped = 0
         self.delivered_latency_s = 0.0
 
-    def register(self, node_id: str) -> None:
-        self._destinations.add(node_id)
+    def register(self, *node_ids: str) -> None:
+        self._destinations.update(node_ids)
 
-    def submit(self, msg: PbftMessage, sender: str, dest: str) -> bool:
+    def submit(self, msg: object, sender: str, dest: str) -> bool:
         """Schedule a delivery (or drop it). Returns whether it was scheduled."""
-        if dest not in self._destinations:
-            raise UnknownDestination(dest)
-        seq = self._seq.get(sender, 0) + 1
+        return self.broadcast(msg, sender, (dest,)) == 1
+
+    def broadcast(self, msg: object, sender: str, dests: Sequence[str]) -> int:
+        """Send one message to each destination in order; returns how many were scheduled.
+
+        Per destination the sender's sequence number is bumped, then one
+        random() draw decides a drop and a kept message draws its latency
+        uniformly from the band. A message to the sender itself is delivered
+        at the current clock, with no draws.
+        """
+        destinations = self._destinations
+        if not destinations.issuperset(dests):
+            raise UnknownDestination(next(d for d in dests if d not in destinations))
+        heap = self._heap
+        draw = self._rng.random
+        drop_prob = self.config.drop_prob
+        # Random.uniform(lo, hi) is lo + (hi - lo) * random(); inlined, same floats.
+        lo = self.config.latency_min_ms
+        width = self.config.latency_max_ms - lo
+        clock = self.clock
+        seq = self._seq.get(sender, 0)
+        scheduled = 0
+        for dest in dests:
+            seq += 1
+            if dest == sender:
+                heappush(heap, _new_delivery(Delivery, (clock, sender, seq, dest, msg, 0.0)))
+            elif draw() < drop_prob:
+                self.dropped += 1
+                continue
+            else:
+                latency_s = (lo + width * draw()) / 1000.0
+                heappush(heap, _new_delivery(Delivery, (clock + latency_s, sender, seq, dest, msg, latency_s)))
+            scheduled += 1
         self._seq[sender] = seq
-        if sender == dest:
-            # Self-messages bypass the network: immediate, lossless.
-            delivery = Delivery(msg, sender, dest, self.clock, 0.0)
-            heappush(self._heap, (self.clock, sender, seq, delivery))
-            return True
-        if self._rng.random() < self.config.drop_prob:
-            self.dropped += 1
-            return False
-        latency_s = self._rng.uniform(self.config.latency_min_ms, self.config.latency_max_ms) / 1000.0
-        delivery = Delivery(msg, sender, dest, self.clock + latency_s, latency_s)
-        heappush(self._heap, (delivery.time_s, sender, seq, delivery))
-        return True
+        return scheduled
 
     def poll(self) -> Delivery | None:
         """Deliver the next scheduled message, advancing the virtual clock."""
         if not self._heap:
             return None
-        _, _, _, delivery = heappop(self._heap)
+        delivery = heappop(self._heap)
         self.clock = delivery.time_s
         self.delivered += 1
         self.delivered_latency_s += delivery.latency_s

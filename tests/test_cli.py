@@ -52,6 +52,12 @@ class TestValidate:
         assert run_cli("validate", path) == 2
         assert "bogus" in capsys.readouterr().out
 
+    def test_roster_mismatch_listed(self, tmp_path, capsys):
+        # Valid on its own, but the CLI runs the fixed 4-agent roster.
+        path = write_config(tmp_path, "n_agents = 7\nf = 2\n")
+        assert run_cli("validate", path) == 2
+        assert "n_agents=7 does not match the roster of 4 agents" in capsys.readouterr().out
+
     def test_missing_file_names_the_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
         assert run_cli("validate", missing) == 2
@@ -87,6 +93,12 @@ class TestRunErrors:
         path = write_config(tmp_path, "alpha = 0.2\n")
         assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 2
         assert "config error" in capsys.readouterr().err
+
+
+    def test_roster_mismatch_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL_RUN + "n_agents = 7\nf = 2\n")
+        assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 2
+        assert "n_agents=7 does not match the roster of 4 agents" in capsys.readouterr().err
 
 
 class TestRunOutputs:

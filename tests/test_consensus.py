@@ -1,9 +1,10 @@
 """Three-phase consensus: message invariants, phase transitions, full rounds.
 
 The observer-side handlers (on_prepare / on_commit) are exercised directly on
-bare instances, then the same behavior is checked end to end through run_round
-over a lossless simulated network, including fault behaviors and the quorum
-gate in finalize.
+bare instances. Each node's part in a round (its EVALUATE, the PREPARE and
+COMMIT it puts on the wire) is checked end to end through run_round over a
+lossless simulated network, where the coordinator's tallies show what every
+agent sent, including fault behaviors and the quorum gate in finalize.
 """
 
 from __future__ import annotations
@@ -15,25 +16,20 @@ import random
 import pytest
 
 from coforget.consensus import (
-    AgentNode,
     Behavior,
     ConsensusTimeout,
-    DuplicateInstance,
     MessageKind,
-    ObserverNode,
     PbftInstance,
     PbftMessage,
     Phase,
     finalize,
     on_commit,
-    on_evaluate,
     on_prepare,
     run_round,
-    start_instance,
 )
 from coforget.core import AgentProfile, ProtocolConfig, Vote
 from coforget.transport import NetworkConfig, SimulatedNetwork
-from coforget.voting import AgentVote
+from coforget.voting import AgentVote, form_vote
 
 CFG = ProtocolConfig()
 
@@ -58,6 +54,14 @@ def lossless_net(seed: int = 0) -> SimulatedNetwork:
     return SimulatedNetwork(NetworkConfig(drop_prob=0.0, seed=seed))
 
 
+def lossless_round(votes: dict[str, Vote], behaviors=None, **kwargs):
+    return run_round("m", 0, ROSTER, votes, CFG, lossless_net(), behaviors=behaviors, **kwargs)
+
+
+def unanimous(vote: Vote) -> dict[str, Vote]:
+    return {aid: vote for aid in IDS}
+
+
 def cast(votes: dict[str, Vote], memory_id: str = "m") -> list[AgentVote]:
     score = {Vote.KEEP: 1.0, Vote.FORGET: 0.0}
     return [AgentVote(aid, memory_id, v, score[v]) for aid, v in votes.items()]
@@ -80,61 +84,68 @@ class TestPbftMessage:
 
 
 class TestStartInstance:
+    """run_round's EVALUATE fan-out, seen with a fixed 3 ms latency: every
+    EVALUATE lands before the first PREPARE can."""
+
+    FIXED = NetworkConfig(latency_min_ms=3.0, latency_max_ms=3.0, drop_prob=0.0, seed=0)
+
     def test_one_evaluate_per_active_agent(self):
-        instance, evaluates = start_instance("m", 7, ROSTER)
-        assert instance.memory_id == "m"
-        assert instance.epoch == 7
-        assert instance.phase is Phase.IDLE
-        assert len(evaluates) == 4
-        for msg in evaluates:
-            assert msg.kind is MessageKind.EVALUATE
-            assert msg.sender == "coordinator"
-            assert msg.vote is None
+        net = SimulatedNetwork(self.FIXED)
+        result = run_round("m", 7, ROSTER, unanimous(Vote.FORGET), CFG, net, budget=4)
+        assert result.instance.memory_id == "m"
+        assert result.instance.epoch == 7
+        assert result.instance.phase is Phase.IDLE
+        assert result.deliveries == 4
+        # Each of the 4 EVALUATEs made its agent PREPARE to its 4 peers.
+        assert result.undelivered == 4 * 4
 
     def test_inactive_agents_get_no_evaluate(self):
         roster = ROSTER[:2] + (AgentProfile("percept-1", active=False),)
-        _, evaluates = start_instance("m", 0, roster)
-        assert len(evaluates) == 2
-
-    def test_registry_rejects_duplicate_instance(self):
-        registry: dict = {}
-        start_instance("m", 3, ROSTER, registry)
-        with pytest.raises(DuplicateInstance):
-            start_instance("m", 3, ROSTER, registry)
-        # A different epoch is a distinct instance.
-        start_instance("m", 4, ROSTER, registry)
-        assert set(registry) == {("m", 3), ("m", 4)}
+        votes = {aid: Vote.FORGET for aid in IDS[:2]}
+        net = SimulatedNetwork(self.FIXED)
+        result = run_round("m", 0, roster, votes, CFG, net, budget=2)
+        assert result.deliveries == 2
+        assert result.undelivered == 2 * 2
+        assert set(result.agent_decisions) == set(IDS[:2])
 
     def test_zero_active_agents_warns(self, caplog):
         roster = tuple(AgentProfile(a.agent_id, weight=a.weight, active=False) for a in ROSTER)
         with caplog.at_level(logging.WARNING, logger="coforget.consensus"):
-            _, evaluates = start_instance("m", 0, roster)
-        assert evaluates == []
+            result = run_round("m", 0, roster, {}, CFG, lossless_net())
+        assert result.deliveries == 0
+        assert result.undelivered == 0
+        assert not result.decided
+        assert result.agent_decisions == {}
         assert any("zero active agents" in r.getMessage() for r in caplog.records)
 
 
 class TestOnEvaluate:
-    EVALUATE = PbftMessage(MessageKind.EVALUATE, 5, "m", "coordinator")
+    """An agent's answer to EVALUATE is the PREPARE it puts on the wire."""
 
     def test_honest_prepare_carries_formed_vote(self):
         # C = 0.4*1 + 0.6*1 = 1.0 >= 0.4 so the honest vote is keep.
-        msg = on_evaluate(ROSTER[0], self.EVALUATE, d=1.0, r=1.0, cfg=CFG)
-        assert msg.kind is MessageKind.PREPARE
-        assert msg.sender == "planner-1"
-        assert msg.epoch == 5
-        assert msg.memory_id == "m"
-        assert msg.vote is Vote.KEEP
+        vote, _ = form_vote(1.0, 1.0, CFG)
+        result = lossless_round(unanimous(vote))
+        assert result.instance.prepare_tally == {Vote.KEEP: set(IDS)}
 
     def test_honest_prepare_forget_on_low_scores(self):
-        msg = on_evaluate(ROSTER[0], self.EVALUATE, d=0.0, r=0.0, cfg=CFG)
-        assert msg.vote is Vote.FORGET
+        vote, _ = form_vote(0.0, 0.0, CFG)
+        result = lossless_round(unanimous(vote))
+        assert result.instance.prepare_tally == {Vote.FORGET: set(IDS)}
 
     def test_silent_agent_emits_nothing(self):
-        assert on_evaluate(ROSTER[0], self.EVALUATE, 1.0, 1.0, CFG, Behavior.SILENT) is None
+        result = lossless_round(unanimous(Vote.FORGET), {"planner-1": Behavior.SILENT})
+        assert result.instance.prepare_tally == {Vote.FORGET: set(IDS) - {"planner-1"}}
+        # 4 EVALUATEs, then a PREPARE and a COMMIT from each of 3 agents to 4 peers.
+        assert result.deliveries == 4 + 2 * 3 * 4
 
     def test_equivocator_inverts_the_wire_vote(self):
-        msg = on_evaluate(ROSTER[0], self.EVALUATE, 1.0, 1.0, CFG, Behavior.EQUIVOCATE)
-        assert msg.vote is Vote.FORGET
+        vote, _ = form_vote(1.0, 1.0, CFG)
+        result = lossless_round(unanimous(vote), {"planner-1": Behavior.EQUIVOCATE})
+        assert result.instance.prepare_tally == {
+            Vote.KEEP: set(IDS) - {"planner-1"},
+            Vote.FORGET: {"planner-1"},
+        }
 
 
 class TestOnPrepare:
@@ -276,45 +287,48 @@ class TestFinalize:
 
 
 class TestAgentNode:
+    """Per-node behaviour of the round engine: the COMMITs each node emits."""
+
     def test_wire_vote_inversion(self):
-        honest = AgentNode(ROSTER[0], 1, "m", 0, Vote.KEEP)
-        lying = AgentNode(ROSTER[0], 1, "m", 0, Vote.KEEP, Behavior.EQUIVOCATE)
-        assert honest.wire_vote is Vote.KEEP
-        assert lying.wire_vote is Vote.FORGET
+        # The equivocator's COMMIT carries its inverted vote as well.
+        result = lossless_round(unanimous(Vote.KEEP), {"planner-1": Behavior.EQUIVOCATE})
+        assert result.instance.commit_tally == {
+            Vote.KEEP: set(IDS) - {"planner-1"},
+            Vote.FORGET: {"planner-1"},
+        }
 
     def test_evaluate_triggers_prepare_and_self_absorb(self):
-        node = AgentNode(ROSTER[0], 1, "m", 0, Vote.FORGET)
-        out = node.handle(PbftMessage(MessageKind.EVALUATE, 0, "m", "coordinator"))
-        assert [m.kind for m in out] == [MessageKind.PREPARE]
-        assert out[0].vote is Vote.FORGET
-        # Own prepare absorbed: one sender tallied, still below 2f.
-        assert node.instance.prepare_tally[Vote.FORGET] == {"planner-1"}
-
-    def test_second_evaluate_is_ignored(self):
-        node = AgentNode(ROSTER[0], 1, "m", 0, Vote.FORGET)
-        evaluate = PbftMessage(MessageKind.EVALUATE, 0, "m", "coordinator")
-        node.handle(evaluate)
-        assert node.handle(evaluate) == []
+        # With both percepts silent, each planner sees only one peer PREPARE:
+        # it reaches 2f = 2 only by counting its own.
+        silent = {"percept-1": Behavior.SILENT, "percept-2": Behavior.SILENT}
+        result = lossless_round(unanimous(Vote.FORGET), silent)
+        assert result.instance.commit_tally == {Vote.FORGET: {"planner-1", "planner-2"}}
+        assert result.instance.phase is Phase.PREPARED
+        assert not result.decided
 
     def test_silent_node_emits_nothing(self):
-        node = AgentNode(ROSTER[0], 1, "m", 0, Vote.FORGET, Behavior.SILENT)
-        assert node.handle(PbftMessage(MessageKind.EVALUATE, 0, "m", "coordinator")) == []
+        # planner-2 sees 2f PREPAREs and decides, but sends no COMMIT.
+        result = lossless_round(unanimous(Vote.FORGET), {"planner-2": Behavior.SILENT})
+        assert result.instance.commit_tally == {Vote.FORGET: set(IDS) - {"planner-2"}}
+        assert result.agent_decisions["planner-2"] is Vote.FORGET
 
     def test_peer_prepare_completes_threshold_and_commits(self):
-        node = AgentNode(ROSTER[0], 1, "m", 0, Vote.KEEP)
-        node.handle(PbftMessage(MessageKind.EVALUATE, 0, "m", "coordinator"))
-        out = node.handle(prepare("planner-2", Vote.KEEP))
-        assert [m.kind for m in out] == [MessageKind.COMMIT]
-        assert out[0].vote is Vote.KEEP
-        assert node.instance.phase is Phase.COMMITTED
+        # planner-1 votes keep; the others' forget PREPAREs complete its 2f
+        # threshold and it commits its own vote.
+        votes = {**unanimous(Vote.FORGET), "planner-1": Vote.KEEP}
+        result = lossless_round(votes)
+        assert result.instance.commit_tally == {
+            Vote.KEEP: {"planner-1"},
+            Vote.FORGET: set(IDS) - {"planner-1"},
+        }
+        assert result.decision is Vote.FORGET
 
     def test_observer_node_emits_nothing(self):
-        inst = PbftInstance("m", 0)
-        observer = ObserverNode("coordinator", 1, inst)
-        assert observer.handle(prepare("planner-1", Vote.FORGET)) == []
-        assert observer.handle(commit("planner-1", Vote.FORGET)) == []
-        assert inst.prepare_tally[Vote.FORGET] == {"planner-1"}
-        assert inst.commit_tally[Vote.FORGET] == {"planner-1"}
+        result = lossless_round(unanimous(Vote.FORGET))
+        assert result.instance.phase is Phase.DECIDED
+        # 4 EVALUATEs, then one PREPARE and one COMMIT from each agent to its
+        # 4 peers; the coordinator sends nothing after the EVALUATEs.
+        assert result.deliveries == 4 + 2 * 4 * 4
 
 
 class TestRunRound:
@@ -383,13 +397,6 @@ class TestRunRound:
         assert result.deliveries == 0
         assert not result.decided
         assert result.undelivered == 4
-
-    def test_registry_integration(self):
-        registry: dict = {}
-        run_round("m", 0, ROSTER, self.all_forget(), CFG, lossless_net(), registry=registry)
-        assert ("m", 0) in registry
-        with pytest.raises(DuplicateInstance):
-            run_round("m", 0, ROSTER, self.all_forget(), CFG, lossless_net(), registry=registry)
 
     def test_inactive_agent_is_excluded(self):
         roster = ROSTER[:3] + (AgentProfile("percept-2", active=False),)

@@ -13,7 +13,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from coforget.core import ProtocolConfig, MemoryRecord, Vote
+from coforget.core import FaultBoundViolation, ProtocolConfig, MemoryRecord, Vote
 from coforget.decay import decay_score
 from coforget.epoch import EpochReport, run_epoch, run_simulation
 from coforget.relevance import ContextProfile, ExternalScorer, relevance
@@ -271,6 +271,14 @@ class TestRunSimulation:
     def test_rejects_bad_epoch_count(self):
         with pytest.raises(ValueError, match="epochs"):
             run_simulation(self.SIM_CFG, self.SPEC, 0)
+
+    def test_rejects_a_roster_that_does_not_match_n_agents(self):
+        # n_agents = 7, f = 2 is a valid config, but the default roster has 4.
+        cfg = replace(self.SIM_CFG, n_agents=7, f=2)
+        with pytest.raises(FaultBoundViolation, match="n_agents=7 does not match the roster of 4"):
+            run_simulation(cfg, self.SPEC, 1)
+        with pytest.raises(FaultBoundViolation, match="roster of 3"):
+            run_simulation(self.SIM_CFG, self.SPEC, 1, agents=AGENTS[:3])
 
     def test_identical_runs_are_identical(self):
         a = run_simulation(self.SIM_CFG, self.SPEC, 4)
