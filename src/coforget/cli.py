@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -30,7 +31,7 @@ from .core import (
     protocol_config_from_items,
     validate_roster,
 )
-from .epoch import SimulationResult, run_simulation
+from .epoch import EpochReport, SimulationResult, run_simulation
 from .transport import NetworkConfig, network_config_from_items
 from .workload import WorkloadSpec, default_agents, workload_spec_from_items
 
@@ -132,20 +133,7 @@ def _write_outputs(out_dir: Path, scenario: str, seed: int, epochs: int, result:
         json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
-    numeric_columns = [
-        "epoch_index",
-        "memories_start",
-        "memories_end",
-        "additions",
-        "proposed",
-        "consensus_reached",
-        "consensus_failed",
-        "deleted",
-        "deletion_rate",
-        "elapsed_virtual_s",
-        "cache_hits",
-        "cache_misses",
-    ]
+    numeric_columns = [f.name for f in dataclasses.fields(EpochReport) if f.name != "per_memory_audit"]
     with open(out_dir / "epochs.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(numeric_columns)
@@ -171,9 +159,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     seeds = [args.seed + i for i in range(args.seeds)] if args.seeds else [args.seed]
     multi = args.seeds is not None
     for seed in seeds:
+        cfg, spec, net_cfg, agents = _compose_run(args.scenario, seed, file_items)
+        validate_roster(cfg, agents)
         out_dir = args.out / f"seed-{seed}" if multi else args.out
         out_dir.mkdir(parents=True, exist_ok=True)
-        cfg, spec, net_cfg, agents = _compose_run(args.scenario, seed, file_items)
         result = run_simulation(
             cfg,
             spec,

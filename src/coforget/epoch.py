@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .consensus import ConsensusTimeout, run_round, finalize
+from .consensus import run_round
 from .core import AgentProfile, MemoryRecord, ProtocolConfig, Vote, validate_config, validate_roster
 from .decay import combined_decay
 from .relevance import ContextProfile, RelevanceScorer, relevance
@@ -28,7 +28,7 @@ from .transport import (
     propose_forgetting,
     resolve_behavior,
 )
-from .voting import AgentVote, quorum_threshold, vote_rule, weighted_forget_score
+from .voting import AgentVote, decide, quorum_threshold, vote_rule, weighted_forget_score
 from .workload import (
     SummaryMetrics,
     WorkloadSpec,
@@ -89,22 +89,22 @@ _VOTE_LABEL = {Vote.KEEP: "keep", Vote.FORGET: "forget"}
 
 
 def _relevance_column(
-    store: MemoryStore,
+    records: list[MemoryRecord],
     ids: list[str],
     context: ContextProfile,
     scorer: RelevanceScorer | None,
     memo: dict,
     agent_id: str | None,
 ) -> np.ndarray:
-    """Relevance of every snapshot id, scoring only the ids the memo lacks.
+    """Relevance of every snapshot record, scoring only the ids the memo lacks.
 
     The memo key is the memory id for a shared scorer and (agent_id, memory
     id) for an agent's own scorer.
     """
     keys = ids if agent_id is None else [(agent_id, memory_id) for memory_id in ids]
-    for key, memory_id in zip(keys, ids):
+    for key, record in zip(keys, records):
         if key not in memo:
-            memo[key] = relevance(store.peek(memory_id), context, scorer)
+            memo[key] = relevance(record, context, scorer)
     return np.fromiter(map(memo.__getitem__, keys), dtype=np.float64, count=len(ids))
 
 
@@ -120,7 +120,6 @@ def run_epoch(
     now: float | None = None,
     arrivals: Sequence[MemoryRecord] = (),
     relevance_memo: dict | None = None,
-    coordinator: CoordinatorEndpoint | None = None,
     budget: int | None = None,
     cache_hits_base: int | None = None,
     cache_misses_base: int | None = None,
@@ -134,15 +133,13 @@ def run_epoch(
     """
     hits_base = store.hits if cache_hits_base is None else cache_hits_base
     misses_base = store.misses if cache_misses_base is None else cache_misses_base
-    memories_start = store.count()
-    if coordinator is None:
-        coordinator = CoordinatorEndpoint()
     if relevance_memo is None:
         relevance_memo = {}
 
-    snapshot = dict(store.scan_t_last())
-    ids = list(snapshot)
-    t_last = np.fromiter(snapshot.values(), dtype=np.float64, count=len(ids))
+    snapshot = store.records_snapshot()
+    memories_start = len(snapshot)
+    ids = [record.id for record in snapshot]
+    t_last = np.fromiter((record.t_last for record in snapshot), dtype=np.float64, count=len(ids))
     if now is None:
         now = float(t_last.max()) if ids else 0.0
 
@@ -160,12 +157,13 @@ def run_epoch(
         key = None if shared else profile.agent_id
         if key not in by_scorer:
             agent_scorer = scorer if shared else scorer.get(profile.agent_id)
-            r = _relevance_column(store, ids, context, agent_scorer, relevance_memo, key)
+            r = _relevance_column(snapshot, ids, context, agent_scorer, relevance_memo, key)
             by_scorer[key] = vote_rule(decay, r, cfg)
         agent_votes[profile.agent_id] = by_scorer[key]
 
-    # Agents ship their forget lists, in id order, to the coordinator; the
-    # proposal set is the union of acknowledged proposals.
+    # Agents ship their forget lists, in id order, to this epoch's coordinator;
+    # the proposal set is the union of acknowledged proposals.
+    coordinator = CoordinatorEndpoint()
     proposed: dict[str, None] = {}
     row_of: dict[str, int] = {}
     for agent_id, (_, forget) in agent_votes.items():
@@ -211,20 +209,18 @@ def run_epoch(
         elapsed += result.elapsed_virtual_s
         vote_list = [cast[agent_id] for agent_id in sorted(cast)]
         s_m = weighted_forget_score(vote_list, agents)
-        try:
-            final = finalize(result.instance, vote_list, agents, cfg)
-        except ConsensusTimeout:
+        # Consensus forget deletes only when S_m >= Q; consensus keep and a
+        # timeout retain the memory.
+        if result.decision is None:
             failed += 1
             decision = "timeout"
-            outcome = "retained"
         else:
             reached += 1
-            decision = _VOTE_LABEL[result.instance.decision]
-            if final is Vote.FORGET:
-                to_delete.append(memory_id)
-                outcome = "deleted"
-            else:
-                outcome = "retained"
+            decision = _VOTE_LABEL[result.decision]
+        outcome = "retained"
+        if result.decision is Vote.FORGET and decide(s_m, q) is Vote.FORGET:
+            to_delete.append(memory_id)
+            outcome = "deleted"
         audits.append(
             MemoryAudit(
                 memory_id=memory_id,
@@ -315,7 +311,6 @@ def run_simulation(
 
     rng = traffic_stream(spec)
     relevance_memo: dict = {}
-    coordinator = CoordinatorEndpoint()
     reports: list[EpochReport] = []
     baselines: list[int] = []
     baseline_footprint = spec.initial_items
@@ -364,7 +359,6 @@ def run_simulation(
             now=now,
             arrivals=pending_arrivals,
             relevance_memo=relevance_memo,
-            coordinator=coordinator,
             cache_hits_base=hits_base,
             cache_misses_base=misses_base,
         )

@@ -1,10 +1,11 @@
 """Dual-store memory persistence: vector index, metadata table, LRU cache, write buffer.
 
-Reads hit an LRU cache of full records; writes accumulate in an ordered buffer
-that batch-upserts into the (exact, brute-force cosine) vector index and the
-metadata table. Reads from the index therefore lag unflushed writes, which is
-the modeled behavior of a batched remote store; the buffer is consulted on
-cache misses so the store itself never serves stale data.
+Every read is served from one map of the freshest record per live id; an LRU
+cache of ids decides whether a read counts as a hit. Writes accumulate in an
+ordered buffer that batch-upserts into the (exact, brute-force cosine) vector
+index and the metadata table. Similarity queries and the metadata snapshot
+therefore lag unflushed writes, which is the modeled behavior of a batched
+remote store, while record reads never see stale data.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import logging
 from collections import OrderedDict
 from types import SimpleNamespace
-from typing import Iterable, ItemsView, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -189,9 +190,12 @@ class WriteBuffer:
 class MemoryStore:
     """Single-owner composite store; callers serialize through it.
 
-    Read path: cache hit refreshes t_last (the record was just accessed) and
-    re-buffers the touched record; a miss reconstructs from buffer or
-    index+table without refreshing t_last. Every buffered write runs the
+    Read path: `_live` holds the freshest record of every live id, in
+    insertion order, and serves every read. `_cache` is an LRU of ids that
+    only decides hit or miss: a hit refreshes t_last (the record was just
+    accessed) and re-buffers the touched record; a miss re-buffers the record
+    unchanged. The buffer, index and table are the flushed, lagging copy behind
+    `query_similar` and the metadata snapshot. Every buffered write runs the
     flush check: flush when the batch is full or the interval since the last
     flush has elapsed.
     """
@@ -219,10 +223,8 @@ class MemoryStore:
         self.batch_size = batch_size
         self.batch_interval_s = batch_interval_s
         self.snapshot_path = snapshot_path
-        self._cache: OrderedDict[str, MemoryRecord] = OrderedDict()
-        # Freshest t_last per live id, in insertion order; the same value the
-        # buffer -> table -> cache overlay would give.
-        self._t_last: dict[str, float] = {}
+        self._live: dict[str, MemoryRecord] = {}
+        self._cache: OrderedDict[str, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.size_flushes = 0
@@ -240,47 +242,31 @@ class MemoryStore:
             **kwargs,
         )
 
-    # --- cache internals ---
+    # --- read/write operations ---
 
-    def _cache_set(self, record: MemoryRecord) -> None:
-        self._cache[record.id] = record
+    def _write(self, record: MemoryRecord, now: float) -> None:
+        """Make `record` the live copy, the most recent cache entry and a pending write."""
+        self._live[record.id] = record
+        self._cache[record.id] = None
         self._cache.move_to_end(record.id)
         while len(self._cache) > self.cache_capacity:
             self._cache.popitem(last=False)
-
-    # --- read/write operations ---
+        self.buffer.append(record)
+        self.maybe_flush(now)
 
     def get(self, memory_id: str, now: float) -> MemoryRecord | None:
         """Fetch one record; absence is a value, not an error."""
-        cached = self._cache.get(memory_id)
-        if cached is not None:
-            self.hits += 1
-            touched = cached.touched(now)
-            self._t_last[memory_id] = touched.t_last
-            self._cache_set(touched)
-            self.buffer.append(touched)
-            self.maybe_flush(now)
-            return touched
-        record = self.buffer.get(memory_id)
+        record = self._live.get(memory_id)
         if record is None:
-            embedding = self.index.fetch(memory_id)
-            row = self.table.get(memory_id)
-            if embedding is None or row is None:
-                self.misses += 1
-                logger.error("memory id not found: %s", memory_id)
-                return None
-            agent_id, timestamp, salience = row
-            record = MemoryRecord(
-                id=memory_id,
-                embedding=embedding,
-                agent_id=agent_id,
-                t_last=timestamp,
-                salience=salience,
-            )
-        self.misses += 1
-        self._cache_set(record)
-        self.buffer.append(record)
-        self.maybe_flush(now)
+            self.misses += 1
+            logger.error("memory id not found: %s", memory_id)
+            return None
+        if memory_id in self._cache:
+            self.hits += 1
+            record = record.touched(now)
+        else:
+            self.misses += 1
+        self._write(record, now)
         return record
 
     def put(self, record: MemoryRecord, now: float) -> None:
@@ -288,10 +274,7 @@ class MemoryStore:
             raise DimensionMismatch(
                 f"embedding length {record.embedding.shape[0]} != store dimension {self.index.dimension}"
             )
-        self._t_last[record.id] = record.t_last
-        self._cache_set(record)
-        self.buffer.append(record)
-        self.maybe_flush(now)
+        self._write(record, now)
 
     def maybe_flush(self, now: float) -> int:
         """Flush when the batch is full or the flush interval has elapsed."""
@@ -327,23 +310,22 @@ class MemoryStore:
         return flushed
 
     def delete(self, memory_ids: Iterable[str]) -> int:
-        """Purge ids from cache, buffer, index, and table; unknown ids are counted, not errors.
+        """Purge ids from every structure; unknown ids are counted, not errors.
 
         Purging the buffer prevents a pending write from resurrecting a
         deleted record at the next flush.
         """
-        removed = 0
+        purged = []
         for memory_id in memory_ids:
-            present = self._cache.pop(memory_id, None) is not None
-            present = self.buffer.discard(memory_id) or present
-            present = bool(self.index.delete([memory_id])) or present
-            present = bool(self.table.delete([memory_id])) or present
-            if present:
-                removed += 1
-                self._t_last.pop(memory_id, None)
-            else:
+            if self._live.pop(memory_id, None) is None:
                 self.unknown_deletes += 1
-        return removed
+                continue
+            purged.append(memory_id)
+            self._cache.pop(memory_id, None)
+            self.buffer.discard(memory_id)
+        self.index.delete(purged)
+        self.table.delete(purged)
+        return len(purged)
 
     def query_similar(self, embedding: np.ndarray, k: int) -> list[str]:
         """Top-k ids from the vector index; unflushed writes are not yet visible."""
@@ -353,42 +335,21 @@ class MemoryStore:
 
     def peek(self, memory_id: str) -> MemoryRecord | None:
         """Read without touching counters, t_last, or cache order."""
-        record = self.buffer.get(memory_id)
-        if record is not None:
-            return record
-        record = self._cache.get(memory_id)
-        if record is not None:
-            return record
-        embedding = self.index.fetch(memory_id)
-        row = self.table.get(memory_id)
-        if embedding is None or row is None:
-            return None
-        agent_id, timestamp, salience = row
-        return MemoryRecord(
-            id=memory_id,
-            embedding=embedding,
-            agent_id=agent_id,
-            t_last=timestamp,
-            salience=salience,
-        )
+        return self._live.get(memory_id)
 
-    def scan_t_last(self) -> ItemsView[str, float]:
-        """Live view of (id, freshest t_last) per live id, in insertion order.
-
-        put records the new record's t_last and a cache hit the access time,
-        so no record is rebuilt and no structure is walked.
-        """
-        return self._t_last.items()
+    def scan_t_last(self) -> list[tuple[str, float]]:
+        """(id, freshest t_last) per live id, in insertion order."""
+        return [(memory_id, record.t_last) for memory_id, record in self._live.items()]
 
     def records_snapshot(self) -> list[MemoryRecord]:
-        """Materialize every live record through the freshest-first overlay."""
-        return [record for record in map(self.peek, self._t_last) if record is not None]
+        """Every live record, freshest copy, in insertion order."""
+        return list(self._live.values())
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(self._t_last)
+        return tuple(self._live)
 
     def count(self) -> int:
-        return len(self._t_last)
+        return len(self._live)
 
     def cache_len(self) -> int:
         return len(self._cache)

@@ -178,20 +178,14 @@ def _draw_record(
     )
 
 
-def generate_initial(spec: WorkloadSpec, dimension: int | None = None) -> list[MemoryRecord]:
+def generate_initial(spec: WorkloadSpec) -> list[MemoryRecord]:
     """The seeded initial corpus; t_last spread over the historical window."""
-    if dimension is not None and dimension != spec.dimension:
-        spec = WorkloadSpec(**{**_spec_items(spec), "dimension": dimension})
     context_unit = make_context(spec).embedding
     rng = _stream(spec.seed, _STREAM_INITIAL)
     return [
         _draw_record(spec, rng, context_unit, t_last=float(rng.uniform(0.0, spec.history_window_s)))
         for _ in range(spec.initial_items)
     ]
-
-
-def _spec_items(spec: WorkloadSpec) -> dict[str, object]:
-    return {name: getattr(spec, name) for name in WorkloadSpec.__dataclass_fields__}
 
 
 def make_arrivals(

@@ -100,6 +100,13 @@ class TestRunErrors:
         assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 2
         assert "n_agents=7 does not match the roster of 4 agents" in capsys.readouterr().err
 
+    def test_rejected_run_leaves_no_output_directory(self, tmp_path):
+        path = write_config(tmp_path, SMALL_RUN + "n_agents = 7\nf = 2\n")
+        for extra in ((), ("--seeds", 2)):
+            out = tmp_path / "out"
+            assert run_cli("run", "--config", path, "--out", out, *extra) == 2
+            assert not out.exists()
+
 
 class TestRunOutputs:
     def run_small(self, tmp_path, out_name="out", epochs=3, seed=0, *extra):

@@ -473,20 +473,26 @@ PROPERTY_OPS = hst.lists(
 )
 
 
-def overlay_t_last(st: MemoryStore, order: dict[str, None]) -> list[tuple[str, float]]:
-    """Reference scan: buffer, then table, then cache, in insertion order."""
-    out = []
-    for memory_id in order:
-        buffered = st.buffer.get(memory_id)
-        row = st.table.get(memory_id)
-        cached = st._cache.get(memory_id)
-        if buffered is not None:
-            out.append((memory_id, buffered.t_last))
-        elif row is not None:
-            out.append((memory_id, row[1]))
-        elif cached is not None:
-            out.append((memory_id, cached.t_last))
-    return out
+def overlay(st: MemoryStore, memory_id: str) -> tuple | None:
+    """Reference read: the pending write if any, else the flushed index + table row.
+
+    Gives (agent_id, t_last, salience, embedding as a tuple), or None for an
+    id in neither.
+    """
+    buffered = st.buffer.get(memory_id)
+    if buffered is not None:
+        return buffered.agent_id, buffered.t_last, buffered.salience, tuple(buffered.embedding)
+    row = st.table.get(memory_id)
+    if row is None:
+        return None
+    agent_id, t_last, salience = row
+    return agent_id, t_last, salience, tuple(st.index.fetch(memory_id))
+
+
+def fields(rec: MemoryRecord | None) -> tuple | None:
+    if rec is None:
+        return None
+    return rec.agent_id, rec.t_last, rec.salience, tuple(rec.embedding)
 
 
 def full_snapshot(rows: dict[str, tuple[str, float, float]]) -> bytes:
@@ -510,16 +516,24 @@ class TestStoreProperties:
             now += dt
             if op[0] == "put":
                 _, memory_id, t_last, salience, agent_id = op
-                st.put(record(memory_id, t_last=t_last, salience=salience, agent_id=agent_id), now)
+                embedding = np.full(4, 1.0 + salience)
+                st.put(
+                    record(memory_id, embedding=embedding, t_last=t_last, salience=salience, agent_id=agent_id),
+                    now,
+                )
                 order.setdefault(memory_id)
             elif op[0] == "get":
-                st.get(op[1], now)
+                assert fields(st.get(op[1], now)) == overlay(st, op[1])
             elif op[0] == "delete":
                 if st.delete([op[1]]):
                     del order[op[1]]
             else:
                 st.commit(now)
                 assert path.read_bytes() == full_snapshot(st.table.rows)
-            assert list(st.scan_t_last()) == overlay_t_last(st, order)
+            expected = [(memory_id, overlay(st, memory_id)) for memory_id in order]
+            assert [(memory_id, fields(st.peek(memory_id))) for memory_id in order] == expected
+            assert [(rec.id, fields(rec)) for rec in st.records_snapshot()] == expected
+            assert list(st.scan_t_last()) == [(memory_id, row[1]) for memory_id, row in expected]
+            assert st.peek("never-put") is None
             assert st.ids() == tuple(order)
             assert st.count() == len(order)

@@ -160,10 +160,6 @@ class TestGenerateInitial:
             norm = float(np.linalg.norm(rec.embedding))
             assert 0.4 <= norm <= 2.1  # uniform(0.5, 2.0) magnitude, pre-normalization
 
-    def test_dimension_override_rebuilds_spec(self):
-        records = generate_initial(spec(dimension=16), dimension=8)
-        assert records[0].embedding.shape == (8,)
-
     def test_arrivals_start_at_now(self):
         ws = spec()
         rng = traffic_stream(ws)
