@@ -68,10 +68,8 @@ from .transport import (
 from .voting import (
     AgentVote,
     NoActiveAgents,
-    QuorumDecision,
     UnknownAgent,
     form_vote,
-    quorum_decision,
     quorum_threshold,
     vote_rule,
     weighted_forget_score,

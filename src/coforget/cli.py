@@ -150,6 +150,8 @@ def _write_outputs(out_dir: Path, scenario: str, seed: int, epochs: int, result:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.epochs < 1:
         raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.seeds is not None and args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     if args.scenario == "custom" and args.config is None:

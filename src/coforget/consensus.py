@@ -36,8 +36,6 @@ __all__ = [
     "PbftMessage",
     "PbftInstance",
     "ConsensusTimeout",
-    "on_prepare",
-    "on_commit",
     "finalize",
     "RoundResult",
     "run_round",
@@ -95,7 +93,7 @@ class PbftMessage:
 
 @dataclass
 class PbftInstance:
-    """Single-owner per-observer consensus state for one (memory, epoch)."""
+    """One observer's consensus state for one (memory, epoch); run_round builds the coordinator's."""
 
     memory_id: str
     epoch: int
@@ -103,67 +101,6 @@ class PbftInstance:
     prepare_tally: dict[Vote, set[str]] = field(default_factory=dict)
     commit_tally: dict[Vote, set[str]] = field(default_factory=dict)
     decision: Vote | None = None
-    stale_count: int = 0
-
-    def _matches(self, msg: PbftMessage) -> bool:
-        if msg.epoch != self.epoch or msg.memory_id != self.memory_id:
-            # Stale or misrouted: dropped and counted, never fatal.
-            self.stale_count += 1
-            logger.debug(
-                "stale message for instance (%s, %d): epoch=%d memory=%s",
-                self.memory_id,
-                self.epoch,
-                msg.epoch,
-                msg.memory_id,
-            )
-            return False
-        return True
-
-
-def on_prepare(
-    instance: PbftInstance,
-    msg: PbftMessage,
-    f: int,
-    own_vote: Vote | None = None,
-    self_id: str | None = None,
-) -> PbftMessage | None:
-    """Tally a PREPARE; on the first vote reaching 2f, transition and maybe COMMIT.
-
-    Voting observers (own_vote given) broadcast COMMIT with their own vote and
-    move to COMMITTED; passive observers just mark PREPARED. Duplicate senders
-    are ignored by set semantics.
-    """
-    assert msg.kind is MessageKind.PREPARE, msg.kind
-    if not instance._matches(msg):
-        return None
-    senders = instance.prepare_tally.setdefault(msg.vote, set())
-    senders.add(msg.sender)
-    if instance.phase is not Phase.IDLE or len(senders) < 2 * f:
-        return None
-    if own_vote is not None and self_id is not None:
-        instance.phase = Phase.COMMITTED
-        return PbftMessage(
-            kind=MessageKind.COMMIT,
-            epoch=instance.epoch,
-            memory_id=instance.memory_id,
-            sender=self_id,
-            vote=own_vote,
-        )
-    instance.phase = Phase.PREPARED
-    return None
-
-
-def on_commit(instance: PbftInstance, msg: PbftMessage, f: int) -> Vote | None:
-    """Tally a COMMIT; decide when any vote reaches a 2f+1 commit tally."""
-    assert msg.kind is MessageKind.COMMIT, msg.kind
-    if not instance._matches(msg):
-        return None
-    senders = instance.commit_tally.setdefault(msg.vote, set())
-    senders.add(msg.sender)
-    if instance.decision is None and len(senders) >= 2 * f + 1:
-        instance.phase = Phase.DECIDED
-        instance.decision = msg.vote
-    return instance.decision
 
 
 def finalize(

@@ -29,6 +29,7 @@ __all__ = [
     "validate_roster",
     "config_violations",
     "parse_config_text",
+    "spec_from_items",
     "protocol_config_from_items",
     "make_embedding",
 ]
@@ -314,28 +315,44 @@ def parse_config_text(text: str) -> dict[str, Any]:
     return items
 
 
-_PROTOCOL_FIELDS = None
+def spec_from_items(cls: type, items: Mapping[str, Any], namespace: str = "") -> Any:
+    """Build the config dataclass `cls` from parsed key/value items.
+
+    Unknown keys are an error, an int field takes only an int and a float
+    field only a finite number (element by element in a tuple field), so a
+    value that would break a run never reaches it. The class's own checks run
+    last; their TypeError or ValueError becomes a ConfigError.
+    """
+    types = {fld.name: str(fld.type) for fld in fields(cls)}
+    unknown = sorted(set(items) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(namespace + key for key in unknown)}")
+    for key, value in items.items():
+        kind = types[key]
+        integral = "int" in kind
+        wanted = "an integer" if integral else "a number"
+        for item in value if kind.startswith("tuple") and isinstance(value, tuple) else (value,):
+            if isinstance(item, bool) or not isinstance(item, int if integral else (int, float)):
+                raise ConfigError(f"{namespace}{key} must be {wanted}, got {value!r}")
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ConfigError(f"{namespace}{key} must be finite, got {value!r}")
+    try:
+        return cls(**items)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def protocol_config_from_items(items: Mapping[str, Any], validate: bool = True) -> ProtocolConfig:
     """Build a ProtocolConfig from parsed key/value items.
 
-    Unknown keys are an error; missing keys keep their defaults. With
-    validate=False the constraints are left unchecked so a caller can list
-    every violation via config_violations instead of stopping at the first.
+    Unknown keys and ill-typed values are an error; missing keys keep their
+    defaults. With validate=False the constraints are left unchecked so a
+    caller can list every violation via config_violations instead of stopping
+    at the first.
     """
-    global _PROTOCOL_FIELDS
-    if _PROTOCOL_FIELDS is None:
-        _PROTOCOL_FIELDS = {fld.name for fld in fields(ProtocolConfig)}
-    unknown = sorted(set(items) - _PROTOCOL_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     kwargs = dict(items)
     for key in ("decay_scales", "decay_weights"):
         if key in kwargs and not isinstance(kwargs[key], tuple):
             kwargs[key] = (kwargs[key],)
-    try:
-        cfg = ProtocolConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = spec_from_items(ProtocolConfig, kwargs)
     return validate_config(cfg) if validate else cfg

@@ -120,7 +120,6 @@ def run_epoch(
     now: float | None = None,
     arrivals: Sequence[MemoryRecord] = (),
     relevance_memo: dict | None = None,
-    budget: int | None = None,
     cache_hits_base: int | None = None,
     cache_misses_base: int | None = None,
 ) -> EpochReport:
@@ -204,7 +203,6 @@ def run_epoch(
             cfg,
             net,
             behaviors=behaviors,
-            budget=budget,
         )
         elapsed += result.elapsed_virtual_s
         vote_list = [cast[agent_id] for agent_id in sorted(cast)]

@@ -132,9 +132,6 @@ class MetadataTable:
         self.rows.update(rows)
         self._dirty.update(rows)
 
-    def get(self, memory_id: str) -> tuple[str, float, float] | None:
-        return self.rows.get(memory_id)
-
     def delete(self, memory_ids: Iterable[str]) -> int:
         removed = 0
         for memory_id in memory_ids:
@@ -174,9 +171,6 @@ class WriteBuffer:
 
     def append(self, record: MemoryRecord) -> None:
         self.pending[record.id] = record
-
-    def get(self, memory_id: str) -> MemoryRecord | None:
-        return self.pending.get(memory_id)
 
     def discard(self, memory_id: str) -> bool:
         return self.pending.pop(memory_id, None) is not None

@@ -3,7 +3,7 @@
 The network delivers messages in timestamp order with seeded-uniform latency
 and seeded drops, so a whole run's delivery trace is a pure function of the
 submission sequence and the seed. The codec defines the binary frame format
-shared by the in-process transport and the optional socket mode.
+of the in-process transport.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
 from .consensus import Behavior, MessageKind, PbftMessage
-from .core import FaultKind, FaultProfile, Vote
+from .core import FaultKind, FaultProfile, Vote, spec_from_items
 
 logger = logging.getLogger(__name__)
 
@@ -47,8 +47,6 @@ __all__ = [
     "TransportClosed",
     "CoordinatorEndpoint",
     "propose_forgetting",
-    "send_frame",
-    "recv_frame",
 ]
 
 
@@ -74,17 +72,8 @@ class NetworkConfig:
 
 
 def network_config_from_items(items: dict[str, object]) -> NetworkConfig:
-    """Build a NetworkConfig from parsed config-file items; unknown keys error."""
-    from .core import ConfigError
-
-    known = set(NetworkConfig.__dataclass_fields__)
-    unknown = sorted(set(items) - known)
-    if unknown:
-        raise ConfigError(f"unknown network config keys: {', '.join(unknown)}")
-    try:
-        return NetworkConfig(**items)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """Build a NetworkConfig from parsed config-file items; see spec_from_items."""
+    return spec_from_items(NetworkConfig, items, "network.")
 
 
 class UnknownDestination(KeyError):
@@ -130,10 +119,6 @@ class SimulatedNetwork:
 
     def register(self, *node_ids: str) -> None:
         self._destinations.update(node_ids)
-
-    def submit(self, msg: object, sender: str, dest: str) -> bool:
-        """Schedule a delivery (or drop it). Returns whether it was scheduled."""
-        return self.broadcast(msg, sender, (dest,)) == 1
 
     def broadcast(self, msg: object, sender: str, dests: Sequence[str]) -> int:
         """Send one message to each destination in order; returns how many were scheduled.
@@ -470,39 +455,3 @@ def propose_forgetting(
     if response.kind is not FrameKind.PROPOSE_ACK:
         raise CodecError(f"expected PROPOSE_ACK, got {response.kind.name}")
     return list(response.memory_ids)
-
-
-# --- socket mode ------------------------------------------------------------------
-#
-# The optional socket transport reuses the identical frame format; these helpers
-# do the length-prefixed framing over any connected stream socket.
-
-
-def send_frame(sock, frame: Frame) -> None:
-    sock.sendall(encode_frame(frame))
-
-
-def _recv_exact(sock, n: int) -> bytes | None:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if not buf:
-                return None
-            raise TruncatedFrame(f"connection closed mid-frame after {len(buf)} of {n} bytes")
-        buf.extend(chunk)
-    return bytes(buf)
-
-
-def recv_frame(sock) -> Frame | None:
-    """Read one frame off a stream socket; None on clean EOF between frames."""
-    header = _recv_exact(sock, 4)
-    if header is None:
-        return None
-    (body_len,) = _U32.unpack(header)
-    if body_len > MAX_FRAME_BYTES:
-        raise OversizeFrame(f"declared body {body_len} bytes exceeds {MAX_FRAME_BYTES}")
-    body = _recv_exact(sock, body_len)
-    if body is None:
-        raise TruncatedFrame("connection closed after frame header")
-    return decode_frame(header + body)

@@ -17,13 +17,11 @@ __all__ = [
     "NoActiveAgents",
     "UnknownAgent",
     "AgentVote",
-    "QuorumDecision",
     "vote_rule",
     "form_vote",
     "quorum_threshold",
     "weighted_forget_score",
     "decide",
-    "quorum_decision",
 ]
 
 
@@ -43,16 +41,6 @@ class AgentVote:
     memory_id: str
     vote: Vote
     combined_score: float
-
-
-@dataclass(frozen=True)
-class QuorumDecision:
-    """The collective outcome for one memory: S_m against Q."""
-
-    memory_id: str
-    s_m: float
-    q: float
-    outcome: Vote
 
 
 def vote_rule(d, r, cfg: ProtocolConfig):
@@ -109,15 +97,3 @@ def weighted_forget_score(votes: Iterable[AgentVote], agents: Sequence[AgentProf
 def decide(s_m: float, q: float) -> Vote:
     """Forget iff S_m >= Q; the boundary is inclusive."""
     return Vote.FORGET if s_m >= q else Vote.KEEP
-
-
-def quorum_decision(
-    memory_id: str,
-    votes: Iterable[AgentVote],
-    agents: Sequence[AgentProfile],
-    alpha: float,
-) -> QuorumDecision:
-    """Compose S_m, Q, and the outcome for one memory."""
-    q = quorum_threshold(agents, alpha)
-    s_m = weighted_forget_score(votes, agents)
-    return QuorumDecision(memory_id=memory_id, s_m=s_m, q=q, outcome=decide(s_m, q))

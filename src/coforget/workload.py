@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AgentProfile, ConfigError, FaultProfile, MemoryRecord
+from .core import AgentProfile, FaultProfile, MemoryRecord, spec_from_items
 from .relevance import ContextProfile
 
 __all__ = [
@@ -74,6 +74,8 @@ class WorkloadSpec:
         arrivals = self.arrivals_per_epoch
         if isinstance(arrivals, int):
             arrivals = (arrivals, arrivals)
+        if len(arrivals) != 2:
+            raise ValueError(f"arrival range must be lo..hi, got {arrivals!r}")
         arrivals = (int(arrivals[0]), int(arrivals[1]))
         object.__setattr__(self, "arrivals_per_epoch", arrivals)
         if self.initial_items < 0:
@@ -100,15 +102,8 @@ class WorkloadSpec:
 
 
 def workload_spec_from_items(items: Mapping[str, object]) -> WorkloadSpec:
-    """Build a WorkloadSpec from parsed config-file items; unknown keys error."""
-    known = set(WorkloadSpec.__dataclass_fields__)
-    unknown = sorted(set(items) - known)
-    if unknown:
-        raise ConfigError(f"unknown workload config keys: {', '.join(unknown)}")
-    try:
-        return WorkloadSpec(**items)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """Build a WorkloadSpec from parsed config-file items; see spec_from_items."""
+    return spec_from_items(WorkloadSpec, items, "workload.")
 
 
 # --- corpus generation -----------------------------------------------------------

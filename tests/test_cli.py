@@ -18,6 +18,13 @@ workload.arrivals_per_epoch = 2..4
 workload.history_window_s = 1800.0
 """
 
+# Each value parses, but a run cannot use it.
+ILL_TYPED = (
+    "decay_scales = nan, 60, 3600\n",
+    "workload.dimension = 2.5\n",
+    "epoch_interactions = 2.5\n",
+)
+
 OUTPUT_FILES = ("report.json", "epochs.csv", "audit.jsonl", "metadata.csv")
 
 
@@ -58,6 +65,12 @@ class TestValidate:
         assert run_cli("validate", path) == 2
         assert "n_agents=7 does not match the roster of 4 agents" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ILL_TYPED)
+    def test_ill_typed_values_listed(self, tmp_path, capsys, text):
+        path = write_config(tmp_path, text)
+        assert run_cli("validate", path) == 2
+        assert text.partition(" =")[0] in capsys.readouterr().out
+
     def test_missing_file_names_the_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
         assert run_cli("validate", missing) == 2
@@ -94,6 +107,20 @@ class TestRunErrors:
         assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ILL_TYPED)
+    def test_ill_typed_values_rejected(self, tmp_path, capsys, text):
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", path, "--epochs", 1, "--out", out) == 2
+        assert f"config error: {text.partition(' =')[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", path, "--epochs", 1, "--seed", -1, "--out", out) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_roster_mismatch_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_RUN + "n_agents = 7\nf = 2\n")

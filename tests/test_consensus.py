@@ -1,10 +1,10 @@
 """Three-phase consensus: message invariants, phase transitions, full rounds.
 
-The observer-side handlers (on_prepare / on_commit) are exercised directly on
-bare instances. Each node's part in a round (its EVALUATE, the PREPARE and
-COMMIT it puts on the wire) is checked end to end through run_round over a
-lossless simulated network, where the coordinator's tallies show what every
-agent sent, including fault behaviors and the quorum gate in finalize.
+Each node's part in a round (its EVALUATE, the PREPARE and COMMIT it puts on
+the wire, the phase it reaches and the decision it takes) is checked end to
+end through run_round over a simulated network, where the coordinator's
+tallies show what every agent sent, including fault behaviors. The quorum
+gate is checked through finalize.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from coforget.consensus import (
     PbftMessage,
     Phase,
     finalize,
-    on_commit,
-    on_prepare,
     run_round,
 )
 from coforget.core import AgentProfile, ProtocolConfig, Vote
@@ -44,10 +42,6 @@ IDS = tuple(a.agent_id for a in ROSTER)
 
 def prepare(sender: str, vote: Vote, epoch: int = 0, memory_id: str = "m") -> PbftMessage:
     return PbftMessage(MessageKind.PREPARE, epoch, memory_id, sender, vote=vote)
-
-
-def commit(sender: str, vote: Vote, epoch: int = 0, memory_id: str = "m") -> PbftMessage:
-    return PbftMessage(MessageKind.COMMIT, epoch, memory_id, sender, vote=vote)
 
 
 def lossless_net(seed: int = 0) -> SimulatedNetwork:
@@ -149,108 +143,103 @@ class TestOnEvaluate:
 
 
 class TestOnPrepare:
+    """What a node does once PREPAREs arrive: stay idle below 2f, else commit its own vote."""
+
     def test_below_2f_stays_idle(self):
-        inst = PbftInstance("m", 0)
-        out = on_prepare(inst, prepare("planner-1", Vote.FORGET), f=1, own_vote=Vote.FORGET, self_id="me")
-        assert out is None
-        assert inst.phase is Phase.IDLE
+        # Only planner-1 sends a PREPARE, so no node reaches 2f = 2.
+        silent = {aid: Behavior.SILENT for aid in IDS[1:]}
+        result = lossless_round(unanimous(Vote.FORGET), silent)
+        assert result.instance.prepare_tally == {Vote.FORGET: {"planner-1"}}
+        assert result.instance.phase is Phase.IDLE
+        assert result.instance.commit_tally == {}
+        # 4 EVALUATEs and planner-1's PREPARE to its 4 peers; no COMMIT.
+        assert result.deliveries == 4 + 4
 
     def test_2f_prepares_trigger_commit_with_own_vote(self):
-        # The emitted COMMIT carries the node's own vote, not the prepared one.
-        inst = PbftInstance("m", 2)
-        on_prepare(inst, prepare("planner-1", Vote.FORGET, epoch=2), f=1, own_vote=Vote.KEEP, self_id="percept-1")
-        out = on_prepare(inst, prepare("planner-2", Vote.FORGET, epoch=2), f=1, own_vote=Vote.KEEP, self_id="percept-1")
-        assert out is not None
-        assert out.kind is MessageKind.COMMIT
-        assert out.vote is Vote.KEEP
-        assert out.sender == "percept-1"
-        assert out.epoch == 2
-        assert inst.phase is Phase.COMMITTED
+        # percept-1 is the only keep voter, so it reaches 2f on forget
+        # PREPAREs; the COMMIT it sends carries its own vote, not the prepared one.
+        votes = {**unanimous(Vote.FORGET), "percept-1": Vote.KEEP}
+        result = run_round("m", 2, ROSTER, votes, CFG, lossless_net())
+        assert result.instance.epoch == 2
+        assert result.instance.prepare_tally[Vote.KEEP] == {"percept-1"}
+        assert result.instance.commit_tally[Vote.KEEP] == {"percept-1"}
 
     def test_passive_observer_marks_prepared_without_commit(self):
-        inst = PbftInstance("m", 0)
-        on_prepare(inst, prepare("planner-1", Vote.FORGET), f=1)
-        out = on_prepare(inst, prepare("planner-2", Vote.FORGET), f=1)
-        assert out is None
-        assert inst.phase is Phase.PREPARED
-
-    def test_duplicate_sender_does_not_advance_tally(self):
-        inst = PbftInstance("m", 0)
-        for _ in range(5):
-            out = on_prepare(inst, prepare("planner-1", Vote.FORGET), f=1, own_vote=Vote.FORGET, self_id="me")
-            assert out is None
-        assert inst.prepare_tally[Vote.FORGET] == {"planner-1"}
-        assert inst.phase is Phase.IDLE
+        # The coordinator sees 2f PREPAREs from the percepts and marks
+        # PREPARED; it has no vote, so it appears in no tally.
+        silent = {"planner-1": Behavior.SILENT, "planner-2": Behavior.SILENT}
+        result = lossless_round(unanimous(Vote.FORGET), silent)
+        assert result.instance.phase is Phase.PREPARED
+        assert result.instance.prepare_tally == {Vote.FORGET: {"percept-1", "percept-2"}}
+        assert result.instance.commit_tally == {Vote.FORGET: {"percept-1", "percept-2"}}
+        assert result.deliveries == 4 + 2 * 2 * 4
 
     def test_split_votes_below_threshold_stay_idle(self):
-        inst = PbftInstance("m", 0)
-        on_prepare(inst, prepare("planner-1", Vote.FORGET), f=1)
-        out = on_prepare(inst, prepare("planner-2", Vote.KEEP), f=1)
-        assert out is None
-        assert inst.phase is Phase.IDLE
+        silent = {"percept-1": Behavior.SILENT, "percept-2": Behavior.SILENT}
+        votes = {**unanimous(Vote.FORGET), "planner-2": Vote.KEEP}
+        result = lossless_round(votes, silent)
+        assert result.instance.prepare_tally == {Vote.FORGET: {"planner-1"}, Vote.KEEP: {"planner-2"}}
+        assert result.instance.phase is Phase.IDLE
+        assert result.instance.commit_tally == {}
+        assert not result.decided
 
     def test_commit_emitted_at_most_once(self):
-        inst = PbftInstance("m", 0)
-        on_prepare(inst, prepare("planner-1", Vote.FORGET), f=1, own_vote=Vote.FORGET, self_id="me")
-        first = on_prepare(inst, prepare("planner-2", Vote.FORGET), f=1, own_vote=Vote.FORGET, self_id="me")
-        second = on_prepare(inst, prepare("percept-1", Vote.FORGET), f=1, own_vote=Vote.FORGET, self_id="me")
-        assert first is not None
-        assert second is None
-
-    def test_stale_epoch_is_counted_not_fatal(self):
-        inst = PbftInstance("m", 4)
-        out = on_prepare(inst, prepare("planner-1", Vote.FORGET, epoch=3), f=1)
-        assert out is None
-        assert inst.stale_count == 1
-        assert inst.prepare_tally == {}
-
-    def test_misrouted_memory_id_is_counted(self):
-        inst = PbftInstance("m", 0)
-        on_prepare(inst, prepare("planner-1", Vote.FORGET, memory_id="other"), f=1)
-        assert inst.stale_count == 1
-        assert inst.prepare_tally == {}
+        # With a 2-2 split every node reaches 2f on both votes, yet sends one COMMIT.
+        votes = {**unanimous(Vote.FORGET), "percept-1": Vote.KEEP, "percept-2": Vote.KEEP}
+        result = lossless_round(votes)
+        assert result.instance.commit_tally == {
+            Vote.FORGET: {"planner-1", "planner-2"},
+            Vote.KEEP: {"percept-1", "percept-2"},
+        }
+        assert result.deliveries == 4 + 2 * 4 * 4
 
 
 class TestOnCommit:
+    """What a node does once COMMITs arrive: decide at 2f+1, and only once."""
+
     def test_decides_at_2f_plus_1(self):
-        inst = PbftInstance("m", 0)
-        assert on_commit(inst, commit("planner-1", Vote.FORGET), f=1) is None
-        assert on_commit(inst, commit("planner-2", Vote.FORGET), f=1) is None
-        decision = on_commit(inst, commit("percept-1", Vote.FORGET), f=1)
-        assert decision is Vote.FORGET
-        assert inst.phase is Phase.DECIDED
-        assert inst.decision is Vote.FORGET
+        one_silent = lossless_round(unanimous(Vote.FORGET), {"planner-1": Behavior.SILENT})
+        assert one_silent.decision is Vote.FORGET
+        assert one_silent.commit_count == 2 * CFG.f + 1
+        assert one_silent.instance.phase is Phase.DECIDED
+        two_silent = lossless_round(
+            unanimous(Vote.FORGET), {"planner-1": Behavior.SILENT, "planner-2": Behavior.SILENT}
+        )
+        assert two_silent.instance.commit_tally == {Vote.FORGET: {"percept-1", "percept-2"}}
+        assert not two_silent.decided
+        assert set(two_silent.agent_decisions.values()) == {None}
 
     def test_two_plus_two_never_decides(self):
-        inst = PbftInstance("m", 0)
-        on_commit(inst, commit("planner-1", Vote.FORGET), f=1)
-        on_commit(inst, commit("planner-2", Vote.FORGET), f=1)
-        on_commit(inst, commit("percept-1", Vote.KEEP), f=1)
-        assert on_commit(inst, commit("percept-2", Vote.KEEP), f=1) is None
-        assert inst.decision is None
-        assert inst.phase is Phase.IDLE
+        votes = {**unanimous(Vote.FORGET), "percept-1": Vote.KEEP, "percept-2": Vote.KEEP}
+        for seed in range(20):
+            result = run_round("m", 0, ROSTER, votes, CFG, lossless_net(seed))
+            assert result.decision is None
+            assert result.instance.phase is Phase.PREPARED
+            assert set(result.agent_decisions.values()) == {None}
 
     def test_keep_majority_decides_keep(self):
-        inst = PbftInstance("m", 0)
-        for sender in IDS[:3]:
-            decision = on_commit(inst, commit(sender, Vote.KEEP), f=1)
-        assert decision is Vote.KEEP
+        votes = {**unanimous(Vote.KEEP), "planner-1": Vote.FORGET}
+        result = lossless_round(votes)
+        assert result.decision is Vote.KEEP
+        assert result.commit_count == 3
 
     def test_first_decision_sticks(self):
-        # Once decided, late commits for the other vote cannot flip it.
-        inst = PbftInstance("m", 0)
-        for sender in IDS[:3]:
-            on_commit(inst, commit(sender, Vote.FORGET), f=1)
-        for sender in ("x-1", "x-2", "x-3"):
-            assert on_commit(inst, commit(sender, Vote.KEEP), f=1) is Vote.FORGET
-        assert inst.decision is Vote.FORGET
-
-    def test_duplicate_commit_sender_ignored(self):
-        inst = PbftInstance("m", 0)
-        for _ in range(4):
-            on_commit(inst, commit("planner-1", Vote.FORGET), f=1)
-        assert inst.commit_tally[Vote.FORGET] == {"planner-1"}
-        assert inst.decision is None
+        # With N = 7 and f = 1 both votes can gather 2f+1 COMMITs. A fixed
+        # latency makes every COMMIT land at the same instant, in sender-id
+        # order: a1..a3's forget COMMITs decide every node before a4..a7's
+        # four keep COMMITs arrive, and the later keep quorum flips nothing.
+        cfg = ProtocolConfig(n_agents=7, f=1)
+        roster = tuple(AgentProfile(f"a{i}") for i in range(1, 8))
+        votes = {a.agent_id: Vote.FORGET if a.agent_id <= "a3" else Vote.KEEP for a in roster}
+        net = SimulatedNetwork(NetworkConfig(latency_min_ms=3.0, latency_max_ms=3.0, seed=0))
+        result = run_round("m", 0, roster, votes, cfg, net, budget=1000)
+        assert result.instance.commit_tally == {
+            Vote.FORGET: {"a1", "a2", "a3"},
+            Vote.KEEP: {"a4", "a5", "a6", "a7"},
+        }
+        assert result.decision is Vote.FORGET
+        assert result.commit_count == 3
+        assert set(result.agent_decisions.values()) == {Vote.FORGET}
 
 
 class TestFinalize:
@@ -456,35 +445,30 @@ class TestSafetyProperties:
             assert len(set(a) & set(b)) >= CFG.f + 1
 
     def test_decision_independent_of_commit_order(self):
-        # Replaying every permutation of a fixed commit multiset must land on
-        # the same decision: tallies are sets, thresholds are counts.
+        # Each network seed delivers the same messages in another order; the
+        # decision depends only on which votes were sent, because tallies
+        # are sets and thresholds are counts.
         cases = [
-            [commit(s, v) for s, v in zip(IDS, [Vote.FORGET] * 3 + [Vote.KEEP])],
-            [commit(s, v) for s, v in zip(IDS, [Vote.FORGET] * 2 + [Vote.KEEP] * 2)],
-            [commit(s, Vote.FORGET) for s in IDS],
+            {**unanimous(Vote.FORGET), "percept-2": Vote.KEEP},
+            {**unanimous(Vote.FORGET), "percept-1": Vote.KEEP, "percept-2": Vote.KEEP},
+            unanimous(Vote.FORGET),
         ]
-        for msgs in cases:
+        for votes in cases:
             outcomes = set()
-            for order in itertools.permutations(msgs):
-                inst = PbftInstance("m", 0)
-                for msg in order:
-                    on_commit(inst, msg, f=1)
-                outcomes.add(inst.decision)
-            assert len(outcomes) == 1, msgs
+            for seed in range(30):
+                result = run_round("m", 0, ROSTER, votes, CFG, lossless_net(seed))
+                outcomes.add(result.decision)
+                outcomes.update(result.agent_decisions.values())
+            assert len(outcomes) == 1, votes
 
     def test_emitted_commit_independent_of_prepare_order(self):
-        # Whatever order prepares arrive in, a voting node emits exactly one
+        # Whatever order PREPAREs arrive in, every node sends exactly one
         # COMMIT and it always carries its own vote.
-        msgs = [prepare(s, v) for s, v in zip(IDS, [Vote.FORGET, Vote.FORGET, Vote.KEEP, Vote.KEEP])]
-        emitted = set()
-        for order in itertools.permutations(msgs):
-            inst = PbftInstance("m", 0)
-            commits = []
-            for msg in order:
-                out = on_prepare(inst, msg, f=1, own_vote=Vote.KEEP, self_id="me")
-                if out is not None:
-                    commits.append(out)
-            assert len(commits) == 1
-            assert inst.phase is Phase.COMMITTED
-            emitted.add((commits[0].sender, commits[0].vote))
-        assert emitted == {("me", Vote.KEEP)}
+        votes = {**unanimous(Vote.FORGET), "percept-1": Vote.KEEP, "percept-2": Vote.KEEP}
+        for seed in range(30):
+            result = run_round("m", 0, ROSTER, votes, CFG, lossless_net(seed))
+            assert result.instance.commit_tally == {
+                Vote.FORGET: {"planner-1", "planner-2"},
+                Vote.KEEP: {"percept-1", "percept-2"},
+            }
+            assert result.deliveries == 4 + 2 * 4 * 4

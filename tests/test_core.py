@@ -24,6 +24,8 @@ from coforget.core import (
     protocol_config_from_items,
     validate_config,
 )
+from coforget.transport import network_config_from_items
+from coforget.workload import workload_spec_from_items
 
 
 def record(memory_id: str = "m1", dim: int = 4, **kwargs) -> MemoryRecord:
@@ -229,3 +231,44 @@ class TestConfigFile:
         )
         assert cfg.decay_scales == (60.0,)
         assert cfg.decay_weights == (1.0,)
+
+
+class TestSpecFromItems:
+    """One check for every parsed item before it becomes a config spec."""
+
+    @pytest.mark.parametrize("text", ["decay_scales = nan, 60, 3600", "alpha = inf", "batch_interval_s = -inf"])
+    def test_non_finite_float_rejected(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            protocol_config_from_items(parse_config_text(text), validate=False)
+
+    @pytest.mark.parametrize(
+        "build, items",
+        [
+            (protocol_config_from_items, {"epoch_interactions": 2.5}),
+            (protocol_config_from_items, {"n_agents": True}),
+            (protocol_config_from_items, {"n_agents": (4, 5)}),
+            (workload_spec_from_items, {"dimension": 2.5}),
+            (workload_spec_from_items, {"arrivals_per_epoch": (10, 20.5)}),
+            (network_config_from_items, {"seed": 1.5}),
+        ],
+    )
+    def test_non_integer_for_int_field_rejected(self, build, items):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            build(items)
+
+    @pytest.mark.parametrize("items", [{"alpha": "abc"}, {"omega_d": (0.4, 0.6)}, {"decay_weights": (0.5, "x")}])
+    def test_non_number_for_float_field_rejected(self, items):
+        with pytest.raises(ConfigError, match="must be a number"):
+            protocol_config_from_items(items, validate=False)
+
+    def test_unknown_keys_named_with_their_namespace(self):
+        with pytest.raises(ConfigError, match="unknown config keys: workload.churn"):
+            workload_spec_from_items({"churn": 1})
+        with pytest.raises(ConfigError, match="unknown config keys: network.jitter"):
+            network_config_from_items({"jitter": 1.0})
+
+    def test_ints_pass_for_float_fields(self):
+        cfg = protocol_config_from_items({"alpha": 1, "batch_interval_s": 10})
+        assert (cfg.alpha, cfg.batch_interval_s) == (1, 10)
+        assert network_config_from_items({"latency_max_ms": 7}).latency_max_ms == 7
+        assert workload_spec_from_items({"arrivals_per_epoch": (3, 4)}).arrivals_per_epoch == (3, 4)

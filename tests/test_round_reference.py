@@ -5,9 +5,14 @@ objects, dict[Vote, set] tallies and its own (time, sender, seq) heap fed from
 a random.Random seeded like the simulated network: one random() drop draw per
 destination, then a uniform latency for a kept message, with the sender's
 sequence number bumped for dropped messages too. Rosters of 4, 7 and 10
-agents, up to f faulty agents, lossy networks, tied latencies and small
-message budgets must give an equal RoundResult and leave the network in the
-same state, round after round on one network.
+agents with f = (N-1)//3, and of 7 agents with f = 1, up to f faulty agents,
+lossy networks, tied latencies and small message budgets must give an equal
+RoundResult and leave the network in the same state, round after round on one
+network.
+
+Observer agreement is asserted only where N <= 4f+1. A COMMIT carries its
+sender's own vote, so two 2f+1 commit quorums for different votes need only
+4f+2 senders, and with N = 7, f = 1 two observers can decide differently.
 """
 
 from __future__ import annotations
@@ -142,8 +147,7 @@ AGENT_IDS = hst.text(alphabet="abz-09", min_size=1, max_size=4)
 
 @hst.composite
 def rounds(draw):
-    n = draw(hst.sampled_from([4, 7, 10]))
-    f = (n - 1) // 3
+    n, f = draw(hst.sampled_from([(4, 1), (7, 2), (7, 1), (10, 3)]))
     ids = draw(hst.lists(AGENT_IDS, min_size=n, max_size=n, unique=True))
     inactive = draw(hst.sets(hst.sampled_from(ids), max_size=1))
     agents = tuple(AgentProfile(agent_id, active=agent_id not in inactive) for agent_id in ids)
@@ -188,6 +192,8 @@ class TestRunRoundMatchesReference:
                 ref.delivered_latency_s,
             )
             assert net.pending() == 0
+            if cfg.n_agents > 4 * cfg.f + 1:
+                continue
 
             observers = {DEFAULT_COORDINATOR_ID: got.decision}
             observers.update(

@@ -141,10 +141,10 @@ class TestMetadataTable:
     def test_update_get_delete(self):
         table = MetadataTable()
         table.update({"a": ("agent", 1.5, 0.25)})
-        assert table.get("a") == ("agent", 1.5, 0.25)
+        assert table.rows["a"] == ("agent", 1.5, 0.25)
         assert "a" in table
         assert table.delete(["a", "ghost"]) == 1
-        assert table.get("a") is None
+        assert "a" not in table.rows
 
     def test_snapshot_format(self, tmp_path):
         table = MetadataTable()
@@ -178,7 +178,7 @@ class TestWriteBuffer:
         buf.append(record(t_last=1.0))
         buf.append(record(t_last=9.0))
         assert len(buf) == 1
-        assert buf.get("m1").t_last == 9.0
+        assert buf.pending["m1"].t_last == 9.0
 
     def test_take_all_clears_and_preserves_order(self):
         buf = WriteBuffer()
@@ -208,7 +208,7 @@ class TestMemoryStoreReads:
         st.put(record("m1", t_last=1.0), now=1.0)
         got = st.get("m1", now=7.5)
         assert got.t_last == 7.5
-        assert st.buffer.get("m1").t_last == 7.5
+        assert st.buffer.pending["m1"].t_last == 7.5
         assert st.hits == 1 and st.misses == 0
 
     def test_cold_miss_reconstructs_without_refreshing_t_last(self):
@@ -479,10 +479,10 @@ def overlay(st: MemoryStore, memory_id: str) -> tuple | None:
     Gives (agent_id, t_last, salience, embedding as a tuple), or None for an
     id in neither.
     """
-    buffered = st.buffer.get(memory_id)
+    buffered = st.buffer.pending.get(memory_id)
     if buffered is not None:
         return buffered.agent_id, buffered.t_last, buffered.salience, tuple(buffered.embedding)
-    row = st.table.get(memory_id)
+    row = st.table.rows.get(memory_id)
     if row is None:
         return None
     agent_id, t_last, salience = row

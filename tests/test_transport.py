@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import socket
 import struct
 
 import pytest
@@ -31,9 +30,7 @@ from coforget.transport import (
     message_from_frame,
     network_config_from_items,
     propose_forgetting,
-    recv_frame,
     resolve_behavior,
-    send_frame,
 )
 
 
@@ -81,7 +78,7 @@ class TestSimulatedNetwork:
         for node in ("a", "b", "c"):
             net.register(node)
         for i in range(40):
-            net.submit(msg(epoch=i), sender="abc"[i % 3], dest="abc"[(i + 1) % 3])
+            net.broadcast(msg(epoch=i), "abc"[i % 3], ("abc"[(i + 1) % 3],))
         out = []
         while (event := net.poll()) is not None:
             out.append((event.msg.epoch, event.sender, event.dest, event.time_s, event.latency_s))
@@ -99,14 +96,14 @@ class TestSimulatedNetwork:
         net = SimulatedNetwork()
         net.register("a")
         with pytest.raises(UnknownDestination):
-            net.submit(msg(), "a", "ghost")
+            net.broadcast(msg(), "a", ("ghost",))
 
     def test_full_loss_drops_everything(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=1.0, seed=0))
         net.register("a")
         net.register("b")
         for i in range(10):
-            assert net.submit(msg(epoch=i), "a", "b") is False
+            assert net.broadcast(msg(epoch=i), "a", ("b",)) == 0
         assert net.dropped == 10
         assert net.pending() == 0
         assert net.poll() is None
@@ -117,7 +114,7 @@ class TestSimulatedNetwork:
         net.register("a")
         net.register("b")
         for i in range(20):
-            assert net.submit(msg(epoch=i), "a", "b") is True
+            assert net.broadcast(msg(epoch=i), "a", ("b",)) == 1
         epochs = []
         while (event := net.poll()) is not None:
             assert event.latency_s == pytest.approx(0.003)
@@ -130,14 +127,14 @@ class TestSimulatedNetwork:
         net.register("a")
         net.register("b")
         for i in range(100):
-            net.submit(msg(epoch=i), "a", "b")
+            net.broadcast(msg(epoch=i), "a", ("b",))
         while (event := net.poll()) is not None:
             assert 0.002 <= event.latency_s <= 0.007
 
     def test_self_delivery_bypasses_drops_and_latency(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=1.0, seed=0))
         net.register("a")
-        assert net.submit(msg(), "a", "a") is True
+        assert net.broadcast(msg(), "a", ("a",)) == 1
         event = net.poll()
         assert event is not None
         assert event.latency_s == 0.0
@@ -148,7 +145,7 @@ class TestSimulatedNetwork:
         net = SimulatedNetwork(NetworkConfig(drop_prob=0.0, seed=5))
         net.register("a")
         net.register("b")
-        net.submit(msg(), "a", "b")
+        net.broadcast(msg(), "a", ("b",))
         event = net.poll()
         assert net.clock == event.time_s > 0.0
 
@@ -157,7 +154,7 @@ class TestSimulatedNetwork:
         net.register("a")
         net.register("b")
         for i in range(7):
-            net.submit(msg(epoch=i), "a", "b")
+            net.broadcast(msg(epoch=i), "a", ("b",))
         assert net.drain() == 7
         assert net.pending() == 0
         assert net.poll() is None
@@ -166,7 +163,7 @@ class TestSimulatedNetwork:
         net = SimulatedNetwork(NetworkConfig(drop_prob=0.3, seed=9))
         net.register("a")
         net.register("b")
-        scheduled = sum(net.submit(msg(epoch=i), "a", "b") for i in range(200))
+        scheduled = sum(net.broadcast(msg(epoch=i), "a", ("b",)) for i in range(200))
         total_latency = 0.0
         while (event := net.poll()) is not None:
             total_latency += event.latency_s
@@ -396,63 +393,3 @@ class TestProposalRpc:
         with pytest.raises(CodecError, match="PROPOSE"):
             endpoint.handle_frame(raw)
 
-
-class TestSocketFraming:
-    def pair(self):
-        return socket.socketpair()
-
-    def test_round_trip_over_socketpair(self):
-        left, right = self.pair()
-        try:
-            frame = Frame(FrameKind.PROPOSE, 12, "planner-1", ("m1", "m2"), signature=b"sig")
-            send_frame(left, frame)
-            assert recv_frame(right) == frame
-        finally:
-            left.close()
-            right.close()
-
-    def test_multiple_frames_in_sequence(self):
-        left, right = self.pair()
-        try:
-            frames = [
-                Frame(FrameKind.PROPOSE, i, "a", (f"m{i}",)) for i in range(3)
-            ]
-            for frame in frames:
-                send_frame(left, frame)
-            left.close()
-            assert [recv_frame(right) for _ in range(3)] == frames
-            assert recv_frame(right) is None  # clean EOF between frames
-        finally:
-            right.close()
-
-    def test_eof_mid_body_is_truncated(self):
-        left, right = self.pair()
-        try:
-            raw = encode_frame(Frame(FrameKind.PROPOSE, 0, "a", ("m1",)))
-            left.sendall(raw[: len(raw) - 3])
-            left.close()
-            with pytest.raises(TruncatedFrame, match="mid-frame"):
-                recv_frame(right)
-        finally:
-            right.close()
-
-    def test_eof_right_after_header_is_truncated(self):
-        left, right = self.pair()
-        try:
-            raw = encode_frame(Frame(FrameKind.PROPOSE, 0, "a", ("m1",)))
-            left.sendall(raw[:4])
-            left.close()
-            with pytest.raises(TruncatedFrame, match="after frame header"):
-                recv_frame(right)
-        finally:
-            right.close()
-
-    def test_oversize_header_rejected_before_body_read(self):
-        left, right = self.pair()
-        try:
-            left.sendall(struct.pack("!I", MAX_FRAME_BYTES + 1))
-            left.close()
-            with pytest.raises(OversizeFrame):
-                recv_frame(right)
-        finally:
-            right.close()

@@ -13,7 +13,6 @@ from coforget.voting import (
     UnknownAgent,
     decide,
     form_vote,
-    quorum_decision,
     quorum_threshold,
     vote_rule,
     weighted_forget_score,
@@ -157,13 +156,15 @@ def test_all_vote_patterns_match_enumeration_oracle():
     q_oracle = alpha * sum(weights.values())
     for pattern in itertools.product([False, True], repeat=4):
         forgetters = {a.agent_id for a, is_forget in zip(ROSTER, pattern) if is_forget}
-        decision = quorum_decision("m1", cast(forgetters), ROSTER, alpha)
+        s_m = weighted_forget_score(cast(forgetters), ROSTER)
+        q = quorum_threshold(ROSTER, alpha)
+        outcome = decide(s_m, q)
         s_oracle = sum(weights[aid] for aid in forgetters)
-        assert decision.s_m == pytest.approx(s_oracle)
-        assert decision.q == pytest.approx(q_oracle)
-        assert decision.outcome is (Vote.FORGET if s_oracle >= q_oracle else Vote.KEEP)
+        assert s_m == pytest.approx(s_oracle)
+        assert q == pytest.approx(q_oracle)
+        assert outcome is (Vote.FORGET if s_oracle >= q_oracle else Vote.KEEP)
         if len(forgetters) <= 2:
-            assert decision.outcome is Vote.KEEP  # max two-agent S_m is 3.0 < 10/3
+            assert outcome is Vote.KEEP  # max two-agent S_m is 3.0 < 10/3
 
 
 def test_flipping_to_forget_never_decreases_score():

@@ -66,6 +66,7 @@ class TestWorkloadSpec:
             ("initial_items", -1),
             ("arrivals_per_epoch", (5, 2)),
             ("arrivals_per_epoch", (-1, 2)),
+            ("arrivals_per_epoch", (1, 2, 3)),
             ("access_skew", 0.0),
             ("accesses_per_interaction", -1),
             ("relevance_mix", 1.5),
