@@ -42,9 +42,7 @@ from .relevance import (
     CosineContextScorer,
     DimensionMismatch,
     ExternalScorer,
-    KeywordOverlapScorer,
     RelevanceScorer,
-    ScorerKind,
     relevance,
 )
 from .store import EmptyIndex, MemoryStore, MetadataTable, VectorIndex, WriteBuffer
@@ -55,9 +53,7 @@ from .transport import (
     FrameKind,
     NetworkConfig,
     OversizeFrame,
-    ProposalTimeout,
     SimulatedNetwork,
-    TransportClosed,
     TruncatedFrame,
     UnknownMessageKind,
     decode,

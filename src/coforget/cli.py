@@ -29,11 +29,12 @@ from .core import (
     config_violations,
     parse_config_text,
     protocol_config_from_items,
+    spec_from_items,
     validate_roster,
 )
 from .epoch import EpochReport, SimulationResult, run_simulation
-from .transport import NetworkConfig, network_config_from_items
-from .workload import WorkloadSpec, default_agents, workload_spec_from_items
+from .transport import NetworkConfig
+from .workload import WorkloadSpec, default_agents
 
 SCENARIOS = ("baseline_no_faults", "byzantine_f1", "cache_profile", "custom")
 
@@ -112,8 +113,8 @@ def _compose_run(
     network["seed"] = seed
 
     cfg = protocol_config_from_items(protocol)
-    spec = workload_spec_from_items(workload)
-    net_cfg = network_config_from_items(network)
+    spec = spec_from_items(WorkloadSpec, workload, "workload.")
+    net_cfg = spec_from_items(NetworkConfig, network, "network.")
     return cfg, spec, net_cfg, default_agents(faults)
 
 
@@ -199,14 +200,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
             validate_roster(cfg, default_agents())
         except ConfigError as exc:
             problems.append(str(exc))
-    try:
-        workload_spec_from_items(workload_items)
-    except ConfigError as exc:
-        problems.append(str(exc))
-    try:
-        network_config_from_items(network_items)
-    except ConfigError as exc:
-        problems.append(str(exc))
+    specs = ((WorkloadSpec, workload_items, "workload."), (NetworkConfig, network_items, "network."))
+    for cls, spec_items, namespace in specs:
+        try:
+            spec_from_items(cls, spec_items, namespace)
+        except ConfigError as exc:
+            problems.append(str(exc))
     if problems:
         for problem in problems:
             print(problem)

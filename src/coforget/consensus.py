@@ -161,7 +161,6 @@ def run_round(
     cfg: ProtocolConfig,
     net,
     behaviors: Mapping[str, Behavior] | None = None,
-    coordinator_id: str = DEFAULT_COORDINATOR_ID,
     budget: int | None = None,
 ) -> RoundResult:
     """Drive one consensus instance to completion over a simulated network.
@@ -170,15 +169,18 @@ def run_round(
     fault behavior per agent (default honest). The coordinator sends one
     EVALUATE to each active agent; a silent agent sends nothing, an
     equivocating one puts its inverted vote on the wire. Delivery stops when
-    the queue drains or the message budget (default 10*N) is exhausted.
+    the queue drains or `budget` messages have been delivered. With A active
+    agents a round delivers at most A(2A+1) messages (A EVALUATEs, then A
+    peers for each PREPARE and COMMIT broadcast), and that is the default, so
+    only an explicit budget can cut a round short.
     """
-    if budget is None:
-        budget = 10 * cfg.n_agents
     behaviors = behaviors or {}
     active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
     if not active:
         logger.warning("instance (%s, %d) started with zero active agents; undecidable", memory_id, epoch)
-    ids = [coordinator_id] + [a.agent_id for a in active]
+    if budget is None:
+        budget = len(active) * (2 * len(active) + 1)
+    ids = [DEFAULT_COORDINATOR_ID] + [a.agent_id for a in active]
     n = len(ids)
     index = {node_id: i for i, node_id in enumerate(ids)}
     peers = [ids[:i] + ids[i + 1 :] for i in range(n)]
@@ -201,7 +203,7 @@ def run_round(
     net.register(*ids)
     dropped_before = net.dropped
     latency_before = net.delivered_latency_s
-    net.broadcast((_EVALUATE, 1, None), coordinator_id, ids[1:])
+    net.broadcast((_EVALUATE, 1, None), ids[0], ids[1:])
 
     poll = net.poll
     broadcast = net.broadcast

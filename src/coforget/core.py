@@ -147,7 +147,13 @@ class InvalidQuorumFraction(ConfigError):
 
 
 class FaultBoundViolation(ConfigError):
-    """N < 3f + 1."""
+    """N lies outside 3f+1 ≤ N ≤ 4f+1, or the roster size is not N.
+
+    Below 3f+1, f faults can block or split a quorum. Above 4f+1, two honest
+    observers can decide differently, because a COMMIT carries its sender's
+    own vote and two 2f+1 commit quorums for different votes need only 4f+2
+    senders.
+    """
 
 
 class WeightSumViolation(ConfigError):
@@ -189,6 +195,14 @@ def config_violations(cfg: ProtocolConfig) -> list[tuple[type[ConfigError], str]
     out: list[tuple[type[ConfigError], str]] = []
     if cfg.n_agents < 3 * cfg.f + 1 or cfg.f < 0:
         out.append((FaultBoundViolation, f"N ≥ 3f+1 violated: n_agents={cfg.n_agents}, f={cfg.f}"))
+    elif cfg.n_agents > 4 * cfg.f + 1:
+        out.append(
+            (
+                FaultBoundViolation,
+                f"N ≤ 4f+1 violated: n_agents={cfg.n_agents}, f={cfg.f}; with more agents two "
+                f"2f+1 commit quorums can back different votes and observers can disagree",
+            )
+        )
     if not 0.5 < cfg.alpha <= 1.0:
         out.append((InvalidQuorumFraction, f"alpha must lie in (0.5, 1], got {cfg.alpha}"))
     if len(cfg.decay_scales) != len(cfg.decay_weights) or len(cfg.decay_scales) == 0:
@@ -242,8 +256,8 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
 def validate_roster(cfg: ProtocolConfig, agents: Sequence[AgentProfile]) -> None:
     """Raise FaultBoundViolation unless the roster has exactly cfg.n_agents agents.
 
-    f and each round's message budget are sized for cfg.n_agents, so a roster
-    of any other size runs every consensus round under the wrong bounds.
+    The fault bound f is checked against cfg.n_agents, so a roster of any
+    other size runs every consensus round under an unchecked bound.
     """
     if len(agents) != cfg.n_agents:
         raise FaultBoundViolation(

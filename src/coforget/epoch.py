@@ -85,27 +85,18 @@ class EpochReport:
     per_memory_audit: list[MemoryAudit] = field(default_factory=list)
 
 
-_VOTE_LABEL = {Vote.KEEP: "keep", Vote.FORGET: "forget"}
-
-
 def _relevance_column(
     records: list[MemoryRecord],
     ids: list[str],
     context: ContextProfile,
     scorer: RelevanceScorer | None,
-    memo: dict,
-    agent_id: str | None,
+    memo: dict[str, float],
 ) -> np.ndarray:
-    """Relevance of every snapshot record, scoring only the ids the memo lacks.
-
-    The memo key is the memory id for a shared scorer and (agent_id, memory
-    id) for an agent's own scorer.
-    """
-    keys = ids if agent_id is None else [(agent_id, memory_id) for memory_id in ids]
-    for key, record in zip(keys, records):
-        if key not in memo:
-            memo[key] = relevance(record, context, scorer)
-    return np.fromiter(map(memo.__getitem__, keys), dtype=np.float64, count=len(ids))
+    """Relevance of every snapshot record, scoring only the ids `memo` lacks."""
+    for memory_id, record in zip(ids, records):
+        if memory_id not in memo:
+            memo[memory_id] = relevance(record, context, scorer)
+    return np.fromiter(map(memo.__getitem__, ids), dtype=np.float64, count=len(ids))
 
 
 def run_epoch(
@@ -119,7 +110,7 @@ def run_epoch(
     epoch_index: int = 0,
     now: float | None = None,
     arrivals: Sequence[MemoryRecord] = (),
-    relevance_memo: dict | None = None,
+    relevance_memo: dict[str | None, dict[str, float]] | None = None,
     cache_hits_base: int | None = None,
     cache_misses_base: int | None = None,
 ) -> EpochReport:
@@ -128,7 +119,9 @@ def run_epoch(
     `scorer` is either one scorer shared by every agent or a mapping from
     agent id to that agent's scorer. `arrivals` are queued records that enter
     the store after deletion commits. Consensus timeouts retain the memory and
-    are recorded per-memory rather than raised.
+    are recorded per-memory rather than raised. `relevance_memo` carries
+    scores across epochs as {scorer key: {memory id: relevance}}; the key is
+    None for a shared scorer and the agent id for an agent's own scorer.
     """
     hits_base = store.hits if cache_hits_base is None else cache_hits_base
     misses_base = store.misses if cache_misses_base is None else cache_misses_base
@@ -156,7 +149,8 @@ def run_epoch(
         key = None if shared else profile.agent_id
         if key not in by_scorer:
             agent_scorer = scorer if shared else scorer.get(profile.agent_id)
-            r = _relevance_column(snapshot, ids, context, agent_scorer, relevance_memo, key)
+            memo = relevance_memo.setdefault(key, {})
+            r = _relevance_column(snapshot, ids, context, agent_scorer, memo)
             by_scorer[key] = vote_rule(decay, r, cfg)
         agent_votes[profile.agent_id] = by_scorer[key]
 
@@ -182,15 +176,16 @@ def run_epoch(
     q = quorum_threshold(agents, cfg.alpha) if active else 0.0
     for memory_id in sorted(proposed):
         i = row_of[memory_id]
-        cast = {
-            agent_id: AgentVote(
+        # agent_votes follows the active roster, which is sorted by id.
+        cast = [
+            AgentVote(
                 agent_id=agent_id,
                 memory_id=memory_id,
                 vote=Vote.FORGET if forget[i] else Vote.KEEP,
                 combined_score=float(combined[i]),
             )
             for agent_id, (combined, forget) in agent_votes.items()
-        }
+        ]
         behaviors = {
             profile.agent_id: resolve_behavior(profile.fault, epoch_index, memory_id)
             for profile in active
@@ -199,14 +194,13 @@ def run_epoch(
             memory_id,
             epoch_index,
             agents,
-            {agent_id: agent_vote.vote for agent_id, agent_vote in cast.items()},
+            {agent_vote.agent_id: agent_vote.vote for agent_vote in cast},
             cfg,
             net,
             behaviors=behaviors,
         )
         elapsed += result.elapsed_virtual_s
-        vote_list = [cast[agent_id] for agent_id in sorted(cast)]
-        s_m = weighted_forget_score(vote_list, agents)
+        s_m = weighted_forget_score(cast, agents)
         # Consensus forget deletes only when S_m >= Q; consensus keep and a
         # timeout retain the memory.
         if result.decision is None:
@@ -214,7 +208,7 @@ def run_epoch(
             decision = "timeout"
         else:
             reached += 1
-            decision = _VOTE_LABEL[result.decision]
+            decision = result.decision.value
         outcome = "retained"
         if result.decision is Vote.FORGET and decide(s_m, q) is Vote.FORGET:
             to_delete.append(memory_id)
@@ -222,7 +216,7 @@ def run_epoch(
         audits.append(
             MemoryAudit(
                 memory_id=memory_id,
-                votes=tuple((agent_id, _VOTE_LABEL[cast[agent_id].vote]) for agent_id in sorted(cast)),
+                votes=tuple((agent_vote.agent_id, agent_vote.vote.value) for agent_vote in cast),
                 decision=decision,
                 s_m=s_m,
                 q=q,
@@ -234,10 +228,9 @@ def run_epoch(
     # Phase 4: delete, persist, then admit the queued arrivals. Ids are never
     # reused, so the memo entries of deleted ids are dropped.
     deleted = store.delete(to_delete)
-    for memory_id in to_delete:
-        relevance_memo.pop(memory_id, None)
-        for profile in agents:
-            relevance_memo.pop((profile.agent_id, memory_id), None)
+    for memo in relevance_memo.values():
+        for memory_id in to_delete:
+            memo.pop(memory_id, None)
     store.commit(now)
     for record in arrivals:
         store.put(record, now)
@@ -275,7 +268,6 @@ def run_simulation(
     epochs: int,
     *,
     agents: Sequence[AgentProfile] | None = None,
-    net=None,
     net_cfg: NetworkConfig | None = None,
     scorer: RelevanceScorer | Mapping[str, RelevanceScorer] | None = None,
     strict_pbft: bool = False,
@@ -295,8 +287,7 @@ def run_simulation(
     if agents is None:
         agents = default_agents()
     validate_roster(cfg, agents)
-    if net is None:
-        net = SimulatedNetwork(net_cfg or NetworkConfig(seed=cfg.rng_seed))
+    net = SimulatedNetwork(net_cfg or NetworkConfig(seed=cfg.rng_seed))
 
     context = make_context(spec)
     store = MemoryStore.from_config(
@@ -308,7 +299,7 @@ def run_simulation(
     store.commit(now)
 
     rng = traffic_stream(spec)
-    relevance_memo: dict = {}
+    relevance_memo: dict[str | None, dict[str, float]] = {}
     reports: list[EpochReport] = []
     baselines: list[int] = []
     baseline_footprint = spec.initial_items

@@ -1,16 +1,15 @@
 """Semantic relevance scoring of a memory against the current context.
 
-The default scorer maps cosine similarity affinely onto [0, 1]; alternative
-scorers (keyword overlap, externally supplied) sit behind the same interface
-so callers never branch on the scoring backend.
+The default scorer maps cosine similarity affinely onto [0, 1]; an externally
+supplied scorer sits behind the same interface, so callers never branch on
+the scoring backend.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -21,10 +20,8 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "DimensionMismatch",
     "ContextProfile",
-    "ScorerKind",
     "RelevanceScorer",
     "CosineContextScorer",
-    "KeywordOverlapScorer",
     "ExternalScorer",
     "relevance",
 ]
@@ -50,80 +47,35 @@ class ContextProfile:
             raise ValueError("context embedding must be a non-zero vector")
 
 
-class ScorerKind(enum.Enum):
-    COSINE_CONTEXT = "cosine_context"
-    KEYWORD_OVERLAP = "keyword_overlap"
-    EXTERNAL = "external"
-
-
 class RelevanceScorer:
     """Interface: a deterministic pure function (memory, context) -> [0, 1]."""
-
-    kind: ScorerKind
 
     def score(self, memory: MemoryRecord, context: ContextProfile) -> float:
         raise NotImplementedError
 
 
-def _cosine_relevance(memory: MemoryRecord, context: ContextProfile) -> float:
-    a = memory.embedding
-    b = context.embedding
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"memory embedding has length {a.shape[0]}, context has {b.shape[0]}"
-        )
-    norm_a = float(np.linalg.norm(a))
-    if norm_a == 0.0:
-        # A zero memory embedding carries no directional information.
-        logger.debug("zero memory embedding for %s; relevance defaults to 0.5", memory.id)
-        return 0.5
-    norm_b = float(np.linalg.norm(b))
-    cos = float(np.dot(a, b)) / (norm_a * norm_b)
-    cos = max(-1.0, min(1.0, cos))
-    score = (cos + 1.0) / 2.0
-    return max(0.0, min(1.0, score))
-
-
 class CosineContextScorer(RelevanceScorer):
     """Default scorer: (cosine + 1) / 2, clamped to [0, 1]."""
 
-    kind = ScorerKind.COSINE_CONTEXT
-
     def score(self, memory: MemoryRecord, context: ContextProfile) -> float:
-        return _cosine_relevance(memory, context)
-
-
-def _tokens(text: str) -> frozenset[str]:
-    return frozenset(tok for tok in "".join(c.lower() if c.isalnum() else " " for c in text).split())
-
-
-class KeywordOverlapScorer(RelevanceScorer):
-    """Jaccard overlap between a memory's label tokens and the context label.
-
-    Labels are supplied at construction (memories carry no text); the fixed
-    label table is part of the scorer configuration, keeping scores pure.
-    """
-
-    kind = ScorerKind.KEYWORD_OVERLAP
-
-    def __init__(self, labels: Mapping[str, str]):
-        self._labels = dict(labels)
-
-    def score(self, memory: MemoryRecord, context: ContextProfile) -> float:
-        mine = _tokens(self._labels.get(memory.id, ""))
-        theirs = _tokens(context.label)
-        if not mine and not theirs:
+        a = memory.embedding
+        b = context.embedding
+        if a.shape[0] != b.shape[0]:
+            raise DimensionMismatch(
+                f"memory embedding has length {a.shape[0]}, context has {b.shape[0]}"
+            )
+        norm_a = float(np.linalg.norm(a))
+        if norm_a == 0.0:
+            # A zero memory embedding carries no directional information.
+            logger.debug("zero memory embedding for %s; relevance defaults to 0.5", memory.id)
             return 0.5
-        union = mine | theirs
-        if not union:
-            return 0.5
-        return len(mine & theirs) / len(union)
+        norm_b = float(np.linalg.norm(b))
+        cos = float(np.dot(a, b)) / (norm_a * norm_b)
+        return (max(-1.0, min(1.0, cos)) + 1.0) / 2.0
 
 
 class ExternalScorer(RelevanceScorer):
     """Seam for model-backed scoring; the callable must be deterministic."""
-
-    kind = ScorerKind.EXTERNAL
 
     def __init__(self, fn: Callable[[MemoryRecord, ContextProfile], float]):
         self._fn = fn

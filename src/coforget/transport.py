@@ -17,13 +17,12 @@ from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
 from .consensus import Behavior, MessageKind, PbftMessage
-from .core import FaultKind, FaultProfile, Vote, spec_from_items
+from .core import FaultKind, FaultProfile, Vote
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "NetworkConfig",
-    "network_config_from_items",
     "FaultProfile",
     "FaultKind",
     "resolve_behavior",
@@ -43,8 +42,6 @@ __all__ = [
     "decode",
     "frame_from_message",
     "message_from_frame",
-    "ProposalTimeout",
-    "TransportClosed",
     "CoordinatorEndpoint",
     "propose_forgetting",
 ]
@@ -69,11 +66,6 @@ class NetworkConfig:
             )
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
-
-
-def network_config_from_items(items: dict[str, object]) -> NetworkConfig:
-    """Build a NetworkConfig from parsed config-file items; see spec_from_items."""
-    return spec_from_items(NetworkConfig, items, "network.")
 
 
 class UnknownDestination(KeyError):
@@ -396,14 +388,6 @@ def decode(data: bytes) -> PbftMessage:
 # --- proposal RPC ---------------------------------------------------------------
 
 
-class ProposalTimeout(TimeoutError):
-    """The coordinator endpoint did not answer within budget."""
-
-
-class TransportClosed(ConnectionError):
-    """The endpoint's transport was shut down."""
-
-
 class CoordinatorEndpoint:
     """In-process coordinator side of the forgetting-proposal RPC.
 
@@ -411,18 +395,11 @@ class CoordinatorEndpoint:
     order-preserving deduplicated id list.
     """
 
-    def __init__(self, node_id: str = "coordinator", reachable: bool = True):
+    def __init__(self, node_id: str = "coordinator"):
         self.node_id = node_id
-        self.reachable = reachable
-        self.closed = False
         self.received: list[tuple[str, tuple[str, ...]]] = []
 
-    def close(self) -> None:
-        self.closed = True
-
     def handle_frame(self, data: bytes) -> bytes:
-        if self.closed:
-            raise TransportClosed(f"endpoint {self.node_id} is closed")
         frame = decode_frame(data)
         if frame.kind is not FrameKind.PROPOSE:
             raise CodecError(f"endpoint expects PROPOSE, got {frame.kind.name}")
@@ -436,18 +413,15 @@ class CoordinatorEndpoint:
 def propose_forgetting(
     memory_ids: Sequence[str],
     agent_id: str,
-    endpoint: CoordinatorEndpoint | None,
+    endpoint: CoordinatorEndpoint,
     epoch: int = 0,
 ) -> list[str]:
     """Send one agent's forget proposals; returns the acknowledged id subset.
 
-    Duplicate ids are acknowledged once. An unreachable coordinator raises
-    ProposalTimeout; a closed one raises TransportClosed.
+    Duplicate ids are acknowledged once.
     """
     if not memory_ids:
         raise ValueError("memory id list must be non-empty")
-    if endpoint is None or not endpoint.reachable:
-        raise ProposalTimeout(f"coordinator unreachable for agent {agent_id}")
     request = encode_frame(
         Frame(kind=FrameKind.PROPOSE, epoch=epoch, sender=agent_id, memory_ids=tuple(memory_ids))
     )

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AgentProfile, FaultProfile, MemoryRecord, spec_from_items
+from .core import AgentProfile, FaultProfile, MemoryRecord
 from .relevance import ContextProfile
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "AGENT_IDS",
     "EmptyPopulation",
     "WorkloadSpec",
-    "workload_spec_from_items",
     "make_context",
     "generate_initial",
     "make_arrivals",
@@ -99,11 +98,6 @@ class WorkloadSpec:
             raise ValueError(
                 f"interaction_interval_s must be > 0, got {self.interaction_interval_s}"
             )
-
-
-def workload_spec_from_items(items: Mapping[str, object]) -> WorkloadSpec:
-    """Build a WorkloadSpec from parsed config-file items; see spec_from_items."""
-    return spec_from_items(WorkloadSpec, items, "workload.")
 
 
 # --- corpus generation -----------------------------------------------------------

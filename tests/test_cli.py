@@ -54,6 +54,12 @@ class TestValidate:
         assert "N ≥ 3f+1" in out
         assert "decay weights" in out.lower() or "sum" in out.lower()
 
+    def test_agreement_bound_listed(self, tmp_path, capsys):
+        # n_agents = 4 with f = 0 exceeds N ≤ 4f+1 before the roster check.
+        path = write_config(tmp_path, "f = 0\n")
+        assert run_cli("validate", path) == 2
+        assert "N ≤ 4f+1 violated: n_agents=4, f=0" in capsys.readouterr().out
+
     def test_unknown_workload_key_listed(self, tmp_path, capsys):
         path = write_config(tmp_path, "workload.bogus = 1\n")
         assert run_cli("validate", path) == 2
@@ -126,6 +132,13 @@ class TestRunErrors:
         path = write_config(tmp_path, SMALL_RUN + "n_agents = 7\nf = 2\n")
         assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 2
         assert "n_agents=7 does not match the roster of 4 agents" in capsys.readouterr().err
+
+    def test_agreement_bound_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL_RUN + "f = 0\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", path, "--epochs", 1, "--out", out) == 2
+        assert "N ≤ 4f+1 violated" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejected_run_leaves_no_output_directory(self, tmp_path):
         path = write_config(tmp_path, SMALL_RUN + "n_agents = 7\nf = 2\n")

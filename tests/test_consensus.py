@@ -436,6 +436,21 @@ class TestSafetyProperties:
             )
             assert result.decision is vote
 
+    @pytest.mark.parametrize("n", [5, 7, 10])
+    def test_default_budget_decides_every_unanimous_lossless_round(self, n):
+        # Liveness: with honest unanimous votes and no drops every observer
+        # decides, so the default budget must cover the whole round.
+        cfg = ProtocolConfig(n_agents=n, f=(n - 1) // 3)
+        roster = tuple(AgentProfile(f"a{i:02d}") for i in range(n))
+        net = lossless_net(seed=n)
+        for trial in range(40):
+            vote = (Vote.KEEP, Vote.FORGET)[trial % 2]
+            result = run_round(f"m{trial}", trial, roster, {a.agent_id: vote for a in roster}, cfg, net)
+            assert result.decision is vote
+            assert set(result.agent_decisions.values()) == {vote}
+            assert result.undelivered == 0
+            assert result.deliveries <= n * (2 * n + 1)
+
     def test_commit_quorums_always_intersect_in_honest_nodes(self):
         # Any two 2f+1 subsets of N=4 nodes share at least f+1 = 2 members,
         # so two conflicting decisions would need two votes from one node.

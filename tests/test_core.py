@@ -22,10 +22,11 @@ from coforget.core import (
     make_embedding,
     parse_config_text,
     protocol_config_from_items,
+    spec_from_items,
     validate_config,
 )
-from coforget.transport import network_config_from_items
-from coforget.workload import workload_spec_from_items
+from coforget.transport import NetworkConfig
+from coforget.workload import WorkloadSpec
 
 
 def record(memory_id: str = "m1", dim: int = 4, **kwargs) -> MemoryRecord:
@@ -127,6 +128,16 @@ class TestValidateConfig:
         violations = config_violations(ProtocolConfig(n_agents=3, f=1))
         assert any("N ≥ 3f+1" in msg for _, msg in violations)
 
+    @pytest.mark.parametrize("n_agents, f", [(4, 0), (6, 1), (7, 1), (10, 2)])
+    def test_agreement_bound_violation(self, n_agents, f):
+        # Above 4f+1, two 2f+1 commit quorums can back different votes.
+        with pytest.raises(FaultBoundViolation, match="N ≤ 4f\\+1"):
+            validate_config(ProtocolConfig(n_agents=n_agents, f=f))
+
+    @pytest.mark.parametrize("n_agents, f", [(1, 0), (4, 1), (5, 1), (7, 2), (9, 2), (10, 3)])
+    def test_fault_bounds_are_inclusive(self, n_agents, f):
+        assert config_violations(ProtocolConfig(n_agents=n_agents, f=f)) == []
+
     def test_weight_sum_violation(self):
         with pytest.raises(WeightSumViolation):
             validate_config(ProtocolConfig(decay_weights=(0.5, 0.5, 0.5)))
@@ -169,7 +180,7 @@ class TestValidateConfig:
                 omega_r=rng.choice([0.6, 0.3]),
             )
             expect_ok = (
-                cfg.n_agents >= 3 * cfg.f + 1
+                3 * cfg.f + 1 <= cfg.n_agents <= 4 * cfg.f + 1
                 and 0.5 < cfg.alpha <= 1.0
                 and len(scales) == len(weights) > 0
                 and all(s > 0 for s in scales)
@@ -242,19 +253,19 @@ class TestSpecFromItems:
             protocol_config_from_items(parse_config_text(text), validate=False)
 
     @pytest.mark.parametrize(
-        "build, items",
+        "cls, items",
         [
-            (protocol_config_from_items, {"epoch_interactions": 2.5}),
-            (protocol_config_from_items, {"n_agents": True}),
-            (protocol_config_from_items, {"n_agents": (4, 5)}),
-            (workload_spec_from_items, {"dimension": 2.5}),
-            (workload_spec_from_items, {"arrivals_per_epoch": (10, 20.5)}),
-            (network_config_from_items, {"seed": 1.5}),
+            (ProtocolConfig, {"epoch_interactions": 2.5}),
+            (ProtocolConfig, {"n_agents": True}),
+            (ProtocolConfig, {"n_agents": (4, 5)}),
+            (WorkloadSpec, {"dimension": 2.5}),
+            (WorkloadSpec, {"arrivals_per_epoch": (10, 20.5)}),
+            (NetworkConfig, {"seed": 1.5}),
         ],
     )
-    def test_non_integer_for_int_field_rejected(self, build, items):
+    def test_non_integer_for_int_field_rejected(self, cls, items):
         with pytest.raises(ConfigError, match="must be an integer"):
-            build(items)
+            spec_from_items(cls, items)
 
     @pytest.mark.parametrize("items", [{"alpha": "abc"}, {"omega_d": (0.4, 0.6)}, {"decay_weights": (0.5, "x")}])
     def test_non_number_for_float_field_rejected(self, items):
@@ -263,12 +274,12 @@ class TestSpecFromItems:
 
     def test_unknown_keys_named_with_their_namespace(self):
         with pytest.raises(ConfigError, match="unknown config keys: workload.churn"):
-            workload_spec_from_items({"churn": 1})
+            spec_from_items(WorkloadSpec, {"churn": 1}, "workload.")
         with pytest.raises(ConfigError, match="unknown config keys: network.jitter"):
-            network_config_from_items({"jitter": 1.0})
+            spec_from_items(NetworkConfig, {"jitter": 1.0}, "network.")
 
     def test_ints_pass_for_float_fields(self):
         cfg = protocol_config_from_items({"alpha": 1, "batch_interval_s": 10})
         assert (cfg.alpha, cfg.batch_interval_s) == (1, 10)
-        assert network_config_from_items({"latency_max_ms": 7}).latency_max_ms == 7
-        assert workload_spec_from_items({"arrivals_per_epoch": (3, 4)}).arrivals_per_epoch == (3, 4)
+        assert spec_from_items(NetworkConfig, {"latency_max_ms": 7}).latency_max_ms == 7
+        assert spec_from_items(WorkloadSpec, {"arrivals_per_epoch": (3, 4)}).arrivals_per_epoch == (3, 4)

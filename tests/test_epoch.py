@@ -225,10 +225,8 @@ class TestRunEpochOutcomes:
             st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo
         )
         assert report.deleted == 3
-        if per_agent:
-            assert set(memo) == {(a.agent_id, "kept") for a in AGENTS}
-        else:
-            assert set(memo) == {"kept"}
+        keys = [a.agent_id for a in AGENTS] if per_agent else [None]
+        assert {key: set(scores) for key, scores in memo.items()} == {key: {"kept"} for key in keys}
 
     def test_empty_store_epoch_is_a_no_op(self):
         st = MemoryStore.from_config(CFG, DIM)

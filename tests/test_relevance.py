@@ -1,4 +1,4 @@
-"""Relevance scorers: cosine mapping, keyword overlap, and the external seam."""
+"""Relevance scorers: cosine mapping and the external seam."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from coforget.relevance import (
     CosineContextScorer,
     DimensionMismatch,
     ExternalScorer,
-    KeywordOverlapScorer,
-    ScorerKind,
     relevance,
 )
 
@@ -76,27 +74,6 @@ def test_near_parallel_is_clamped_into_unit_interval():
     assert 0.0 <= relevance(record(v), CONTEXT) <= 1.0
 
 
-class TestKeywordOverlap:
-    def test_jaccard_overlap(self):
-        scorer = KeywordOverlapScorer(labels={"m1": "alpha beta gamma"})
-        ctx = ContextProfile(embedding=np.ones(3), label="beta gamma delta")
-        # intersection {beta, gamma} = 2, union {alpha..delta} = 4
-        assert scorer.score(record([1.0, 0, 0]), ctx) == pytest.approx(0.5)
-
-    def test_unknown_memory_has_empty_tokens(self):
-        scorer = KeywordOverlapScorer(labels={})
-        ctx = ContextProfile(embedding=np.ones(3), label="beta")
-        assert scorer.score(record([1.0, 0, 0]), ctx) == 0.0
-
-    def test_both_empty_is_uninformative(self):
-        scorer = KeywordOverlapScorer(labels={})
-        ctx = ContextProfile(embedding=np.ones(3), label="")
-        assert scorer.score(record([1.0, 0, 0]), ctx) == 0.5
-
-    def test_kind(self):
-        assert KeywordOverlapScorer(labels={}).kind is ScorerKind.KEYWORD_OVERLAP
-
-
 class TestExternalScorer:
     def test_wraps_and_clamps(self):
         scorer = ExternalScorer(lambda memory, context: 1.7)
@@ -104,12 +81,8 @@ class TestExternalScorer:
         scorer = ExternalScorer(lambda memory, context: -3.0)
         assert scorer.score(record([1.0, 0, 0]), CONTEXT) == 0.0
 
-    def test_kind(self):
-        assert ExternalScorer(lambda m, c: 0.5).kind is ScorerKind.EXTERNAL
-
 
 def test_explicit_cosine_scorer_matches_default():
     scorer = CosineContextScorer()
     v = record([0.3, -0.2, 0.9])
     assert scorer.score(v, CONTEXT) == relevance(v, CONTEXT)
-    assert scorer.kind is ScorerKind.COSINE_CONTEXT

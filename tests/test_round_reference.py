@@ -69,10 +69,11 @@ class ReferenceNetwork:
 
 
 def reference_round(memory_id, epoch, agents, votes, cfg, net, behaviors, budget):
-    if budget is None:
-        budget = 10 * cfg.n_agents
     coordinator = DEFAULT_COORDINATOR_ID
     active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
+    if budget is None:
+        # A EVALUATEs, then A peers for each agent's PREPARE and COMMIT.
+        budget = len(active) * (2 * len(active) + 1)
     nodes = [coordinator] + [a.agent_id for a in active]
     behavior = {a.agent_id: behaviors.get(a.agent_id, Behavior.HONEST) for a in active}
     wire = {coordinator: None}

@@ -8,7 +8,7 @@ import struct
 import pytest
 
 from coforget.consensus import MessageKind, Behavior, PbftMessage
-from coforget.core import ConfigError, FaultKind, FaultProfile, Vote
+from coforget.core import ConfigError, FaultKind, FaultProfile, Vote, spec_from_items
 from coforget.transport import (
     MAX_FRAME_BYTES,
     CodecError,
@@ -17,9 +17,7 @@ from coforget.transport import (
     FrameKind,
     NetworkConfig,
     OversizeFrame,
-    ProposalTimeout,
     SimulatedNetwork,
-    TransportClosed,
     TruncatedFrame,
     UnknownDestination,
     UnknownMessageKind,
@@ -28,7 +26,6 @@ from coforget.transport import (
     encode,
     encode_frame,
     message_from_frame,
-    network_config_from_items,
     propose_forgetting,
     resolve_behavior,
 )
@@ -59,17 +56,17 @@ class TestNetworkConfig:
             NetworkConfig(drop_prob=p)
 
     def test_from_items_builds(self):
-        cfg = network_config_from_items({"drop_prob": 0.1, "seed": 7})
+        cfg = spec_from_items(NetworkConfig, {"drop_prob": 0.1, "seed": 7}, "network.")
         assert cfg.drop_prob == 0.1
         assert cfg.seed == 7
 
     def test_from_items_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="jitter"):
-            network_config_from_items({"jitter": 1.0})
+            spec_from_items(NetworkConfig, {"jitter": 1.0}, "network.")
 
     def test_from_items_wraps_value_errors(self):
         with pytest.raises(ConfigError):
-            network_config_from_items({"drop_prob": 2.0})
+            spec_from_items(NetworkConfig, {"drop_prob": 2.0}, "network.")
 
 
 class TestSimulatedNetwork:
@@ -371,21 +368,6 @@ class TestProposalRpc:
     def test_empty_proposal_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             propose_forgetting([], "x", CoordinatorEndpoint())
-
-    def test_missing_coordinator_times_out(self):
-        with pytest.raises(ProposalTimeout, match="planner-1"):
-            propose_forgetting(["m"], "planner-1", None)
-
-    def test_unreachable_coordinator_times_out(self):
-        endpoint = CoordinatorEndpoint(reachable=False)
-        with pytest.raises(ProposalTimeout):
-            propose_forgetting(["m"], "x", endpoint)
-
-    def test_closed_endpoint_raises(self):
-        endpoint = CoordinatorEndpoint()
-        endpoint.close()
-        with pytest.raises(TransportClosed):
-            propose_forgetting(["m"], "x", endpoint)
 
     def test_endpoint_rejects_non_propose_frames(self):
         endpoint = CoordinatorEndpoint()

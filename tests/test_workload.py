@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from coforget.core import ConfigError, FaultKind, FaultProfile
+from coforget.core import ConfigError, FaultKind, FaultProfile, spec_from_items
 from coforget.relevance import relevance
 from coforget.workload import (
     AGENT_IDS,
@@ -25,7 +25,6 @@ from coforget.workload import (
     make_context,
     step_interaction,
     traffic_stream,
-    workload_spec_from_items,
 )
 
 
@@ -80,17 +79,17 @@ class TestWorkloadSpec:
             WorkloadSpec(**{field: value})
 
     def test_from_items_builds(self):
-        ws = workload_spec_from_items({"initial_items": 10, "access_skew": 1.3})
+        ws = spec_from_items(WorkloadSpec, {"initial_items": 10, "access_skew": 1.3}, "workload.")
         assert ws.initial_items == 10
         assert ws.access_skew == 1.3
 
     def test_from_items_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="churn"):
-            workload_spec_from_items({"churn": 2})
+            spec_from_items(WorkloadSpec, {"churn": 2}, "workload.")
 
     def test_from_items_wraps_value_errors(self):
         with pytest.raises(ConfigError):
-            workload_spec_from_items({"relevance_mix": 7.0})
+            spec_from_items(WorkloadSpec, {"relevance_mix": 7.0}, "workload.")
 
 
 class TestContext:
