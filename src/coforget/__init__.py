@@ -35,7 +35,7 @@ from .core import (
     validate_config,
     validate_roster,
 )
-from .decay import DecayResult, NegativeAge, Proposal, combined_decay, decay_score
+from .decay import DecayResult, NegativeAge, combined_decay, decay_score
 from .epoch import EpochReport, MemoryAudit, SimulationResult, run_epoch, run_simulation
 from .relevance import (
     ContextProfile,

@@ -173,8 +173,6 @@ class ProtocolConfig:
     alpha: float = 2.0 / 3.0
     decay_scales: tuple[float, ...] = (10.0, 60.0, 3600.0)
     decay_weights: tuple[float, ...] = (0.2, 0.3, 0.5)
-    decay_threshold: float = 0.3
-    variance_warn: float = 0.1
     omega_d: float = 0.4
     omega_r: float = 0.6
     vote_threshold: float = 0.4
@@ -227,12 +225,8 @@ def config_violations(cfg: ProtocolConfig) -> list[tuple[type[ConfigError], str]
         out.append(
             (WeightSumViolation, f"omega_d + omega_r must equal 1, got {cfg.omega_d} + {cfg.omega_r}")
         )
-    if not 0.0 < cfg.decay_threshold < 1.0:
-        out.append((ConfigError, f"decay_threshold must lie in (0, 1), got {cfg.decay_threshold}"))
     if not 0.0 < cfg.vote_threshold < 1.0:
         out.append((ConfigError, f"vote_threshold must lie in (0, 1), got {cfg.vote_threshold}"))
-    if cfg.variance_warn < 0:
-        out.append((ConfigError, f"variance_warn must be >= 0, got {cfg.variance_warn}"))
     if cfg.epoch_interactions < 1:
         out.append((ConfigError, f"epoch_interactions must be >= 1, got {cfg.epoch_interactions}"))
     if cfg.cache_capacity < 1:
@@ -268,18 +262,13 @@ def validate_roster(cfg: ProtocolConfig, agents: Sequence[AgentProfile]) -> None
 # --- flat config file format -------------------------------------------------
 #
 # One `key = value` pair per line; blank lines and `#` comments are ignored.
-# Values: int, float, bool (true/false), fraction (2/3), comma list (10, 60),
-# integer range (10..20), else a bare string. Keys are namespaced by prefix:
-# bare keys configure the protocol, `workload.` and `network.` feed those specs.
+# Values: int, float, fraction (2/3), comma list (10, 60), integer range
+# (10..20), else a bare string. Keys are namespaced by prefix: bare keys
+# configure the protocol, `workload.` and `network.` feed those specs.
 
 
 def _parse_scalar(raw: str) -> Any:
     text = raw.strip()
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
     try:
         return int(text)
     except ValueError:

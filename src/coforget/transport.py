@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
-from .consensus import Behavior, MessageKind, PbftMessage
+from .consensus import DEFAULT_COORDINATOR_ID, Behavior, MessageKind, PbftMessage
 from .core import FaultKind, FaultProfile, Vote
 
 logger = logging.getLogger(__name__)
@@ -196,6 +196,9 @@ MAX_FRAME_BYTES = 64 * 1024
 _U32 = struct.Struct("!I")
 _U16 = struct.Struct("!H")
 _HEAD = struct.Struct("!BQ")  # kind, epoch
+# Body bytes besides the sender, the ids and the signature: kind and epoch,
+# sender length, id count, vote, signature length.
+_FIXED_BODY = _HEAD.size + 2 + 2 + 1 + 2
 
 
 class FrameKind(enum.IntEnum):
@@ -244,16 +247,7 @@ def encode_frame(frame: Frame) -> bytes:
         raise CodecError(f"epoch out of u64 range: {frame.epoch}")
     sender = frame.sender.encode("utf-8")
     ids = [mid.encode("utf-8") for mid in frame.memory_ids]
-    body_len = (
-        _HEAD.size
-        + 2
-        + len(sender)
-        + 2
-        + sum(2 + len(b) for b in ids)
-        + 1
-        + 2
-        + len(frame.signature)
-    )
+    body_len = _FIXED_BODY + len(sender) + sum(2 + len(b) for b in ids) + len(frame.signature)
     if body_len > MAX_FRAME_BYTES:
         raise OversizeFrame(f"frame body {body_len} bytes exceeds {MAX_FRAME_BYTES}")
     parts = [
@@ -395,7 +389,7 @@ class CoordinatorEndpoint:
     order-preserving deduplicated id list.
     """
 
-    def __init__(self, node_id: str = "coordinator"):
+    def __init__(self, node_id: str = DEFAULT_COORDINATOR_ID):
         self.node_id = node_id
         self.received: list[tuple[str, tuple[str, ...]]] = []
 
@@ -416,16 +410,31 @@ def propose_forgetting(
     endpoint: CoordinatorEndpoint,
     epoch: int = 0,
 ) -> list[str]:
-    """Send one agent's forget proposals; returns the acknowledged id subset.
+    """Send one agent's forget proposals; returns the acknowledged ids in order.
 
-    Duplicate ids are acknowledged once.
+    The ids go out in order over as many PROPOSE frames as keep each body
+    within MAX_FRAME_BYTES. An id repeated in the list, within one frame or
+    across frames, is acknowledged once.
     """
     if not memory_ids:
         raise ValueError("memory id list must be non-empty")
-    request = encode_frame(
-        Frame(kind=FrameKind.PROPOSE, epoch=epoch, sender=agent_id, memory_ids=tuple(memory_ids))
-    )
-    response = decode_frame(endpoint.handle_frame(request))
-    if response.kind is not FrameKind.PROPOSE_ACK:
-        raise CodecError(f"expected PROPOSE_ACK, got {response.kind.name}")
-    return list(response.memory_ids)
+    room = MAX_FRAME_BYTES - _FIXED_BODY - len(agent_id.encode("utf-8"))
+    chunks: list[list[str]] = [[]]
+    used = 0
+    for memory_id in memory_ids:
+        cost = 2 + len(memory_id.encode("utf-8"))
+        if chunks[-1] and used + cost > room:
+            chunks.append([])
+            used = 0
+        chunks[-1].append(memory_id)
+        used += cost
+    acked: dict[str, None] = {}
+    for chunk in chunks:
+        request = encode_frame(
+            Frame(kind=FrameKind.PROPOSE, epoch=epoch, sender=agent_id, memory_ids=tuple(chunk))
+        )
+        response = decode_frame(endpoint.handle_frame(request))
+        if response.kind is not FrameKind.PROPOSE_ACK:
+            raise CodecError(f"expected PROPOSE_ACK, got {response.kind.name}")
+        acked.update(dict.fromkeys(response.memory_ids))
+    return list(acked)

@@ -23,7 +23,17 @@ ILL_TYPED = (
     "decay_scales = nan, 60, 3600\n",
     "workload.dimension = 2.5\n",
     "epoch_interactions = 2.5\n",
+    "epoch_interactions = true\n",
 )
+
+# Far, fast-decaying memories: epoch 0 proposes more ids than one PROPOSE
+# frame holds.
+OVERSIZE_PROPOSAL = """\
+decay_scales = 10, 60, 600
+workload.initial_items = 2500
+workload.relevance_mix = 0.0
+workload.dimension = 16
+"""
 
 OUTPUT_FILES = ("report.json", "epochs.csv", "audit.jsonl", "metadata.csv")
 
@@ -64,6 +74,12 @@ class TestValidate:
         path = write_config(tmp_path, "workload.bogus = 1\n")
         assert run_cli("validate", path) == 2
         assert "bogus" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["decay_threshold = 0.3", "variance_warn = 0.1"])
+    def test_unread_protocol_keys_listed_as_unknown(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, key + "\n")
+        assert run_cli("validate", path) == 2
+        assert f"unknown config keys: {key.partition(' =')[0]}" in capsys.readouterr().out
 
     def test_roster_mismatch_listed(self, tmp_path, capsys):
         # Valid on its own, but the CLI runs the fixed 4-agent roster.
@@ -263,3 +279,14 @@ class TestRunOutputs:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["scenario"] == "custom"
+
+    def test_proposal_list_larger_than_one_frame(self, tmp_path):
+        config = write_config(tmp_path, OVERSIZE_PROPOSAL)
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--scenario", "custom", "--config", config, "--epochs", 2, "--out", out
+        )
+        assert code == 0
+        with open(out / "epochs.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert int(rows[0]["proposed"]) > 2000

@@ -1,21 +1,20 @@
-"""Multi-scale decay scoring: formulas, bounds, and the proposal flag."""
+"""Multi-scale decay scoring: formulas, bounds, and the decay term of a vote."""
 
-import logging
 import math
 import random
 
 import numpy as np
 import pytest
 
-from coforget.core import ProtocolConfig
-from coforget.decay import DecayResult, NegativeAge, Proposal, combined_decay, decay_score
+from coforget.core import ProtocolConfig, Vote
+from coforget.decay import DecayResult, NegativeAge, combined_decay, decay_score
+from coforget.voting import form_vote
 
 CFG = ProtocolConfig()
 
 # Frozen from a 50-digit evaluation of the decay formulas done before the
 # implementation existed; the acceptance suite re-derives them live.
 COMBINED_AT_60 = 0.6025953096975747
-VARIANCE_AT_60 = 0.18676601957050698
 COMBINED_AT_21600 = 0.0012393760883331792
 
 
@@ -23,24 +22,18 @@ def test_zero_age_is_unity_everywhere():
     res = decay_score(100.0, 100.0, CFG)
     assert res.per_scale == (1.0, 1.0, 1.0)
     assert res.combined == 1.0
-    assert res.variance == 0.0
-    assert not res.high_variance
-    assert res.proposal is Proposal.PROPOSE_KEEP
 
 
 def test_sixty_second_age_reference_values():
     res = decay_score(0.0, 60.0, CFG)
     assert res.combined == pytest.approx(COMBINED_AT_60, abs=1e-12)
-    assert res.variance == pytest.approx(VARIANCE_AT_60, abs=1e-12)
-    assert res.high_variance  # 0.1867 > 0.1
-    assert res.proposal is Proposal.PROPOSE_KEEP
 
 
 def test_six_hour_age_proposes_forget():
     res = decay_score(0.0, 21600.0, CFG)
     assert res.combined == pytest.approx(COMBINED_AT_21600, abs=1e-12)
-    assert res.combined < CFG.decay_threshold
-    assert res.proposal is Proposal.PROPOSE_FORGET
+    # With no relevance, a memory this old draws a forget vote.
+    assert form_vote(res.combined, 0.0, CFG)[0] is Vote.FORGET
 
 
 def test_negative_age_rejected():
@@ -57,9 +50,6 @@ def test_per_scale_matches_direct_exponentials():
             assert d_i == pytest.approx(math.exp(-dt / s_i), abs=1e-15)
         expected = sum(g * d for g, d in zip(CFG.decay_weights, res.per_scale))
         assert res.combined == pytest.approx(expected, abs=1e-12)
-        n = len(res.per_scale)
-        expected_var = sum((d - res.combined) ** 2 for d in res.per_scale) / n
-        assert res.variance == pytest.approx(expected_var, abs=1e-12)
 
 
 def test_combined_strictly_decreasing_in_age():
@@ -79,36 +69,16 @@ def test_bounds_hold_for_all_finite_ages():
 def test_underflow_flushes_to_zero_and_proposes_forget():
     res = decay_score(0.0, 1e9, CFG)
     assert res.combined == 0.0
-    assert res.proposal is Proposal.PROPOSE_FORGET
+    assert form_vote(res.combined, 0.0, CFG)[0] is Vote.FORGET
 
 
 def test_equal_scales_have_zero_variance():
     cfg = ProtocolConfig(decay_scales=(60.0, 60.0, 60.0))
     for dt in [0.0, 10.0, 500.0]:
         res = decay_score(0.0, dt, cfg)
-        assert res.variance == pytest.approx(0.0, abs=1e-18)
-        assert not res.high_variance
-
-
-def test_high_variance_threshold_is_strict():
-    base = decay_score(0.0, 60.0, CFG)
-    at_boundary = ProtocolConfig(variance_warn=base.variance)
-    assert not decay_score(0.0, 60.0, at_boundary).high_variance
-    just_below = ProtocolConfig(variance_warn=base.variance - 1e-12)
-    assert decay_score(0.0, 60.0, just_below).high_variance
-
-
-def test_proposal_boundary_is_strict_less_than():
-    # combined exactly at the threshold keeps
-    base = decay_score(0.0, 60.0, CFG)
-    cfg = ProtocolConfig(decay_threshold=base.combined)
-    assert decay_score(0.0, 60.0, cfg).proposal is Proposal.PROPOSE_KEEP
-
-
-def test_high_variance_emits_debug_log(caplog):
-    with caplog.at_level(logging.DEBUG, logger="coforget.decay"):
-        decay_score(0.0, 60.0, CFG)
-    assert any("variance" in r.getMessage() for r in caplog.records)
+        # Every scale scores the same, so there is no spread across scales.
+        assert len(set(res.per_scale)) == 1
+        assert res.combined == pytest.approx(res.per_scale[0], abs=1e-15)
 
 
 def test_result_is_frozen():

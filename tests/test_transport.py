@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import struct
+import uuid
 
 import pytest
 
@@ -368,6 +369,33 @@ class TestProposalRpc:
     def test_empty_proposal_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             propose_forgetting([], "x", CoordinatorEndpoint())
+
+    def test_list_larger_than_one_frame_is_split(self):
+        rng = random.Random(5)
+        ids = [str(uuid.UUID(int=rng.getrandbits(128))) for _ in range(3000)]
+        with pytest.raises(OversizeFrame):
+            encode_frame(Frame(FrameKind.PROPOSE, 0, "planner-1", tuple(ids)))
+
+        class RecordingEndpoint(CoordinatorEndpoint):
+            def __init__(self):
+                super().__init__()
+                self.body_sizes = []
+
+            def handle_frame(self, data):
+                self.body_sizes.append(len(data) - 4)
+                return super().handle_frame(data)
+
+        endpoint = RecordingEndpoint()
+        assert propose_forgetting(ids, "planner-1", endpoint) == ids
+        assert len(endpoint.body_sizes) > 1
+        assert max(endpoint.body_sizes) <= MAX_FRAME_BYTES
+        sent = [mid for _, acked in endpoint.received for mid in acked]
+        assert sent == ids
+
+        # An id that reappears in a later frame is acknowledged once.
+        endpoint = RecordingEndpoint()
+        assert propose_forgetting(ids + ids[:1], "planner-1", endpoint) == ids
+        assert endpoint.received[-1][1][-1] == ids[0]
 
     def test_endpoint_rejects_non_propose_frames(self):
         endpoint = CoordinatorEndpoint()
