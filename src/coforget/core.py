@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -69,17 +69,22 @@ class FaultProfile:
     coin_seed: int = 0
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def make_embedding(values: Iterable[float]) -> np.ndarray:
-    """Build a read-only float64 vector, the canonical embedding form."""
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=np.float64)
+    """Build a read-only float64 vector, the canonical embedding form (kept as is if already)."""
+    if type(values) is np.ndarray and values.dtype is _FLOAT64 and not values.flags.writeable:
+        arr = values
+    else:
+        arr = np.array(values if isinstance(values, np.ndarray) else list(values), dtype=np.float64)
+        arr.flags.writeable = False
     if arr.ndim != 1:
         raise ValueError(f"embedding must be one-dimensional, got shape {arr.shape}")
-    arr = arr.copy() if arr.flags.writeable else arr
-    arr.flags.writeable = False
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MemoryRecord:
     """One shared memory item.
 
@@ -96,15 +101,11 @@ class MemoryRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("memory id must be nonempty")
-        if self.t_last < 0:
-            raise ValueError(f"t_last must be >= 0, got {self.t_last}")
+        if not 0.0 <= self.t_last < math.inf:
+            raise ValueError(f"t_last must be finite and >= 0, got {self.t_last}")
         if not 0.0 <= self.salience <= 1.0:
             raise ValueError(f"salience must be in [0, 1], got {self.salience}")
-        emb = self.embedding
-        if not isinstance(emb, np.ndarray) or emb.dtype != np.float64 or emb.flags.writeable:
-            object.__setattr__(self, "embedding", make_embedding(emb))
-        elif emb.ndim != 1:
-            raise ValueError(f"embedding must be one-dimensional, got shape {emb.shape}")
+        object.__setattr__(self, "embedding", make_embedding(self.embedding))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MemoryRecord):
@@ -115,8 +116,22 @@ class MemoryRecord:
         return hash(self.id)
 
     def touched(self, now: float) -> "MemoryRecord":
-        """Copy of this record with t_last advanced to `now`."""
-        return replace(self, t_last=now)
+        """Copy with t_last advanced to `now`; the other fields were checked at construction."""
+        if not 0.0 <= now < math.inf:
+            raise ValueError(f"t_last must be finite and >= 0, got {now}")
+        new = object.__new__(MemoryRecord)
+        _set_id(new, self.id)
+        _set_embedding(new, self.embedding)
+        _set_agent_id(new, self.agent_id)
+        _set_t_last(new, now)
+        _set_salience(new, self.salience)
+        return new
+
+
+# Slot setters for touched(), in field order; they bypass the frozen __setattr__.
+_set_id, _set_embedding, _set_agent_id, _set_t_last, _set_salience = (
+    getattr(MemoryRecord, fld.name).__set__ for fld in fields(MemoryRecord)
+)
 
 
 @dataclass(frozen=True)

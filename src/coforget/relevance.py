@@ -8,6 +8,7 @@ the scoring backend.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,10 +40,8 @@ class ContextProfile:
     label: str = ""
 
     def __post_init__(self) -> None:
-        emb = self.embedding
-        if not isinstance(emb, np.ndarray) or emb.dtype != np.float64 or emb.flags.writeable:
-            emb = make_embedding(emb)
-            object.__setattr__(self, "embedding", emb)
+        emb = make_embedding(self.embedding)
+        object.__setattr__(self, "embedding", emb)
         if not np.any(emb):
             raise ValueError("context embedding must be a non-zero vector")
 
@@ -75,13 +74,16 @@ class CosineContextScorer(RelevanceScorer):
 
 
 class ExternalScorer(RelevanceScorer):
-    """Seam for model-backed scoring; the callable must be deterministic."""
+    """Seam for model-backed scoring; the callable must be deterministic. NaN is an error."""
 
     def __init__(self, fn: Callable[[MemoryRecord, ContextProfile], float]):
         self._fn = fn
 
     def score(self, memory: MemoryRecord, context: ContextProfile) -> float:
-        return max(0.0, min(1.0, float(self._fn(memory, context))))
+        value = float(self._fn(memory, context))
+        if math.isnan(value):
+            raise ValueError(f"external scorer returned NaN for memory {memory.id}")
+        return max(0.0, min(1.0, value))
 
 
 _DEFAULT_SCORER = CosineContextScorer()

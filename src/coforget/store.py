@@ -240,11 +240,14 @@ class MemoryStore:
 
     def _write(self, record: MemoryRecord, now: float) -> None:
         """Make `record` the live copy, the most recent cache entry and a pending write."""
-        self._live[record.id] = record
-        self._cache[record.id] = None
-        self._cache.move_to_end(record.id)
-        while len(self._cache) > self.cache_capacity:
-            self._cache.popitem(last=False)
+        memory_id = record.id
+        self._live[memory_id] = record
+        if memory_id in self._cache:
+            self._cache.move_to_end(memory_id)
+        else:
+            self._cache[memory_id] = None
+            if len(self._cache) > self.cache_capacity:
+                self._cache.popitem(last=False)
         self.buffer.append(record)
         self.maybe_flush(now)
 
@@ -272,16 +275,16 @@ class MemoryStore:
 
     def maybe_flush(self, now: float) -> int:
         """Flush when the batch is full or the flush interval has elapsed."""
-        if not self.buffer.pending:
+        buffer = self.buffer
+        pending = len(buffer.pending)
+        if not pending:
             return 0
-        size_hit = len(self.buffer.pending) >= self.batch_size
-        time_hit = (now - self.buffer.last_flush) > self.batch_interval_s
-        if not (size_hit or time_hit):
-            return 0
-        if size_hit:
+        if pending >= self.batch_size:
             self.size_flushes += 1
-        else:
+        elif now - buffer.last_flush > self.batch_interval_s:
             self.time_flushes += 1
+        else:
+            return 0
         return self._flush(now)
 
     def _flush(self, now: float) -> int:

@@ -203,11 +203,12 @@ class ZipfSampler:
             raise EmptyPopulation("cannot sample over zero live memories")
         ranks = np.arange(1, population + 1, dtype=np.float64)
         self._cumulative = np.cumsum(ranks**-skew)
+        self._total = float(self._cumulative[-1])
+        self._search = self._cumulative.searchsorted
         self.population = population
 
     def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        draws = rng.random(k) * self._cumulative[-1]
-        return np.searchsorted(self._cumulative, draws, side="right")
+        return self._search(rng.random(k) * self._total, side="right")
 
 
 @dataclass(frozen=True)
@@ -240,10 +241,10 @@ def step_interaction(
             raise EmptyPopulation("no live memories to access")
         if sampler is None or sampler.population != len(live_ids):
             sampler = ZipfSampler(len(live_ids), spec.access_skew)
-        indexes = sampler.sample(rng, spec.accesses_per_interaction)
-        accesses = tuple(live_ids[int(i)] for i in indexes)
-    arrivals = make_arrivals(spec, rng, arrival_count, now, context) if arrival_count else []
-    return InteractionStep(access_ids=accesses, arrivals=tuple(arrivals))
+        indexes = sampler.sample(rng, spec.accesses_per_interaction).tolist()
+        accesses = tuple([live_ids[i] for i in indexes])
+    arrivals = tuple(make_arrivals(spec, rng, arrival_count, now, context)) if arrival_count else ()
+    return InteractionStep(access_ids=accesses, arrivals=arrivals)
 
 
 def traffic_stream(spec: WorkloadSpec) -> np.random.Generator:

@@ -1,5 +1,6 @@
 """Domain types, config validation, and the flat config file format."""
 
+import dataclasses
 import math
 import random
 
@@ -87,11 +88,43 @@ class TestMemoryRecord:
         assert t.id == r.id
         assert t is not r
 
+    def test_touched_copies_every_other_field(self):
+        r = record(t_last=1.0, agent_id="a,2", salience=0.25)
+        t = r.touched(42.0)
+        assert (t.id, t.agent_id, t.salience) == (r.id, r.agent_id, r.salience)
+        assert t.embedding is r.embedding
+        assert r.t_last == 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.t_last = 0.0
+
+    @pytest.mark.parametrize("t_last", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_t_last(self, t_last):
+        # A NaN t_last would make the memory's decay NaN, so no agent could
+        # ever vote to forget it; an infinite one fails later, mid-run.
+        with pytest.raises(ValueError, match="t_last must be finite"):
+            record(t_last=t_last)
+
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -1.0])
+    def test_touched_rejects_non_finite_or_negative_now(self, now):
+        with pytest.raises(ValueError, match="t_last must be finite"):
+            record().touched(now)
+
 
 def test_make_embedding_coerces_to_float64_readonly():
     v = make_embedding([1, 2, 3])
     assert v.dtype == np.float64
     assert not v.flags.writeable
+
+
+def test_make_embedding_keeps_canonical_arrays_and_copies_the_rest():
+    canonical = make_embedding([1.0, 2.0])
+    assert make_embedding(canonical) is canonical
+    writeable = np.array([1.0, 2.0])
+    frozen = make_embedding(writeable)
+    assert frozen is not writeable and writeable.flags.writeable
+    np.testing.assert_array_equal(make_embedding(np.array([1, 2], dtype=np.int32)), canonical)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        make_embedding(make_embedding([1.0]).reshape(1, 1))
 
 
 class TestAgentProfile:

@@ -81,6 +81,12 @@ class TestExternalScorer:
         scorer = ExternalScorer(lambda memory, context: -3.0)
         assert scorer.score(record([1.0, 0, 0]), CONTEXT) == 0.0
 
+    def test_nan_score_raises_naming_the_memory(self):
+        # Clamping would turn NaN into 1.0, a silent keep vote.
+        scorer = ExternalScorer(lambda memory, context: float("nan"))
+        with pytest.raises(ValueError, match="NaN for memory m7"):
+            scorer.score(record([1.0, 0, 0], memory_id="m7"), CONTEXT)
+
 
 def test_explicit_cosine_scorer_matches_default():
     scorer = CosineContextScorer()

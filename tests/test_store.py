@@ -456,21 +456,22 @@ class TestReferenceModels:
 
 # Ids and agent ids that need CSV quoting ride along with plain ones.
 PROPERTY_IDS = ("m1", "m,2", 'q"x', "m4", "m5")
-PROPERTY_OPS = hst.lists(
-    hst.one_of(
-        hst.tuples(
-            hst.just("put"),
-            hst.sampled_from(PROPERTY_IDS),
-            hst.floats(0.0, 1e6),
-            hst.floats(0.0, 1.0),
-            hst.sampled_from(("a1", "a,2")),
-        ),
-        hst.tuples(hst.just("get"), hst.sampled_from(PROPERTY_IDS)),
-        hst.tuples(hst.just("delete"), hst.sampled_from(PROPERTY_IDS)),
-        hst.tuples(hst.just("commit")),
+PROPERTY_OP = hst.one_of(
+    hst.tuples(
+        hst.just("put"),
+        hst.sampled_from(PROPERTY_IDS),
+        hst.floats(0.0, 1e6),
+        hst.floats(0.0, 1.0),
+        hst.sampled_from(("a1", "a,2")),
     ),
-    max_size=60,
+    hst.tuples(hst.just("get"), hst.sampled_from(PROPERTY_IDS)),
+    hst.tuples(hst.just("delete"), hst.sampled_from(PROPERTY_IDS)),
+    hst.tuples(hst.just("commit")),
 )
+PROPERTY_OPS = hst.lists(PROPERTY_OP, max_size=60)
+
+
+FLUSH_DTS = hst.one_of(hst.sampled_from((0.0, 0.5, 1.0, 2.5, 5.0)), hst.floats(0.0, 8.0))
 
 
 def overlay(st: MemoryStore, memory_id: str) -> tuple | None:
@@ -537,3 +538,75 @@ class TestStoreProperties:
             assert st.peek("never-put") is None
             assert st.ids() == tuple(order)
             assert st.count() == len(order)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        ops=hst.lists(PROPERTY_OP, min_size=20, max_size=60),
+        dts=hst.lists(FLUSH_DTS, min_size=60, max_size=60),
+    )
+    def test_flushes_and_cache_match_reference(self, ops, dts):
+        # Reference write path: an LRU of capacity 2, the pending ids in order,
+        # and the flush rules (full batch first, then elapsed interval; commit
+        # forces whatever is pending). At least 20 ops, and short or exact
+        # steps, let batches fill and land on the interval boundary.
+        st = store(cache_capacity=2, batch_size=3, batch_interval_s=5.0)
+        live: set[str] = set()
+        lru: OrderedDict[str, None] = OrderedDict()
+        pending: dict[str, None] = {}
+        counts = dict(size=0, time=0, forced=0, upserts=0, hits=0, misses=0)
+        last_flush = 0.0
+
+        def flush(now: float) -> None:
+            nonlocal last_flush
+            pending.clear()
+            counts["upserts"] += 1
+            last_flush = now
+
+        def write(memory_id: str, now: float) -> None:
+            live.add(memory_id)
+            lru[memory_id] = None
+            lru.move_to_end(memory_id)
+            while len(lru) > 2:
+                lru.popitem(last=False)
+            pending[memory_id] = None
+            if len(pending) >= 3:
+                counts["size"] += 1
+                flush(now)
+            elif now - last_flush > 5.0:
+                counts["time"] += 1
+                flush(now)
+
+        now = 0.0
+        for op, dt in zip(ops, dts):
+            now += dt
+            if op[0] == "put":
+                _, memory_id, t_last, salience, agent_id = op
+                st.put(record(memory_id, t_last=t_last, salience=salience, agent_id=agent_id), now)
+                write(memory_id, now)
+            elif op[0] == "get":
+                st.get(op[1], now)
+                if op[1] not in live:
+                    counts["misses"] += 1
+                else:
+                    counts["hits" if op[1] in lru else "misses"] += 1
+                    write(op[1], now)
+            elif op[0] == "delete":
+                st.delete([op[1]])
+                live.discard(op[1])
+                lru.pop(op[1], None)
+                pending.pop(op[1], None)
+            else:
+                st.commit(now)
+                if pending:
+                    counts["forced"] += 1
+                    flush(now)
+                else:
+                    last_flush = now
+            assert (st.size_flushes, st.time_flushes, st.forced_flushes) == (
+                counts["size"],
+                counts["time"],
+                counts["forced"],
+            )
+            assert st.index.upsert_calls == counts["upserts"]
+            assert list(st.buffer.pending) == list(pending)
+            assert (st.hits, st.misses, st.cache_len()) == (counts["hits"], counts["misses"], len(lru))

@@ -249,6 +249,35 @@ class TestStepInteraction:
             hits[step.access_ids[0]] += 1
         assert hits["m0"] > hits["m15"]
 
+    def test_stream_matches_straight_line_reference(self):
+        # A twin generator replays the draws with a plain searchsorted over the
+        # Zipf mass plus make_arrivals: same ids, same records, same RNG state.
+        ws = spec(accesses_per_interaction=3, access_skew=1.3)
+        context = make_context(ws)
+        rng, twin = traffic_stream(ws), traffic_stream(ws)
+        live = tuple(f"m{i}" for i in range(40))
+        sampler = ZipfSampler(len(live), ws.access_skew)
+        for interaction in range(300):
+            if interaction == 150:
+                live = live[:25]  # the passed sampler is now stale and must be rebuilt
+            now = float(interaction)
+            count = (1, 0, 0, 2, 0)[interaction % 5]
+            step = step_interaction(
+                ws, live, rng, context=context, arrival_count=count, now=now, sampler=sampler
+            )
+            ranks = np.arange(1, len(live) + 1, dtype=np.float64)
+            cumulative = np.cumsum(ranks**-ws.access_skew)
+            draws = twin.random(ws.accesses_per_interaction) * cumulative[-1]
+            indexes = np.searchsorted(cumulative, draws, side="right")
+            assert step.access_ids == tuple(live[int(i)] for i in indexes)
+            expected = make_arrivals(ws, twin, count, now, context) if count else []
+            assert [(r.id, r.agent_id, r.t_last, r.salience) for r in step.arrivals] == [
+                (r.id, r.agent_id, r.t_last, r.salience) for r in expected
+            ]
+            for got, want in zip(step.arrivals, expected):
+                np.testing.assert_array_equal(got.embedding, want.embedding)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestDefaultAgents:
     def test_reference_roster(self):
