@@ -147,8 +147,8 @@ class AgentProfile:
     def __post_init__(self) -> None:
         if not self.agent_id:
             raise ValueError("agent_id must be nonempty")
-        if self.weight <= 0:
-            raise ValueError(f"weight must be > 0, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"weight must be finite and > 0, got {self.weight}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 

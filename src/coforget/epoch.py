@@ -290,9 +290,7 @@ def run_simulation(
     net = SimulatedNetwork(net_cfg or NetworkConfig(seed=cfg.rng_seed))
 
     context = make_context(spec)
-    store = MemoryStore.from_config(
-        cfg, spec.dimension, snapshot_path=snapshot_path, start_time=spec.history_window_s
-    )
+    store = MemoryStore.from_config(cfg, spec.dimension, start_time=spec.history_window_s)
     now = spec.history_window_s
     for record in generate_initial(spec):
         store.put(record, now)
@@ -337,6 +335,9 @@ def run_simulation(
                     make_arrivals(spec, rng, slots[interaction], now, context)
                 )
 
+        if epoch_index == epochs - 1:
+            # Only the last commit's snapshot survives the run, so write only that one.
+            store.snapshot_path = snapshot_path
         report = run_epoch(
             store,
             agents,

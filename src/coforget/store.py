@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import logging
 from collections import OrderedDict
-from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,20 +106,11 @@ class VectorIndex:
         return scored[:k]
 
 
-_SNAPSHOT_HEADER = "id,agent_id,timestamp,salience\r\n"
-
-
 class MetadataTable:
-    """Relational-style rows: id -> (agent_id, timestamp, salience).
-
-    Each row's snapshot CSV line is kept formatted; update marks rows dirty
-    and write_snapshot re-formats only those, so a flush stays a dict update.
-    """
+    """Relational-style rows: id -> (agent_id, timestamp, salience)."""
 
     def __init__(self) -> None:
         self.rows: dict[str, tuple[str, float, float]] = {}
-        self._lines: dict[str, str] = {}
-        self._dirty: set[str] = set()
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -130,32 +120,23 @@ class MetadataTable:
 
     def update(self, rows: dict[str, tuple[str, float, float]]) -> None:
         self.rows.update(rows)
-        self._dirty.update(rows)
 
     def delete(self, memory_ids: Iterable[str]) -> int:
         removed = 0
         for memory_id in memory_ids:
             if self.rows.pop(memory_id, None) is not None:
                 removed += 1
-                self._lines.pop(memory_id, None)
-                self._dirty.discard(memory_id)
         return removed
 
     def write_snapshot(self, path) -> int:
         """Rewrite the CSV snapshot (RFC 4180, CRLF, minimal quoting)."""
-        if self._dirty:
-            dirty = list(self._dirty)
-            # csv.writer makes one write() call per row, so each row's
-            # formatted line lands as one element of `formatted`.
-            formatted: list[str] = []
-            writer = csv.writer(SimpleNamespace(write=formatted.append))
-            for memory_id in dirty:
-                agent_id, timestamp, salience = self.rows[memory_id]
-                writer.writerow([memory_id, agent_id, f"{timestamp:.6f}", repr(salience)])
-            self._lines.update(zip(dirty, formatted))
-            self._dirty.clear()
         with open(path, "w", newline="", encoding="utf-8") as handle:
-            handle.write(_SNAPSHOT_HEADER + "".join(map(self._lines.__getitem__, self.rows)))
+            writer = csv.writer(handle)
+            writer.writerow(["id", "agent_id", "timestamp", "salience"])
+            writer.writerows(
+                [memory_id, agent_id, f"{timestamp:.6f}", repr(salience)]
+                for memory_id, (agent_id, timestamp, salience) in self.rows.items()
+            )
         return len(self.rows)
 
 

@@ -137,6 +137,11 @@ class TestAgentProfile:
         with pytest.raises(ValueError):
             AgentProfile("a1", weight=0.0)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            AgentProfile("a1", weight=weight)
+
     def test_rejects_confidence_outside_unit(self):
         with pytest.raises(ValueError):
             AgentProfile("a1", confidence=-0.1)

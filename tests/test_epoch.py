@@ -7,17 +7,19 @@ of the memory population.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import coforget.epoch
 from coforget.core import FaultBoundViolation, ProtocolConfig, MemoryRecord, Vote
 from coforget.decay import decay_score
 from coforget.epoch import EpochReport, run_epoch, run_simulation
 from coforget.relevance import ContextProfile, ExternalScorer, relevance
-from coforget.store import MemoryStore
+from coforget.store import MemoryStore, MetadataTable
 from coforget.transport import NetworkConfig, SimulatedNetwork
 from coforget.voting import form_vote
 from coforget.workload import WorkloadSpec, default_agents
@@ -327,3 +329,40 @@ class TestRunSimulation:
         result = run_simulation(self.SIM_CFG, self.SPEC, 3)
         assert [r.epoch_index for r in result.reports] == [0, 1, 2]
         assert all(isinstance(r, EpochReport) for r in result.reports)
+
+    def test_snapshot_written_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        write_snapshot = MetadataTable.write_snapshot
+
+        def counted(table, path):
+            calls.append(path)
+            return write_snapshot(table, path)
+
+        monkeypatch.setattr(MetadataTable, "write_snapshot", counted)
+        path = tmp_path / "metadata.csv"
+        run_simulation(self.SIM_CFG, self.SPEC, 4, snapshot_path=path)
+        assert calls == [path]
+        run_simulation(self.SIM_CFG, self.SPEC, 4)
+        assert calls == [path]
+
+    def test_snapshot_is_the_final_commit(self, tmp_path, monkeypatch):
+        # A batch smaller than the arrivals makes the final epoch's arrivals
+        # size-flush into the table after its commit; the snapshot must not
+        # hold them.
+        final_call = {}
+
+        def recording_run_epoch(*args, **kwargs):
+            final_call.update(store=args[0], arrivals=kwargs["arrivals"])
+            return run_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(coforget.epoch, "run_epoch", recording_run_epoch)
+        path = tmp_path / "metadata.csv"
+        cfg = replace(self.SIM_CFG, batch_size=2)
+        result = run_simulation(cfg, self.SPEC, 3, snapshot_path=path)
+        arrival_ids = {record.id for record in final_call["arrivals"]}
+        assert arrival_ids & set(final_call["store"].table.rows)
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        last = result.reports[-1]
+        assert len(rows) == last.memories_end - last.additions
+        assert not arrival_ids & {row["id"] for row in rows}

@@ -468,7 +468,8 @@ PROPERTY_OP = hst.one_of(
     hst.tuples(hst.just("delete"), hst.sampled_from(PROPERTY_IDS)),
     hst.tuples(hst.just("commit")),
 )
-PROPERTY_OPS = hst.lists(PROPERTY_OP, max_size=60)
+# At least 20 ops per example, so that batches fill and flush.
+PROPERTY_OPS = hst.lists(PROPERTY_OP, min_size=20, max_size=60)
 
 
 FLUSH_DTS = hst.one_of(hst.sampled_from((0.0, 0.5, 1.0, 2.5, 5.0)), hst.floats(0.0, 8.0))
@@ -540,10 +541,7 @@ class TestStoreProperties:
             assert st.count() == len(order)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        ops=hst.lists(PROPERTY_OP, min_size=20, max_size=60),
-        dts=hst.lists(FLUSH_DTS, min_size=60, max_size=60),
-    )
+    @given(ops=PROPERTY_OPS, dts=hst.lists(FLUSH_DTS, min_size=60, max_size=60))
     def test_flushes_and_cache_match_reference(self, ops, dts):
         # Reference write path: an LRU of capacity 2, the pending ids in order,
         # and the flush rules (full batch first, then elapsed interval; commit
