@@ -45,7 +45,7 @@ from .relevance import (
     RelevanceScorer,
     relevance,
 )
-from .store import EmptyIndex, MemoryStore, MetadataTable, VectorIndex, WriteBuffer
+from .store import MemoryStore, MetadataTable, VectorIndex, WriteBuffer
 from .transport import (
     CodecError,
     CoordinatorEndpoint,
@@ -65,7 +65,6 @@ from .voting import (
     AgentVote,
     NoActiveAgents,
     UnknownAgent,
-    form_vote,
     quorum_threshold,
     vote_rule,
     weighted_forget_score,

@@ -137,7 +137,6 @@ class RoundResult:
     decision: Vote | None
     commit_count: int
     agent_decisions: dict[str, Vote | None]
-    behaviors: dict[str, Behavior]
     deliveries: int
     dropped: int
     undelivered: int
@@ -184,11 +183,11 @@ def run_round(
     n = len(ids)
     index = {node_id: i for i, node_id in enumerate(ids)}
     peers = [ids[:i] + ids[i + 1 :] for i in range(n)]
-    behavior_of = {agent_id: behaviors.get(agent_id, Behavior.HONEST) for agent_id in ids[1:]}
     # The vote index each node puts on the wire; None for the coordinator and
     # for silent agents, which never PREPARE or COMMIT.
     wire: list[int | None] = [None]
-    for agent_id, behavior in behavior_of.items():
+    for agent_id in ids[1:]:
+        behavior = behaviors.get(agent_id, Behavior.HONEST)
         vote = votes[agent_id]
         if behavior is Behavior.SILENT:
             wire.append(None)
@@ -265,7 +264,6 @@ def run_round(
         agent_decisions={
             ids[i]: None if decision[i] is None else _VOTES[decision[i]] for i in range(1, n)
         },
-        behaviors=behavior_of,
         deliveries=deliveries,
         dropped=net.dropped - dropped_before,
         undelivered=undelivered,

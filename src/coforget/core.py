@@ -263,15 +263,21 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
 
 
 def validate_roster(cfg: ProtocolConfig, agents: Sequence[AgentProfile]) -> None:
-    """Raise FaultBoundViolation unless the roster has exactly cfg.n_agents agents.
+    """Raise FaultBoundViolation unless the roster has exactly cfg.n_agents distinct agents.
 
     The fault bound f is checked against cfg.n_agents, so a roster of any
-    other size runs every consensus round under an unchecked bound.
+    other size runs every consensus round under an unchecked bound. An agent
+    id is a node address on the consensus network, so it must be unique.
     """
     if len(agents) != cfg.n_agents:
         raise FaultBoundViolation(
             f"n_agents={cfg.n_agents} does not match the roster of {len(agents)} agents"
         )
+    seen: set[str] = set()
+    for agent in agents:
+        if agent.agent_id in seen:
+            raise FaultBoundViolation(f"agent id {agent.agent_id!r} appears more than once in the roster")
+        seen.add(agent.agent_id)
 
 
 # --- flat config file format -------------------------------------------------

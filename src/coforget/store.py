@@ -2,10 +2,10 @@
 
 Every read is served from one map of the freshest record per live id; an LRU
 cache of ids decides whether a read counts as a hit. Writes accumulate in an
-ordered buffer that batch-upserts into the (exact, brute-force cosine) vector
-index and the metadata table. Similarity queries and the metadata snapshot
-therefore lag unflushed writes, which is the modeled behavior of a batched
-remote store, while record reads never see stale data.
+ordered buffer that batch-upserts into the vector index and the metadata
+table. The index and the metadata snapshot therefore lag unflushed writes,
+which is the modeled behavior of a batched remote store, while record reads
+never see stale data.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .relevance import DimensionMismatch
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "EmptyIndex",
     "VectorIndex",
     "MetadataTable",
     "WriteBuffer",
@@ -31,15 +30,11 @@ __all__ = [
 ]
 
 
-class EmptyIndex(LookupError):
-    """Similarity query against an index with no entries."""
-
-
 class VectorIndex:
-    """Exact cosine-similarity index over fixed-dimension embeddings.
+    """Fixed-dimension embeddings by id, with a count of batched upserts.
 
-    Brute force by design: the corpus is a few thousand vectors and exactness
-    keeps ranking verifiable against a by-hand oracle.
+    Each upsert call counts once toward the write budget, however many
+    embeddings it carries.
     """
 
     def __init__(self, dimension: int):
@@ -48,15 +43,6 @@ class VectorIndex:
         self.dimension = dimension
         self._entries: dict[str, np.ndarray] = {}
         self.upsert_calls = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, memory_id: str) -> bool:
-        return memory_id in self._entries
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self._entries)
 
     def upsert(self, items: Sequence[tuple[str, np.ndarray]]) -> int:
         """Insert or replace a batch; one call counts once toward the write budget."""
@@ -85,38 +71,12 @@ class VectorIndex:
                 removed += 1
         return removed
 
-    def query(self, embedding: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """Top-k (id, cosine) pairs, descending score, ties broken by id."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if not self._entries:
-            raise EmptyIndex("similarity query against an empty index")
-        probe = make_embedding(embedding)
-        if probe.shape[0] != self.dimension:
-            raise DimensionMismatch(
-                f"query length {probe.shape[0]} != index dimension {self.dimension}"
-            )
-        probe_norm = float(np.linalg.norm(probe))
-        scored: list[tuple[str, float]] = []
-        for memory_id, vec in self._entries.items():
-            denom = probe_norm * float(np.linalg.norm(vec))
-            score = float(np.dot(probe, vec) / denom) if denom > 0.0 else 0.0
-            scored.append((memory_id, score))
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:k]
-
 
 class MetadataTable:
     """Relational-style rows: id -> (agent_id, timestamp, salience)."""
 
     def __init__(self) -> None:
         self.rows: dict[str, tuple[str, float, float]] = {}
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __contains__(self, memory_id: str) -> bool:
-        return memory_id in self.rows
 
     def update(self, rows: dict[str, tuple[str, float, float]]) -> None:
         self.rows.update(rows)
@@ -170,9 +130,8 @@ class MemoryStore:
     only decides hit or miss: a hit refreshes t_last (the record was just
     accessed) and re-buffers the touched record; a miss re-buffers the record
     unchanged. The buffer, index and table are the flushed, lagging copy behind
-    `query_similar` and the metadata snapshot. Every buffered write runs the
-    flush check: flush when the batch is full or the interval since the last
-    flush has elapsed.
+    the metadata snapshot. Every buffered write runs the flush check: flush
+    when the batch is full or the interval since the last flush has elapsed.
     """
 
     def __init__(
@@ -305,15 +264,7 @@ class MemoryStore:
         self.table.delete(purged)
         return len(purged)
 
-    def query_similar(self, embedding: np.ndarray, k: int) -> list[str]:
-        """Top-k ids from the vector index; unflushed writes are not yet visible."""
-        return [memory_id for memory_id, _ in self.index.query(embedding, k)]
-
     # --- bulk views (no cache accounting) ---
-
-    def peek(self, memory_id: str) -> MemoryRecord | None:
-        """Read without touching counters, t_last, or cache order."""
-        return self._live.get(memory_id)
 
     def scan_t_last(self) -> list[tuple[str, float]]:
         """(id, freshest t_last) per live id, in insertion order."""

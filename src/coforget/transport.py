@@ -386,11 +386,10 @@ class CoordinatorEndpoint:
     """In-process coordinator side of the forgetting-proposal RPC.
 
     Receives PROPOSE frames, records who proposed what, and acknowledges the
-    order-preserving deduplicated id list.
+    order-preserving deduplicated id list as DEFAULT_COORDINATOR_ID.
     """
 
-    def __init__(self, node_id: str = DEFAULT_COORDINATOR_ID):
-        self.node_id = node_id
+    def __init__(self) -> None:
         self.received: list[tuple[str, tuple[str, ...]]] = []
 
     def handle_frame(self, data: bytes) -> bytes:
@@ -400,7 +399,7 @@ class CoordinatorEndpoint:
         acked = tuple(dict.fromkeys(frame.memory_ids))
         self.received.append((frame.sender, acked))
         return encode_frame(
-            Frame(kind=FrameKind.PROPOSE_ACK, epoch=frame.epoch, sender=self.node_id, memory_ids=acked)
+            Frame(kind=FrameKind.PROPOSE_ACK, epoch=frame.epoch, sender=DEFAULT_COORDINATOR_ID, memory_ids=acked)
         )
 
 

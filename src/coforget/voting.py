@@ -18,7 +18,6 @@ __all__ = [
     "UnknownAgent",
     "AgentVote",
     "vote_rule",
-    "form_vote",
     "quorum_threshold",
     "weighted_forget_score",
     "decide",
@@ -51,12 +50,6 @@ def vote_rule(d, r, cfg: ProtocolConfig):
     """
     combined = cfg.omega_d * d + cfg.omega_r * r
     return combined, combined < cfg.vote_threshold
-
-
-def form_vote(d: float, r: float, cfg: ProtocolConfig) -> tuple[Vote, float]:
-    """Combine decay and relevance into (vote, combined_score) by vote_rule."""
-    combined, forget = vote_rule(d, r, cfg)
-    return (Vote.FORGET if forget else Vote.KEEP), combined
 
 
 def quorum_threshold(agents: Sequence[AgentProfile], alpha: float) -> float:

@@ -90,8 +90,11 @@ class WorkloadSpec:
             )
         if not 0.0 <= self.relevance_mix <= 1.0:
             raise ValueError(f"relevance_mix must be in [0, 1], got {self.relevance_mix}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        if self.dimension < 2:
+            raise ValueError(
+                f"dimension must be >= 2, got {self.dimension}: a memory is placed at a"
+                " chosen cosine to the context, which needs a direction orthogonal to it"
+            )
         if self.history_window_s < 0.0:
             raise ValueError(f"history_window_s must be >= 0, got {self.history_window_s}")
         if self.interaction_interval_s <= 0.0:
@@ -237,8 +240,6 @@ def step_interaction(
     """
     accesses: tuple[str, ...] = ()
     if spec.accesses_per_interaction > 0:
-        if not live_ids:
-            raise EmptyPopulation("no live memories to access")
         if sampler is None or sampler.population != len(live_ids):
             sampler = ZipfSampler(len(live_ids), spec.access_skew)
         indexes = sampler.sample(rng, spec.accesses_per_interaction).tolist()

@@ -163,6 +163,17 @@ class TestRunErrors:
             assert run_cli("run", "--config", path, "--out", out, *extra) == 2
             assert not out.exists()
 
+    def test_one_dimensional_workload_rejected(self, tmp_path, capsys):
+        # In one dimension no memory can be placed at a chosen cosine to the
+        # context, so corpus generation would never return.
+        path = write_config(tmp_path, SMALL_RUN.replace("dimension = 16", "dimension = 1"))
+        assert run_cli("validate", path) == 2
+        assert "dimension must be >= 2" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", "custom", "--config", path, "--epochs", 1, "--out", out) == 2
+        assert "dimension must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunOutputs:
     def run_small(self, tmp_path, out_name="out", epochs=3, seed=0, *extra):

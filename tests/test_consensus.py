@@ -27,7 +27,7 @@ from coforget.consensus import (
 )
 from coforget.core import AgentProfile, ProtocolConfig, Vote
 from coforget.transport import NetworkConfig, SimulatedNetwork
-from coforget.voting import AgentVote, form_vote
+from coforget.voting import AgentVote, vote_rule
 
 CFG = ProtocolConfig()
 
@@ -118,13 +118,13 @@ class TestOnEvaluate:
 
     def test_honest_prepare_carries_formed_vote(self):
         # C = 0.4*1 + 0.6*1 = 1.0 >= 0.4 so the honest vote is keep.
-        vote, _ = form_vote(1.0, 1.0, CFG)
-        result = lossless_round(unanimous(vote))
+        assert not vote_rule(1.0, 1.0, CFG)[1]
+        result = lossless_round(unanimous(Vote.KEEP))
         assert result.instance.prepare_tally == {Vote.KEEP: set(IDS)}
 
     def test_honest_prepare_forget_on_low_scores(self):
-        vote, _ = form_vote(0.0, 0.0, CFG)
-        result = lossless_round(unanimous(vote))
+        assert vote_rule(0.0, 0.0, CFG)[1]
+        result = lossless_round(unanimous(Vote.FORGET))
         assert result.instance.prepare_tally == {Vote.FORGET: set(IDS)}
 
     def test_silent_agent_emits_nothing(self):
@@ -134,8 +134,8 @@ class TestOnEvaluate:
         assert result.deliveries == 4 + 2 * 3 * 4
 
     def test_equivocator_inverts_the_wire_vote(self):
-        vote, _ = form_vote(1.0, 1.0, CFG)
-        result = lossless_round(unanimous(vote), {"planner-1": Behavior.EQUIVOCATE})
+        assert not vote_rule(1.0, 1.0, CFG)[1]
+        result = lossless_round(unanimous(Vote.KEEP), {"planner-1": Behavior.EQUIVOCATE})
         assert result.instance.prepare_tally == {
             Vote.KEEP: set(IDS) - {"planner-1"},
             Vote.FORGET: {"planner-1"},
@@ -368,7 +368,6 @@ class TestRunRound:
         )
         assert result.decision is Vote.KEEP
         assert result.commit_count == 3
-        assert result.behaviors["planner-2"] is Behavior.EQUIVOCATE
 
     def test_total_loss_times_out_undecided(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=1.0, seed=0))

@@ -25,6 +25,7 @@ from coforget.core import (
     protocol_config_from_items,
     spec_from_items,
     validate_config,
+    validate_roster,
 )
 from coforget.transport import NetworkConfig
 from coforget.workload import WorkloadSpec
@@ -243,6 +244,14 @@ class TestValidateConfig:
             assert (not config_violations(cfg)) == expect_ok, cfg
             verdicts.append(expect_ok)
         assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50, verdicts.count(True)
+
+    def test_roster_with_a_repeated_agent_id_rejected(self):
+        # An agent id is a node address in every consensus round, so a roster
+        # of the right size with a repeated id is still not a roster.
+        roster = [AgentProfile("a", 1.5), AgentProfile("a", 1.5), AgentProfile("b"), AgentProfile("c")]
+        with pytest.raises(FaultBoundViolation, match="'a' appears more than once"):
+            validate_roster(ProtocolConfig(), roster)
+        validate_roster(ProtocolConfig(), [*roster[1:], AgentProfile("d")])
 
 
 class TestConfigFile:

@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from coforget.core import ProtocolConfig, Vote
+from coforget.core import ProtocolConfig
 from coforget.decay import DecayResult, NegativeAge, combined_decay, decay_score
-from coforget.voting import form_vote
+from coforget.voting import vote_rule
 
 CFG = ProtocolConfig()
 
@@ -33,7 +33,7 @@ def test_six_hour_age_proposes_forget():
     res = decay_score(0.0, 21600.0, CFG)
     assert res.combined == pytest.approx(COMBINED_AT_21600, abs=1e-12)
     # With no relevance, a memory this old draws a forget vote.
-    assert form_vote(res.combined, 0.0, CFG)[0] is Vote.FORGET
+    assert vote_rule(res.combined, 0.0, CFG)[1]
 
 
 def test_negative_age_rejected():
@@ -69,7 +69,7 @@ def test_bounds_hold_for_all_finite_ages():
 def test_underflow_flushes_to_zero_and_proposes_forget():
     res = decay_score(0.0, 1e9, CFG)
     assert res.combined == 0.0
-    assert form_vote(res.combined, 0.0, CFG)[0] is Vote.FORGET
+    assert vote_rule(res.combined, 0.0, CFG)[1]
 
 
 def test_equal_scales_have_zero_variance():

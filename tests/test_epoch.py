@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 import coforget.epoch
-from coforget.core import FaultBoundViolation, ProtocolConfig, MemoryRecord, Vote
+from coforget.core import AgentProfile, FaultBoundViolation, ProtocolConfig, MemoryRecord
 from coforget.decay import decay_score
 from coforget.epoch import EpochReport, run_epoch, run_simulation
 from coforget.relevance import ContextProfile, ExternalScorer, relevance
 from coforget.store import MemoryStore, MetadataTable
 from coforget.transport import NetworkConfig, SimulatedNetwork
-from coforget.voting import form_vote
+from coforget.voting import vote_rule
 from coforget.workload import WorkloadSpec, default_agents
 
 DIM = 8
@@ -165,17 +165,14 @@ class TestRunEpochOutcomes:
         for rec in records:
             d = decay_score(rec.t_last, now, CFG).combined
             r = relevance(rec, ctx)
-            vote, _ = form_vote(d, r, CFG)
-            if vote is Vote.FORGET:
+            if vote_rule(d, r, CFG)[1]:
                 expected_forget.add(rec.id)
         assert expected_forget == {"ancient-far"}  # the setup must discriminate
         report = run_epoch(st, AGENTS, ctx, CFG, lossless(), now=now)
         assert {a.memory_id for a in report.per_memory_audit} == expected_forget
         assert report.proposed == len(expected_forget)
-        # Survivors stay readable.
-        for rec in records:
-            if rec.id not in expected_forget:
-                assert st.peek(rec.id) is not None
+        # Survivors stay live.
+        assert {rec.id for rec in records} - expected_forget <= set(st.ids())
 
     def test_deletions_always_carry_quorum_evidence(self):
         rng = np.random.default_rng(7)
@@ -202,7 +199,7 @@ class TestRunEpochOutcomes:
         # Age 0 gives D = 1.0 and relevance 0.0 gives C = 0.4 = vote_threshold,
         # which keeps; a microsecond of age puts C just below and forgets.
         assert decay_score(100.0, 100.0, CFG).combined == 1.0
-        assert form_vote(1.0, 0.0, CFG) == (Vote.KEEP, CFG.vote_threshold)
+        assert vote_rule(1.0, 0.0, CFG) == (CFG.vote_threshold, False)
         zero = ExternalScorer(lambda m, c: 0.0)
         scorer = {a.agent_id: ExternalScorer(lambda m, c: 0.0) for a in AGENTS} if per_agent else zero
         st = fresh_store([record("m0", cos=0.0, t_last=100.0)], now=100.0)
@@ -279,6 +276,15 @@ class TestRunSimulation:
             run_simulation(cfg, self.SPEC, 1)
         with pytest.raises(FaultBoundViolation, match="roster of 3"):
             run_simulation(self.SIM_CFG, self.SPEC, 1, agents=AGENTS[:3])
+
+    def test_rejects_a_repeated_agent_id_before_any_epoch(self, monkeypatch):
+        # Without the check, the repeated id crashes the first consensus round.
+        epochs_run = []
+        monkeypatch.setattr(coforget.epoch, "run_epoch", lambda *a, **k: epochs_run.append(a))
+        agents = [AgentProfile("a", 1.5), AgentProfile("a", 1.5), AgentProfile("b"), AgentProfile("c")]
+        with pytest.raises(FaultBoundViolation, match="'a' appears more than once"):
+            run_simulation(self.SIM_CFG, self.SPEC, 5, agents=agents)
+        assert epochs_run == []
 
     def test_identical_runs_are_identical(self):
         a = run_simulation(self.SIM_CFG, self.SPEC, 4)

@@ -133,7 +133,6 @@ def reference_round(memory_id, epoch, agents, votes, cfg, net, behaviors, budget
         decision=coord.decision,
         commit_count=len(coord.commit_tally.get(coord.decision, ())),
         agent_decisions={agent_id: state[agent_id].decision for agent_id in nodes[1:]},
-        behaviors=behavior,
         deliveries=deliveries,
         dropped=net.dropped - dropped_before,
         undelivered=undelivered,

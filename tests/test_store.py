@@ -1,4 +1,4 @@
-"""Store behavior: index ranking, snapshot format, LRU accounting, batched flushes.
+"""Store behavior: index accounting, snapshot format, LRU accounting, batched flushes.
 
 Cache and buffer interplay is checked against straight-line reference models:
 an OrderedDict LRU for the cache and a flush-every-write twin store for final
@@ -20,7 +20,7 @@ from hypothesis import strategies as hst
 
 from coforget.core import MemoryRecord
 from coforget.relevance import DimensionMismatch
-from coforget.store import EmptyIndex, MemoryStore, MetadataTable, VectorIndex, WriteBuffer
+from coforget.store import MemoryStore, MetadataTable, VectorIndex, WriteBuffer
 
 
 def record(memory_id: str = "m1", dim: int = 4, **kwargs) -> MemoryRecord:
@@ -45,18 +45,17 @@ class TestVectorIndex:
     def test_upsert_fetch_delete(self):
         index = VectorIndex(3)
         index.upsert([("a", np.array([1.0, 0.0, 0.0])), ("b", np.array([0.0, 1.0, 0.0]))])
-        assert len(index) == 2
-        assert "a" in index
         np.testing.assert_array_equal(index.fetch("a"), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(index.fetch("b"), [0.0, 1.0, 0.0])
         assert index.fetch("ghost") is None
         assert index.delete(["a", "ghost"]) == 1
-        assert "a" not in index
+        assert index.fetch("a") is None
+        assert index.fetch("b") is not None
 
     def test_upsert_replaces_in_place(self):
         index = VectorIndex(2)
         index.upsert([("a", np.array([1.0, 0.0]))])
         index.upsert([("a", np.array([0.0, 1.0]))])
-        assert len(index) == 1
         np.testing.assert_array_equal(index.fetch("a"), [0.0, 1.0])
 
     def test_dimension_mismatch_rejected_before_staging(self):
@@ -64,66 +63,8 @@ class TestVectorIndex:
         with pytest.raises(DimensionMismatch):
             index.upsert([("a", np.ones(3)), ("b", np.ones(2))])
         # The batch is atomic: the valid row must not have landed either.
-        assert len(index) == 0
-
-    def test_query_ranks_by_cosine_descending(self):
-        index = VectorIndex(2)
-        index.upsert(
-            [
-                ("east", np.array([1.0, 0.0])),
-                ("north", np.array([0.0, 1.0])),
-                ("northeast", np.array([1.0, 1.0])),
-            ]
-        )
-        got = index.query(np.array([1.0, 0.0]), k=3)
-        assert [mid for mid, _ in got] == ["east", "northeast", "north"]
-        assert got[0][1] == pytest.approx(1.0)
-        assert got[1][1] == pytest.approx(np.sqrt(0.5))
-        assert got[2][1] == pytest.approx(0.0)
-
-    def test_query_ties_break_by_id(self):
-        index = VectorIndex(2)
-        index.upsert([("b", np.array([2.0, 0.0])), ("a", np.array([1.0, 0.0]))])
-        assert [mid for mid, _ in index.query(np.array([1.0, 0.0]), k=2)] == ["a", "b"]
-
-    def test_query_k_larger_than_corpus(self):
-        index = VectorIndex(2)
-        index.upsert([("a", np.array([1.0, 0.0]))])
-        assert len(index.query(np.array([1.0, 0.0]), k=10)) == 1
-
-    def test_query_validations(self):
-        index = VectorIndex(2)
-        with pytest.raises(EmptyIndex):
-            index.query(np.array([1.0, 0.0]), k=1)
-        index.upsert([("a", np.array([1.0, 0.0]))])
-        with pytest.raises(ValueError, match="k must be"):
-            index.query(np.array([1.0, 0.0]), k=0)
-        with pytest.raises(DimensionMismatch):
-            index.query(np.ones(3), k=1)
-
-    def test_zero_norm_scores_zero(self):
-        index = VectorIndex(2)
-        index.upsert([("z", np.zeros(2)), ("a", np.array([1.0, 0.0]))])
-        got = dict(index.query(np.array([1.0, 0.0]), k=2))
-        assert got["z"] == 0.0
-
-    def test_ranking_matches_brute_force_oracle(self):
-        rng = np.random.default_rng(5)
-        index = VectorIndex(8)
-        vectors = {f"m{i}": rng.normal(size=8) for i in range(20)}
-        index.upsert(list(vectors.items()))
-        probe = rng.normal(size=8)
-        expected = sorted(
-            (
-                (mid, float(np.dot(probe, v) / (np.linalg.norm(probe) * np.linalg.norm(v))))
-                for mid, v in vectors.items()
-            ),
-            key=lambda pair: (-pair[1], pair[0]),
-        )[:5]
-        got = index.query(probe, k=5)
-        assert [mid for mid, _ in got] == [mid for mid, _ in expected]
-        for (_, a), (_, b) in zip(got, expected):
-            assert a == pytest.approx(b)
+        assert index.fetch("a") is None
+        assert index.upsert_calls == 0
 
     def test_upsert_call_accounting(self):
         index = VectorIndex(2)
@@ -142,7 +83,6 @@ class TestMetadataTable:
         table = MetadataTable()
         table.update({"a": ("agent", 1.5, 0.25)})
         assert table.rows["a"] == ("agent", 1.5, 0.25)
-        assert "a" in table
         assert table.delete(["a", "ghost"]) == 1
         assert "a" not in table.rows
 
@@ -199,7 +139,7 @@ class TestMemoryStoreReads:
     def test_read_your_own_write_before_flush(self):
         st = store(batch_size=100)
         st.put(record("m1", t_last=5.0), now=0.0)
-        assert len(st.index) == 0  # not flushed yet
+        assert st.index.fetch("m1") is None  # not flushed yet
         got = st.get("m1", now=0.0)
         assert got is not None and got.id == "m1"
 
@@ -256,15 +196,6 @@ class TestMemoryStoreReads:
         st.get("b", now=0.0)
         assert st.hits == 1 and st.misses == 1
 
-    def test_peek_touches_nothing(self):
-        st = store()
-        st.put(record("m1", t_last=2.0), now=0.0)
-        before = (st.hits, st.misses)
-        got = st.peek("m1")
-        assert got.t_last == 2.0
-        assert (st.hits, st.misses) == before
-        assert st.peek("ghost") is None
-
 
 class TestMemoryStoreWrites:
     def test_put_rejects_wrong_dimension(self):
@@ -278,7 +209,7 @@ class TestMemoryStoreWrites:
             st.put(record(f"m{i}"), now=0.0)
         assert st.size_flushes == 1
         assert st.index.upsert_calls == 1
-        assert len(st.index) == 50
+        assert all(st.index.fetch(f"m{i}") is not None for i in range(50))
         assert len(st.buffer) == 0
 
     def test_below_batch_size_never_flushes(self):
@@ -286,7 +217,7 @@ class TestMemoryStoreWrites:
         for i in range(49):
             st.put(record(f"m{i}"), now=0.0)
         assert st.size_flushes == 0
-        assert len(st.index) == 0
+        assert all(st.index.fetch(f"m{i}") is None for i in range(49))
 
     def test_time_trigger_is_strictly_greater(self):
         st = store(batch_size=100, batch_interval_s=10.0)
@@ -334,8 +265,8 @@ class TestMemoryStoreDelete:
         st.put(record("m2"), now=0.0)
         assert st.delete(["m1"]) == 1
         assert st.get("m1", now=0.0) is None
-        assert "m1" not in st.index
-        assert "m1" not in st.table
+        assert st.index.fetch("m1") is None
+        assert "m1" not in st.table.rows
         assert st.count() == 1
 
     def test_unknown_delete_counted_not_raised(self):
@@ -349,16 +280,15 @@ class TestMemoryStoreDelete:
         st.delete(["m1"])
         st.put(record("m2"), now=0.0)
         st.commit(now=0.0)
-        assert st.peek("m1") is None
-        assert "m1" not in st.index
+        assert st.ids() == ("m2",)
+        assert st.index.fetch("m1") is None
 
-    def test_query_similar_sees_only_flushed_state(self):
+    def test_index_sees_only_flushed_state(self):
         st = store(dim=2, batch_size=100)
         st.put(record("m1", dim=2, embedding=np.array([1.0, 0.0])), now=0.0)
-        with pytest.raises(EmptyIndex):
-            st.query_similar(np.array([1.0, 0.0]), k=1)
+        assert st.index.fetch("m1") is None
         st.commit(now=0.0)
-        assert st.query_similar(np.array([1.0, 0.0]), k=1) == ["m1"]
+        np.testing.assert_array_equal(st.index.fetch("m1"), [1.0, 0.0])
 
 
 class TestScanAndSnapshot:
@@ -533,10 +463,8 @@ class TestStoreProperties:
                 st.commit(now)
                 assert path.read_bytes() == full_snapshot(st.table.rows)
             expected = [(memory_id, overlay(st, memory_id)) for memory_id in order]
-            assert [(memory_id, fields(st.peek(memory_id))) for memory_id in order] == expected
             assert [(rec.id, fields(rec)) for rec in st.records_snapshot()] == expected
             assert list(st.scan_t_last()) == [(memory_id, row[1]) for memory_id, row in expected]
-            assert st.peek("never-put") is None
             assert st.ids() == tuple(order)
             assert st.count() == len(order)
 

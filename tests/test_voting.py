@@ -12,7 +12,6 @@ from coforget.voting import (
     NoActiveAgents,
     UnknownAgent,
     decide,
-    form_vote,
     quorum_threshold,
     vote_rule,
     weighted_forget_score,
@@ -42,32 +41,32 @@ def cast(voters_forget: set[str]) -> list[AgentVote]:
 
 class TestFormVote:
     def test_maximum_score_keeps(self):
-        vote, c = form_vote(1.0, 1.0, CFG)
-        assert c == 1.0 and vote is Vote.KEEP
+        c, forget = vote_rule(1.0, 1.0, CFG)
+        assert c == 1.0 and not forget
 
     def test_minimum_score_forgets(self):
-        vote, c = form_vote(0.0, 0.0, CFG)
-        assert c == 0.0 and vote is Vote.FORGET
+        c, forget = vote_rule(0.0, 0.0, CFG)
+        assert c == 0.0 and forget
 
     def test_reference_formula_value(self):
-        vote, c = form_vote(0.5, 0.25, CFG)
+        c, forget = vote_rule(0.5, 0.25, CFG)
         assert c == pytest.approx(0.35)
-        assert vote is Vote.FORGET
+        assert forget
 
     def test_exact_threshold_keeps(self):
         # C = 0.4*1.0 + 0.6*0.0 = threshold exactly; strict < means keep
-        vote, c = form_vote(1.0, 0.0, CFG)
+        c, forget = vote_rule(1.0, 0.0, CFG)
         assert c == CFG.vote_threshold
-        assert vote is Vote.KEEP
+        assert not forget
 
     def test_array_rule_matches_scalar_votes(self):
         rng = np.random.default_rng(4)
         d = np.concatenate([[1.0, 0.0, 0.5], rng.uniform(0.0, 1.0, 500)])
         r = np.concatenate([[0.0, 0.0, 0.25], rng.uniform(0.0, 1.0, 500)])
         combined, forget = vote_rule(d, r, CFG)
-        scalar = [form_vote(float(di), float(ri), CFG) for di, ri in zip(d, r)]
-        assert combined.tolist() == [c for _, c in scalar]
-        assert forget.tolist() == [v is Vote.FORGET for v, _ in scalar]
+        scalar = [vote_rule(float(di), float(ri), CFG) for di, ri in zip(d, r)]
+        assert combined.tolist() == [c for c, _ in scalar]
+        assert forget.tolist() == [f for _, f in scalar]
         assert not forget[0]  # exactly at the threshold keeps
 
 

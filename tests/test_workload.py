@@ -70,6 +70,7 @@ class TestWorkloadSpec:
             ("accesses_per_interaction", -1),
             ("relevance_mix", 1.5),
             ("dimension", 0),
+            ("dimension", 1),
             ("history_window_s", -1.0),
             ("interaction_interval_s", 0.0),
         ],
