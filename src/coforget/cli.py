@@ -93,7 +93,9 @@ def _compose_run(
     """Scenario preset, overlaid by the config file, stamped with the run seed.
 
     The run seed wins over any seed keys in the file so --seeds sweeps stay
-    meaningful; everything else in the file overrides the preset.
+    meaningful; everything else in the file overrides the preset. Every
+    problem with the result, the fault bound on the scenario's roster
+    included, is raised in one ConfigError, one problem per line.
     """
     protocol: dict = {}
     workload: dict = {}
@@ -110,14 +112,28 @@ def _compose_run(
     protocol.update(file_protocol)
     workload.update(file_workload)
     network.update(file_network)
-    protocol["rng_seed"] = seed
     workload["seed"] = seed
     network["seed"] = seed
 
-    cfg = protocol_config_from_items(protocol)
-    spec = spec_from_items(WorkloadSpec, workload, "workload.")
-    net_cfg = spec_from_items(NetworkConfig, network, "network.")
-    return cfg, spec, net_cfg, default_agents(faults)
+    problems: list[str] = []
+
+    def build(make, *args):
+        try:
+            return make(*args)
+        except ConfigError as exc:
+            problems.append(str(exc))
+            return None
+
+    agents = default_agents(faults)
+    cfg = build(protocol_config_from_items, protocol)
+    if cfg is not None:
+        problems.extend(message for _, message in config_violations(cfg))
+        build(validate_roster, cfg, agents)
+    spec = build(spec_from_items, WorkloadSpec, workload, "workload.")
+    net_cfg = build(spec_from_items, NetworkConfig, network, "network.")
+    if problems:
+        raise ConfigError("\n".join(problems))
+    return cfg, spec, net_cfg, agents
 
 
 def _write_outputs(out_dir: Path, scenario: str, seed: int, epochs: int, result: SimulationResult) -> None:
@@ -165,7 +181,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     multi = args.seeds is not None
     for seed in seeds:
         cfg, spec, net_cfg, agents = _compose_run(args.scenario, seed, file_items)
-        validate_roster(cfg, agents)
         out_dir = args.out / f"seed-{seed}" if multi else args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         result = run_simulation(
@@ -189,28 +204,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    items = _read_config_file(args.config)
-    protocol_items, workload_items, network_items = _split_namespaces(items)
-    problems: list[str] = []
+    """Check a file the way `run --scenario custom` does, listing every problem."""
+    file_items = _split_namespaces(_read_config_file(args.config))
     try:
-        cfg = protocol_config_from_items(protocol_items, validate=False)
+        _compose_run("custom", 0, file_items)
     except ConfigError as exc:
-        problems.append(str(exc))
-    else:
-        problems.extend(message for _, message in config_violations(cfg))
-        try:
-            validate_roster(cfg, default_agents())
-        except ConfigError as exc:
-            problems.append(str(exc))
-    specs = ((WorkloadSpec, workload_items, "workload."), (NetworkConfig, network_items, "network."))
-    for cls, spec_items, namespace in specs:
-        try:
-            spec_from_items(cls, spec_items, namespace)
-        except ConfigError as exc:
-            problems.append(str(exc))
-    if problems:
-        for problem in problems:
-            print(problem)
+        print(exc)
         return 2
     print(f"config valid: {args.config}")
     return 0

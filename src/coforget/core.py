@@ -68,6 +68,12 @@ class FaultProfile:
     kind: FaultKind = FaultKind.HONEST
     coin_seed: int = 0
 
+    def __post_init__(self) -> None:
+        # resolve_behavior compares kinds by identity, so a string such as
+        # "honest" would fall through to equivocation.
+        if not isinstance(self.kind, FaultKind):
+            raise TypeError(f"fault kind must be a FaultKind, got {self.kind!r}")
+
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -162,7 +168,7 @@ class InvalidQuorumFraction(ConfigError):
 
 
 class FaultBoundViolation(ConfigError):
-    """N lies outside 3f+1 ≤ N ≤ 4f+1, or the roster size is not N.
+    """The roster's size N lies outside 3f+1 ≤ N ≤ 4f+1, or it repeats an agent id.
 
     Below 3f+1, f faults can block or split a quorum. Above 4f+1, two honest
     observers can decide differently, because a COMMIT carries its sender's
@@ -183,7 +189,6 @@ class LengthMismatch(ConfigError):
 class ProtocolConfig:
     """All tunables of one protocol run. Defaults reproduce the reference setup."""
 
-    n_agents: int = 4
     f: int = 1
     alpha: float = 2.0 / 3.0
     decay_scales: tuple[float, ...] = (10.0, 60.0, 3600.0)
@@ -195,7 +200,6 @@ class ProtocolConfig:
     cache_capacity: int = 100
     batch_size: int = 50
     batch_interval_s: float = 10.0
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         # Normalize list-ish inputs to tuples so the config stays hashable.
@@ -206,16 +210,8 @@ class ProtocolConfig:
 def config_violations(cfg: ProtocolConfig) -> list[tuple[type[ConfigError], str]]:
     """All violated constraints of `cfg`, in declaration order. Empty when valid."""
     out: list[tuple[type[ConfigError], str]] = []
-    if cfg.n_agents < 3 * cfg.f + 1 or cfg.f < 0:
-        out.append((FaultBoundViolation, f"N ≥ 3f+1 violated: n_agents={cfg.n_agents}, f={cfg.f}"))
-    elif cfg.n_agents > 4 * cfg.f + 1:
-        out.append(
-            (
-                FaultBoundViolation,
-                f"N ≤ 4f+1 violated: n_agents={cfg.n_agents}, f={cfg.f}; with more agents two "
-                f"2f+1 commit quorums can back different votes and observers can disagree",
-            )
-        )
+    if cfg.f < 0:
+        out.append((FaultBoundViolation, f"f must be >= 0, got {cfg.f}"))
     if not 0.5 < cfg.alpha <= 1.0:
         out.append((InvalidQuorumFraction, f"alpha must lie in (0.5, 1], got {cfg.alpha}"))
     if len(cfg.decay_scales) != len(cfg.decay_weights) or len(cfg.decay_scales) == 0:
@@ -263,15 +259,18 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
 
 
 def validate_roster(cfg: ProtocolConfig, agents: Sequence[AgentProfile]) -> None:
-    """Raise FaultBoundViolation unless the roster has exactly cfg.n_agents distinct agents.
+    """Raise FaultBoundViolation unless 3f+1 ≤ N ≤ 4f+1 and the N agent ids are distinct.
 
-    The fault bound f is checked against cfg.n_agents, so a roster of any
-    other size runs every consensus round under an unchecked bound. An agent
-    id is a node address on the consensus network, so it must be unique.
+    N is the roster's size. An agent id is a node address on the consensus
+    network, so it must be unique.
     """
-    if len(agents) != cfg.n_agents:
+    n = len(agents)
+    if n < 3 * cfg.f + 1:
+        raise FaultBoundViolation(f"N ≥ 3f+1 violated: N={n}, f={cfg.f}")
+    if n > 4 * cfg.f + 1:
         raise FaultBoundViolation(
-            f"n_agents={cfg.n_agents} does not match the roster of {len(agents)} agents"
+            f"N ≤ 4f+1 violated: N={n}, f={cfg.f}; with more agents two 2f+1 commit "
+            f"quorums can back different votes and observers can disagree"
         )
     seen: set[str] = set()
     for agent in agents:
@@ -366,17 +365,14 @@ def spec_from_items(cls: type, items: Mapping[str, Any], namespace: str = "") ->
         raise ConfigError(str(exc)) from exc
 
 
-def protocol_config_from_items(items: Mapping[str, Any], validate: bool = True) -> ProtocolConfig:
+def protocol_config_from_items(items: Mapping[str, Any]) -> ProtocolConfig:
     """Build a ProtocolConfig from parsed key/value items.
 
     Unknown keys and ill-typed values are an error; missing keys keep their
-    defaults. With validate=False the constraints are left unchecked so a
-    caller can list every violation via config_violations instead of stopping
-    at the first.
+    defaults. The constraints are left to config_violations or validate_config.
     """
     kwargs = dict(items)
     for key in ("decay_scales", "decay_weights"):
         if key in kwargs and not isinstance(kwargs[key], tuple):
             kwargs[key] = (kwargs[key],)
-    cfg = spec_from_items(ProtocolConfig, kwargs)
-    return validate_config(cfg) if validate else cfg
+    return spec_from_items(ProtocolConfig, kwargs)

@@ -10,8 +10,8 @@ and tracks the no-forgetting counterfactual in parallel.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,8 +41,6 @@ from .workload import (
     step_interaction,
     traffic_stream,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "MemoryAudit",
@@ -80,8 +78,8 @@ class EpochReport:
     deleted: int
     deletion_rate: float
     elapsed_virtual_s: float
-    cache_hits: int
-    cache_misses: int
+    cache_hits: int = 0
+    cache_misses: int = 0
     per_memory_audit: list[MemoryAudit] = field(default_factory=list)
 
 
@@ -107,12 +105,10 @@ def run_epoch(
     net,
     *,
     scorer: RelevanceScorer | Mapping[str, RelevanceScorer] | None = None,
+    now: float,
     epoch_index: int = 0,
-    now: float | None = None,
     arrivals: Sequence[MemoryRecord] = (),
     relevance_memo: dict[str | None, dict[str, float]] | None = None,
-    cache_hits_base: int | None = None,
-    cache_misses_base: int | None = None,
 ) -> EpochReport:
     """Run one full epoch against the store's current snapshot.
 
@@ -121,10 +117,9 @@ def run_epoch(
     the store after deletion commits. Consensus timeouts retain the memory and
     are recorded per-memory rather than raised. `relevance_memo` carries
     scores across epochs as {scorer key: {memory id: relevance}}; the key is
-    None for a shared scorer and the agent id for an agent's own scorer.
+    None for a shared scorer and the agent id for an agent's own scorer. The
+    epoch makes no reads, so its report's cache counts are 0.
     """
-    hits_base = store.hits if cache_hits_base is None else cache_hits_base
-    misses_base = store.misses if cache_misses_base is None else cache_misses_base
     if relevance_memo is None:
         relevance_memo = {}
 
@@ -132,8 +127,6 @@ def run_epoch(
     memories_start = len(snapshot)
     ids = [record.id for record in snapshot]
     t_last = np.fromiter((record.t_last for record in snapshot), dtype=np.float64, count=len(ids))
-    if now is None:
-        now = float(t_last.max()) if ids else 0.0
 
     # Phase 1: decay for the whole snapshot in one kernel call.
     decay = combined_decay(now - t_last, cfg)
@@ -247,8 +240,6 @@ def run_epoch(
         deleted=deleted,
         deletion_rate=deleted / memories_start if memories_start else 0.0,
         elapsed_virtual_s=elapsed,
-        cache_hits=store.hits - hits_base,
-        cache_misses=store.misses - misses_base,
         per_memory_audit=audits,
     )
 
@@ -279,7 +270,7 @@ def run_simulation(
     one interaction interval per interaction; an epoch fires every
     cfg.epoch_interactions interactions. The baseline series is the footprint
     a no-forgetting twin would have (initial plus cumulative arrivals). A
-    roster whose size is not cfg.n_agents raises FaultBoundViolation.
+    roster outside 3f+1 ≤ N ≤ 4f+1 raises FaultBoundViolation.
     """
     validate_config(cfg)
     if epochs < 1:
@@ -287,7 +278,7 @@ def run_simulation(
     if agents is None:
         agents = default_agents()
     validate_roster(cfg, agents)
-    net = SimulatedNetwork(net_cfg or NetworkConfig(seed=cfg.rng_seed))
+    net = SimulatedNetwork(net_cfg or NetworkConfig())
 
     context = make_context(spec)
     store = MemoryStore.from_config(cfg, spec.dimension, start_time=spec.history_window_s)
@@ -299,10 +290,6 @@ def run_simulation(
     rng = traffic_stream(spec)
     relevance_memo: dict[str | None, dict[str, float]] = {}
     reports: list[EpochReport] = []
-    baselines: list[int] = []
-    baseline_footprint = spec.initial_items
-    hits_base = store.hits
-    misses_base = store.misses
     lo, hi = spec.arrivals_per_epoch
 
     for epoch_index in range(epochs):
@@ -312,6 +299,7 @@ def run_simulation(
             slot = int(rng.integers(0, cfg.epoch_interactions))
             slots[slot] = slots.get(slot, 0) + 1
 
+        hits, misses = store.hits, store.misses
         live = store.ids()
         sampler = ZipfSampler(len(live), spec.access_skew) if live else None
         pending_arrivals: list[MemoryRecord] = []
@@ -349,14 +337,12 @@ def run_simulation(
             now=now,
             arrivals=pending_arrivals,
             relevance_memo=relevance_memo,
-            cache_hits_base=hits_base,
-            cache_misses_base=misses_base,
         )
-        hits_base = store.hits
-        misses_base = store.misses
-        baseline_footprint += len(pending_arrivals)
-        baselines.append(baseline_footprint)
+        # Every read of the epoch window came from the traffic above.
+        report.cache_hits, report.cache_misses = store.hits - hits, store.misses - misses
         reports.append(report)
 
-    summary = aggregate(reports, baselines, strict_pbft=strict_pbft)
+    start = reports[0].memories_start
+    baselines = [start + added for added in accumulate(r.additions for r in reports)]
+    summary = aggregate(reports, strict_pbft=strict_pbft)
     return SimulationResult(reports=reports, summary=summary, baseline_footprints=baselines)

@@ -9,7 +9,6 @@ of the in-process transport.
 from __future__ import annotations
 
 import enum
-import logging
 import random
 import struct
 from dataclasses import dataclass
@@ -18,8 +17,6 @@ from typing import NamedTuple, Sequence
 
 from .consensus import DEFAULT_COORDINATOR_ID, Behavior, MessageKind, PbftMessage
 from .core import FaultKind, FaultProfile, Vote
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "NetworkConfig",

@@ -77,6 +77,8 @@ class WorkloadSpec:
             raise ValueError(f"arrival range must be lo..hi, got {arrivals!r}")
         arrivals = (int(arrivals[0]), int(arrivals[1]))
         object.__setattr__(self, "arrivals_per_epoch", arrivals)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.initial_items < 0:
             raise ValueError(f"initial_items must be >= 0, got {self.initial_items}")
         lo, hi = arrivals
@@ -287,25 +289,18 @@ class SummaryMetrics:
     final_baseline_footprint: int
 
 
-def aggregate(
-    reports: Sequence,
-    baseline_footprints: Sequence[int],
-    *,
-    strict_pbft: bool = False,
-) -> SummaryMetrics:
+def aggregate(reports: Sequence, *, strict_pbft: bool = False) -> SummaryMetrics:
     """Fold epoch reports into the headline metrics.
 
-    An epoch succeeds when every consensus instance it started decided; with
-    no instances it counts as success by default, or is excluded from the
+    The baseline is the footprint a no-forgetting twin would end with: the
+    first epoch's starting population plus every epoch's arrivals. An epoch
+    succeeds when every consensus instance it started decided; with no
+    instances it counts as success by default, or is excluded from the
     denominator under strict_pbft.
     """
     if not reports:
         raise ValueError("aggregate requires at least one epoch report")
-    if len(baseline_footprints) != len(reports):
-        raise ValueError(
-            f"baseline series length {len(baseline_footprints)} != report count {len(reports)}"
-        )
-    final_baseline = baseline_footprints[-1]
+    final_baseline = reports[0].memories_start + sum(r.additions for r in reports)
     final_footprint = reports[-1].memories_end
     reduction = 1.0 - final_footprint / final_baseline if final_baseline > 0 else 0.0
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,15 @@ workload.dimension = 16
 
 OUTPUT_FILES = ("report.json", "epochs.csv", "audit.jsonl", "metadata.csv")
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def small_run_with(line: str) -> str:
+    """SMALL_RUN with `line` added, replacing SMALL_RUN's own line for that key."""
+    key = line.partition(" =")[0]
+    kept = [old for old in SMALL_RUN.splitlines(keepends=True) if old.partition(" =")[0] != key]
+    return "".join(kept) + line
+
 
 def write_config(tmp_path, text=SMALL_RUN, name="run.cfg"):
     path = tmp_path / name
@@ -65,10 +75,10 @@ class TestValidate:
         assert "decay weights" in out.lower() or "sum" in out.lower()
 
     def test_agreement_bound_listed(self, tmp_path, capsys):
-        # n_agents = 4 with f = 0 exceeds N ≤ 4f+1 before the roster check.
+        # The CLI's roster has N = 4 agents, above 4f+1 for f = 0.
         path = write_config(tmp_path, "f = 0\n")
         assert run_cli("validate", path) == 2
-        assert "N ≤ 4f+1 violated: n_agents=4, f=0" in capsys.readouterr().out
+        assert "N ≤ 4f+1 violated: N=4, f=0" in capsys.readouterr().out
 
     def test_unknown_workload_key_listed(self, tmp_path, capsys):
         path = write_config(tmp_path, "workload.bogus = 1\n")
@@ -80,12 +90,6 @@ class TestValidate:
         path = write_config(tmp_path, key + "\n")
         assert run_cli("validate", path) == 2
         assert f"unknown config keys: {key.partition(' =')[0]}" in capsys.readouterr().out
-
-    def test_roster_mismatch_listed(self, tmp_path, capsys):
-        # Valid on its own, but the CLI runs the fixed 4-agent roster.
-        path = write_config(tmp_path, "n_agents = 7\nf = 2\n")
-        assert run_cli("validate", path) == 2
-        assert "n_agents=7 does not match the roster of 4 agents" in capsys.readouterr().out
 
     @pytest.mark.parametrize("text", ILL_TYPED)
     def test_ill_typed_values_listed(self, tmp_path, capsys, text):
@@ -99,6 +103,34 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "config error" in err
         assert str(missing) in err
+
+    def test_readme_config_example_is_valid(self, tmp_path, capsys):
+        text = README.read_text(encoding="utf-8")
+        start = text.index("```ini\n") + len("```ini\n")
+        path = write_config(tmp_path, text[start : text.index("```", start)])
+        assert run_cli("validate", path) == 0, capsys.readouterr().out
+
+    @pytest.mark.parametrize("scenario", ["custom", "byzantine_f1", "cache_profile"])
+    @pytest.mark.parametrize(
+        "line, accepted",
+        [
+            ("", True),
+            *((text, False) for text in ILL_TYPED),
+            ("f = 0\n", False),
+            ("f = 2\n", False),
+            ("n_agents = 4\n", False),
+            ("rng_seed = 1\n", False),
+            # The run seed overrides the file's seed keys.
+            ("workload.seed = 1.5\n", True),
+        ],
+    )
+    def test_validate_accepts_exactly_what_run_accepts(self, tmp_path, scenario, line, accepted):
+        path = write_config(tmp_path, small_run_with(line))
+        out = tmp_path / "out"
+        validated = run_cli("validate", path)
+        ran = run_cli("run", "--scenario", scenario, "--config", path, "--epochs", 1, "--out", out)
+        assert (validated, ran) == ((0, 0) if accepted else (2, 2))
+        assert out.exists() == accepted
 
 
 class TestRunErrors:
@@ -144,11 +176,6 @@ class TestRunErrors:
         assert "--seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_roster_mismatch_rejected(self, tmp_path, capsys):
-        path = write_config(tmp_path, SMALL_RUN + "n_agents = 7\nf = 2\n")
-        assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 2
-        assert "n_agents=7 does not match the roster of 4 agents" in capsys.readouterr().err
-
     def test_agreement_bound_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_RUN + "f = 0\n")
         out = tmp_path / "out"
@@ -156,8 +183,15 @@ class TestRunErrors:
         assert "N ≤ 4f+1 violated" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_every_violation_reported(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_run_with("f = 2\nalpha = 0.2\nworkload.access_skew = 0\n"))
+        assert run_cli("run", "--config", path, "--epochs", 1, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        for problem in ("N ≥ 3f+1 violated: N=4, f=2", "alpha must lie in", "access_skew must be > 0"):
+            assert problem in err
+
     def test_rejected_run_leaves_no_output_directory(self, tmp_path):
-        path = write_config(tmp_path, SMALL_RUN + "n_agents = 7\nf = 2\n")
+        path = write_config(tmp_path, SMALL_RUN + "f = 2\n")
         for extra in ((), ("--seeds", 2)):
             out = tmp_path / "out"
             assert run_cli("run", "--config", path, "--out", out, *extra) == 2
@@ -254,7 +288,7 @@ class TestRunOutputs:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_cli_seed_overrides_file_seed_keys(self, tmp_path):
-        base = write_config(tmp_path, SMALL_RUN + "rng_seed = 99\nworkload.seed = 99\n", "a.cfg")
+        base = write_config(tmp_path, SMALL_RUN + "network.seed = 99\nworkload.seed = 99\n", "a.cfg")
         plain = write_config(tmp_path, SMALL_RUN, "b.cfg")
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -228,7 +228,7 @@ class TestOnCommit:
         # latency makes every COMMIT land at the same instant, in sender-id
         # order: a1..a3's forget COMMITs decide every node before a4..a7's
         # four keep COMMITs arrive, and the later keep quorum flips nothing.
-        cfg = ProtocolConfig(n_agents=7, f=1)
+        cfg = ProtocolConfig(f=1)
         roster = tuple(AgentProfile(f"a{i}") for i in range(1, 8))
         votes = {a.agent_id: Vote.FORGET if a.agent_id <= "a3" else Vote.KEEP for a in roster}
         net = SimulatedNetwork(NetworkConfig(latency_min_ms=3.0, latency_max_ms=3.0, seed=0))
@@ -439,7 +439,7 @@ class TestSafetyProperties:
     def test_default_budget_decides_every_unanimous_lossless_round(self, n):
         # Liveness: with honest unanimous votes and no drops every observer
         # decides, so the default budget must cover the whole round.
-        cfg = ProtocolConfig(n_agents=n, f=(n - 1) // 3)
+        cfg = ProtocolConfig(f=(n - 1) // 3)
         roster = tuple(AgentProfile(f"a{i:02d}") for i in range(n))
         net = lossless_net(seed=n)
         for trial in range(40):

@@ -31,6 +31,10 @@ from coforget.transport import NetworkConfig
 from coforget.workload import WorkloadSpec
 
 
+def roster_of(n: int) -> list[AgentProfile]:
+    return [AgentProfile(f"a{i}") for i in range(n)]
+
+
 def record(memory_id: str = "m1", dim: int = 4, **kwargs) -> MemoryRecord:
     defaults = dict(
         id=memory_id,
@@ -128,6 +132,19 @@ def test_make_embedding_keeps_canonical_arrays_and_copies_the_rest():
         make_embedding(make_embedding([1.0]).reshape(1, 1))
 
 
+class TestFaultProfile:
+    @pytest.mark.parametrize("kind", ["honest", "silent_half", None])
+    def test_rejects_a_kind_that_is_not_a_fault_kind(self, kind):
+        # The string "honest" is not FaultKind.HONEST; accepted, it made the
+        # agent equivocate in half of its rounds.
+        with pytest.raises(TypeError, match="FaultKind"):
+            FaultProfile(kind=kind)
+
+    def test_accepts_every_fault_kind(self):
+        for kind in FaultKind:
+            assert FaultProfile(kind=kind, coin_seed=3).kind is kind
+
+
 class TestAgentProfile:
     def test_defaults(self):
         a = AgentProfile("a1")
@@ -152,7 +169,7 @@ class TestValidateConfig:
     def test_reference_parameter_set_accepted(self):
         cfg = ProtocolConfig()
         assert validate_config(cfg) is cfg
-        assert cfg.n_agents == 4 and cfg.f == 1
+        assert cfg.f == 1
         assert cfg.alpha == pytest.approx(2.0 / 3.0)
         assert cfg.decay_scales == (10.0, 60.0, 3600.0)
         assert cfg.decay_weights == (0.2, 0.3, 0.5)
@@ -160,22 +177,27 @@ class TestValidateConfig:
         assert cfg.omega_d == 0.4 and cfg.omega_r == 0.6
 
     def test_fault_bound_violation(self):
+        # The config alone can only get f's sign wrong; N comes from the roster.
+        with pytest.raises(FaultBoundViolation, match="f must be >= 0"):
+            validate_config(ProtocolConfig(f=-1))
         with pytest.raises(FaultBoundViolation):
-            validate_config(ProtocolConfig(n_agents=3, f=1))
+            validate_roster(ProtocolConfig(f=1), roster_of(3))
 
     def test_fault_bound_message_names_the_rule(self):
-        violations = config_violations(ProtocolConfig(n_agents=3, f=1))
-        assert any("N ≥ 3f+1" in msg for _, msg in violations)
+        with pytest.raises(FaultBoundViolation, match="N ≥ 3f\\+1 violated: N=3, f=1"):
+            validate_roster(ProtocolConfig(f=1), roster_of(3))
 
-    @pytest.mark.parametrize("n_agents, f", [(4, 0), (6, 1), (7, 1), (10, 2)])
-    def test_agreement_bound_violation(self, n_agents, f):
+    @pytest.mark.parametrize("n, f", [(4, 0), (6, 1), (7, 1), (10, 2)])
+    def test_agreement_bound_violation(self, n, f):
         # Above 4f+1, two 2f+1 commit quorums can back different votes.
         with pytest.raises(FaultBoundViolation, match="N ≤ 4f\\+1"):
-            validate_config(ProtocolConfig(n_agents=n_agents, f=f))
+            validate_roster(ProtocolConfig(f=f), roster_of(n))
 
-    @pytest.mark.parametrize("n_agents, f", [(1, 0), (4, 1), (5, 1), (7, 2), (9, 2), (10, 3)])
-    def test_fault_bounds_are_inclusive(self, n_agents, f):
-        assert config_violations(ProtocolConfig(n_agents=n_agents, f=f)) == []
+    @pytest.mark.parametrize("n, f", [(1, 0), (4, 1), (5, 1), (7, 2), (9, 2), (10, 3)])
+    def test_fault_bounds_are_inclusive(self, n, f):
+        cfg = ProtocolConfig(f=f)
+        assert config_violations(cfg) == []
+        validate_roster(cfg, roster_of(n))
 
     def test_weight_sum_violation(self):
         with pytest.raises(WeightSumViolation):
@@ -199,8 +221,8 @@ class TestValidateConfig:
             validate_config(ProtocolConfig(vote_threshold=1.0))
 
     def test_acceptance_iff_all_constraints_hold(self):
-        """Random configs: validate_config accepts exactly when a hand-rolled
-        constraint check passes."""
+        """Random configs and roster sizes: config_violations and validate_roster
+        accept exactly when a hand-rolled constraint check passes."""
         rng = random.Random(7)
 
         def pick(valid, invalid):
@@ -217,10 +239,9 @@ class TestValidateConfig:
                 scales = tuple(rng.choice([-5.0, 1.0, 10.0, 60.0]) for _ in range(n_scales))
                 n_weights = rng.randint(0, 4)
                 weights = tuple(rng.choice([0.0, 0.2, 0.3, 0.5, 1.2]) for _ in range(n_weights))
-            n_agents, f = pick([(1, 0), (4, 1), (5, 1), (7, 2)], [(3, 1), (4, 0), (6, 1), (6, 2)])
+            n, f = pick([(1, 0), (4, 1), (5, 1), (7, 2)], [(3, 1), (4, 0), (6, 1), (6, 2), (4, -1)])
             omega_d, omega_r = pick([(0.4, 0.6), (0.7, 0.3)], [(0.4, 0.3), (0.7, 0.6), (1.2, -0.2)])
             cfg = ProtocolConfig(
-                n_agents=n_agents,
                 f=f,
                 alpha=pick([0.51, 2.0 / 3.0, 1.0], [0.3, 0.5, 1.1]),
                 decay_scales=scales,
@@ -230,7 +251,8 @@ class TestValidateConfig:
                 omega_r=omega_r,
             )
             expect_ok = (
-                3 * cfg.f + 1 <= cfg.n_agents <= 4 * cfg.f + 1
+                0 <= cfg.f
+                and 3 * cfg.f + 1 <= n <= 4 * cfg.f + 1
                 and 0.5 < cfg.alpha <= 1.0
                 and len(scales) == len(weights) > 0
                 and all(s > 0 for s in scales)
@@ -241,7 +263,13 @@ class TestValidateConfig:
                 and abs(cfg.omega_d + cfg.omega_r - 1.0) <= 1e-9
                 and 0.0 < cfg.vote_threshold < 1.0
             )
-            assert (not config_violations(cfg)) == expect_ok, cfg
+            try:
+                validate_roster(cfg, roster_of(n))
+            except FaultBoundViolation:
+                roster_ok = False
+            else:
+                roster_ok = True
+            assert (not config_violations(cfg) and roster_ok) == expect_ok, (n, cfg)
             verdicts.append(expect_ok)
         assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50, verdicts.count(True)
 
@@ -259,7 +287,7 @@ class TestConfigFile:
         items = parse_config_text(
             "# comment\n"
             "\n"
-            "n_agents = 4\n"
+            "f = 1\n"
             "alpha = 2/3\n"
             "batch_interval_s = 10.5\n"
             "flag = true\n"
@@ -267,7 +295,7 @@ class TestConfigFile:
             "workload.arrivals_per_epoch = 10..20\n"
             "decay_weights = 0.2, 0.3, 0.5\n"
         )
-        assert items["n_agents"] == 4
+        assert items["f"] == 1
         assert items["alpha"] == pytest.approx(2.0 / 3.0)
         assert items["batch_interval_s"] == 10.5
         assert items["flag"] == "true"  # no config field is a bool
@@ -288,14 +316,19 @@ class TestConfigFile:
             protocol_config_from_items({"not_a_field": 1})
 
     def test_from_items_builds_and_validates(self):
-        cfg = protocol_config_from_items({"n_agents": 7, "f": 2})
-        assert cfg.n_agents == 7
-        with pytest.raises(FaultBoundViolation):
-            protocol_config_from_items({"n_agents": 3})
+        # Keys and value types are checked here; constraints are left to
+        # config_violations, so every violation can be listed.
+        assert protocol_config_from_items({"f": 2}).f == 2
+        with pytest.raises(ConfigError, match="f must be an integer"):
+            protocol_config_from_items({"f": 1.5})
+        cfg = protocol_config_from_items({"alpha": 0.2, "f": -1})
+        assert [cls for cls, _ in config_violations(cfg)] == [FaultBoundViolation, InvalidQuorumFraction]
 
-    def test_from_items_unvalidated_mode(self):
-        cfg = protocol_config_from_items({"n_agents": 3}, validate=False)
-        assert cfg.n_agents == 3
+    @pytest.mark.parametrize("key", ["n_agents", "rng_seed"])
+    def test_run_derived_keys_are_unknown(self, key):
+        # N is the roster's size and the network seed comes from the run.
+        with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+            protocol_config_from_items({key: 4})
 
     def test_single_scalar_scale_becomes_tuple(self):
         cfg = protocol_config_from_items(
@@ -311,14 +344,14 @@ class TestSpecFromItems:
     @pytest.mark.parametrize("text", ["decay_scales = nan, 60, 3600", "alpha = inf", "batch_interval_s = -inf"])
     def test_non_finite_float_rejected(self, text):
         with pytest.raises(ConfigError, match="finite"):
-            protocol_config_from_items(parse_config_text(text), validate=False)
+            protocol_config_from_items(parse_config_text(text))
 
     @pytest.mark.parametrize(
         "cls, items",
         [
             (ProtocolConfig, {"epoch_interactions": 2.5}),
-            (ProtocolConfig, {"n_agents": True}),
-            (ProtocolConfig, {"n_agents": (4, 5)}),
+            (ProtocolConfig, {"f": True}),
+            (ProtocolConfig, {"f": (4, 5)}),
             (WorkloadSpec, {"dimension": 2.5}),
             (WorkloadSpec, {"arrivals_per_epoch": (10, 20.5)}),
             (NetworkConfig, {"seed": 1.5}),
@@ -331,7 +364,7 @@ class TestSpecFromItems:
     @pytest.mark.parametrize("items", [{"alpha": "abc"}, {"omega_d": (0.4, 0.6)}, {"decay_weights": (0.5, "x")}])
     def test_non_number_for_float_field_rejected(self, items):
         with pytest.raises(ConfigError, match="must be a number"):
-            protocol_config_from_items(items, validate=False)
+            protocol_config_from_items(items)
 
     def test_unknown_keys_named_with_their_namespace(self):
         with pytest.raises(ConfigError, match="unknown config keys: workload.churn"):

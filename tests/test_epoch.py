@@ -229,30 +229,21 @@ class TestRunEpochOutcomes:
 
     def test_empty_store_epoch_is_a_no_op(self):
         st = MemoryStore.from_config(CFG, DIM)
-        report = run_epoch(st, AGENTS, context(), CFG, lossless())
+        report = run_epoch(st, AGENTS, context(), CFG, lossless(), now=0.0)
         assert report.memories_start == 0
         assert report.memories_end == 0
         assert report.proposed == 0
         assert report.deletion_rate == 0.0
 
-    def test_report_counts_cache_deltas_only(self):
-        records = [record(f"m{i}", cos=0.5, t_last=10.0) for i in range(3)]
-        st = fresh_store(records, now=10.0)
+    def test_direct_epoch_reports_no_cache_reads(self):
+        # Reads belong to the traffic between epochs; the epoch makes none.
+        st = fresh_store([record(f"m{i}", cos=0.5, t_last=10.0) for i in range(3)], now=10.0)
         for _ in range(5):
             st.get("m0", now=10.0)
-        hits_before, misses_before = st.hits, st.misses
-        report = run_epoch(
-            st,
-            AGENTS,
-            context(),
-            CFG,
-            lossless(),
-            now=10.0,
-            cache_hits_base=hits_before,
-            cache_misses_base=misses_before,
-        )
-        assert report.cache_hits == st.hits - hits_before
-        assert report.cache_misses == st.misses - misses_before
+        counters = (st.hits, st.misses)
+        report = run_epoch(st, AGENTS, context(), CFG, lossless(), now=1e6)
+        assert (report.cache_hits, report.cache_misses) == (0, 0)
+        assert (st.hits, st.misses) == counters
 
 
 class TestRunSimulation:
@@ -269,13 +260,12 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="epochs"):
             run_simulation(self.SIM_CFG, self.SPEC, 0)
 
-    def test_rejects_a_roster_that_does_not_match_n_agents(self):
-        # n_agents = 7, f = 2 is a valid config, but the default roster has 4.
-        cfg = replace(self.SIM_CFG, n_agents=7, f=2)
-        with pytest.raises(FaultBoundViolation, match="n_agents=7 does not match the roster of 4"):
-            run_simulation(cfg, self.SPEC, 1)
-        with pytest.raises(FaultBoundViolation, match="roster of 3"):
+    def test_rejects_a_roster_outside_the_fault_bound(self):
+        # N is the roster's size: f = 1 needs 4 or 5 agents, f = 0 at most 1.
+        with pytest.raises(FaultBoundViolation, match="N ≥ 3f\\+1 violated: N=3, f=1"):
             run_simulation(self.SIM_CFG, self.SPEC, 1, agents=AGENTS[:3])
+        with pytest.raises(FaultBoundViolation, match="N ≤ 4f\\+1 violated: N=4, f=0"):
+            run_simulation(replace(self.SIM_CFG, f=0), self.SPEC, 1)
 
     def test_rejects_a_repeated_agent_id_before_any_epoch(self, monkeypatch):
         # Without the check, the repeated id crashes the first consensus round.
@@ -307,6 +297,16 @@ class TestRunSimulation:
             previous_end = report.memories_end
         assert result.summary.final_footprint == result.reports[-1].memories_end
         assert result.summary.final_footprint <= result.baseline_footprints[-1]
+
+    def test_cache_counts_come_from_the_traffic(self):
+        # Epoch 0 starts empty, so its window has no reads; later windows read
+        # accesses_per_interaction ids per interaction.
+        spec = replace(self.SPEC, initial_items=0, accesses_per_interaction=3)
+        result = run_simulation(self.SIM_CFG, spec, 4)
+        assert result.reports[0].memories_start == 0 < result.reports[-1].memories_start
+        for report in result.reports:
+            reads = self.SIM_CFG.epoch_interactions * 3 if report.memories_start else 0
+            assert report.cache_hits + report.cache_misses == reads
 
     def test_arrival_counts_respect_the_spec_range(self):
         result = run_simulation(self.SIM_CFG, self.SPEC, 5)

@@ -169,7 +169,7 @@ def rounds(draw):
         )
         for _ in range(draw(hst.integers(1, 3)))
     ]
-    return ProtocolConfig(n_agents=n, f=f), agents, behaviors, net_cfg, schedule
+    return ProtocolConfig(f=f), agents, behaviors, net_cfg, schedule
 
 
 class TestRunRoundMatchesReference:
@@ -192,7 +192,7 @@ class TestRunRoundMatchesReference:
                 ref.delivered_latency_s,
             )
             assert net.pending() == 0
-            if cfg.n_agents > 4 * cfg.f + 1:
+            if len(agents) > 4 * cfg.f + 1:
                 continue
 
             observers = {DEFAULT_COORDINATOR_ID: got.decision}

@@ -40,7 +40,9 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class FakeReport:
+    memories_start: int = 100
     memories_end: int = 100
+    additions: int = 0
     consensus_reached: int = 0
     consensus_failed: int = 0
     cache_hits: int = 0
@@ -73,6 +75,7 @@ class TestWorkloadSpec:
             ("dimension", 1),
             ("history_window_s", -1.0),
             ("interaction_interval_s", 0.0),
+            ("seed", -1),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):
@@ -297,21 +300,23 @@ class TestDefaultAgents:
 
 
 class TestAggregate:
-    def test_requires_reports_and_matching_baseline(self):
+    def test_requires_reports(self):
         with pytest.raises(ValueError, match="at least one"):
-            aggregate([], [])
-        with pytest.raises(ValueError, match="length"):
-            aggregate([FakeReport()], [100, 200])
+            aggregate([])
 
     def test_footprint_reduction(self):
-        reports = [FakeReport(memories_end=120), FakeReport(memories_end=60)]
-        summary = aggregate(reports, [110, 120])
+        # Baseline: the first epoch's start plus every epoch's arrivals.
+        reports = [
+            FakeReport(memories_start=100, additions=10, memories_end=110),
+            FakeReport(memories_start=110, additions=10, memories_end=60),
+        ]
+        summary = aggregate(reports)
         assert summary.footprint_reduction == pytest.approx(1.0 - 60 / 120)
         assert summary.final_footprint == 60
         assert summary.final_baseline_footprint == 120
 
     def test_zero_baseline_means_zero_reduction(self):
-        summary = aggregate([FakeReport(memories_end=0)], [0])
+        summary = aggregate([FakeReport(memories_start=0, memories_end=0)])
         assert summary.footprint_reduction == 0.0
 
     def test_default_success_rate_counts_vacuous_epochs(self):
@@ -320,7 +325,7 @@ class TestAggregate:
             FakeReport(consensus_reached=5, consensus_failed=0),
             FakeReport(consensus_reached=4, consensus_failed=1),
         ]
-        summary = aggregate(reports, [100] * 3)
+        summary = aggregate(reports)
         assert summary.pbft_success_rate == pytest.approx(2 / 3)
 
     def test_strict_mode_excludes_vacuous_epochs(self):
@@ -329,17 +334,17 @@ class TestAggregate:
             FakeReport(consensus_reached=5, consensus_failed=0),
             FakeReport(consensus_reached=4, consensus_failed=1),
         ]
-        summary = aggregate(reports, [100] * 3, strict_pbft=True)
+        summary = aggregate(reports, strict_pbft=True)
         assert summary.pbft_success_rate == pytest.approx(1 / 2)
 
     def test_strict_mode_with_no_instances_at_all(self):
-        summary = aggregate([FakeReport()], [100], strict_pbft=True)
+        summary = aggregate([FakeReport()], strict_pbft=True)
         assert summary.pbft_success_rate == 1.0
 
     def test_success_rate_example(self):
         reports = [FakeReport(consensus_reached=1) for _ in range(480)]
         reports += [FakeReport(consensus_reached=0, consensus_failed=2) for _ in range(20)]
-        summary = aggregate(reports, [100] * 500)
+        summary = aggregate(reports)
         assert summary.pbft_success_rate == pytest.approx(0.96)
 
     def test_cache_hit_rate_pools_all_epochs(self):
@@ -348,11 +353,11 @@ class TestAggregate:
             FakeReport(cache_hits=0, cache_misses=0),
             FakeReport(cache_hits=30, cache_misses=70),
         ]
-        summary = aggregate(reports, [100] * 3)
+        summary = aggregate(reports)
         assert summary.cache_hit_rate == pytest.approx(0.5)
 
     def test_no_traffic_means_zero_hit_rate(self):
-        summary = aggregate([FakeReport()], [100])
+        summary = aggregate([FakeReport()])
         assert summary.cache_hit_rate == 0.0
 
     def test_deletion_rollups(self):
@@ -360,7 +365,7 @@ class TestAggregate:
             FakeReport(deletion_rate=0.2, deleted=20),
             FakeReport(deletion_rate=0.0, deleted=0),
         ]
-        summary = aggregate(reports, [100] * 2)
+        summary = aggregate(reports)
         assert summary.mean_deletion_rate == pytest.approx(0.1)
         assert summary.total_deleted == 20
         assert summary.epochs == 2
