@@ -76,9 +76,9 @@ from .workload import (
     ZipfSampler,
     aggregate,
     default_agents,
+    epoch_traffic,
     generate_initial,
     make_context,
-    step_interaction,
 )
 
 __version__ = "0.1.0"

@@ -168,7 +168,7 @@ class InvalidQuorumFraction(ConfigError):
 
 
 class FaultBoundViolation(ConfigError):
-    """The roster's size N lies outside 3f+1 ≤ N ≤ 4f+1, or it repeats an agent id.
+    """f is negative, the roster's size N lies outside 3f+1 ≤ N ≤ 4f+1, or it repeats an agent id.
 
     Below 3f+1, f faults can block or split a quorum. Above 4f+1, two honest
     observers can decide differently, because a COMMIT carries its sender's
@@ -208,10 +208,8 @@ class ProtocolConfig:
 
 
 def config_violations(cfg: ProtocolConfig) -> list[tuple[type[ConfigError], str]]:
-    """All violated constraints of `cfg`, in declaration order. Empty when valid."""
+    """All violated constraints of `cfg` but the fault bound, in declaration order."""
     out: list[tuple[type[ConfigError], str]] = []
-    if cfg.f < 0:
-        out.append((FaultBoundViolation, f"f must be >= 0, got {cfg.f}"))
     if not 0.5 < cfg.alpha <= 1.0:
         out.append((InvalidQuorumFraction, f"alpha must lie in (0.5, 1], got {cfg.alpha}"))
     if len(cfg.decay_scales) != len(cfg.decay_weights) or len(cfg.decay_scales) == 0:
@@ -250,7 +248,7 @@ def config_violations(cfg: ProtocolConfig) -> list[tuple[type[ConfigError], str]
 
 
 def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
-    """Return `cfg` unchanged iff every constraint holds; raise on the first violation."""
+    """Return `cfg` unchanged iff config_violations finds nothing; raise on the first violation."""
     violations = config_violations(cfg)
     if violations:
         err_cls, message = violations[0]
@@ -259,11 +257,13 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
 
 
 def validate_roster(cfg: ProtocolConfig, agents: Sequence[AgentProfile]) -> None:
-    """Raise FaultBoundViolation unless 3f+1 ≤ N ≤ 4f+1 and the N agent ids are distinct.
+    """Raise FaultBoundViolation unless f ≥ 0, 3f+1 ≤ N ≤ 4f+1 and the N agent ids are distinct.
 
     N is the roster's size. An agent id is a node address on the consensus
     network, so it must be unique.
     """
+    if cfg.f < 0:
+        raise FaultBoundViolation(f"f must be >= 0, got {cfg.f}")
     n = len(agents)
     if n < 3 * cfg.f + 1:
         raise FaultBoundViolation(f"N ≥ 3f+1 violated: N={n}, f={cfg.f}")

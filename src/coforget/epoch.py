@@ -32,13 +32,11 @@ from .voting import AgentVote, decide, quorum_threshold, vote_rule, weighted_for
 from .workload import (
     SummaryMetrics,
     WorkloadSpec,
-    ZipfSampler,
     aggregate,
     default_agents,
+    epoch_traffic,
     generate_initial,
-    make_arrivals,
     make_context,
-    step_interaction,
     traffic_stream,
 )
 
@@ -83,20 +81,6 @@ class EpochReport:
     per_memory_audit: list[MemoryAudit] = field(default_factory=list)
 
 
-def _relevance_column(
-    records: list[MemoryRecord],
-    ids: list[str],
-    context: ContextProfile,
-    scorer: RelevanceScorer | None,
-    memo: dict[str, float],
-) -> np.ndarray:
-    """Relevance of every snapshot record, scoring only the ids `memo` lacks."""
-    for memory_id, record in zip(ids, records):
-        if memory_id not in memo:
-            memo[memory_id] = relevance(record, context, scorer)
-    return np.fromiter(map(memo.__getitem__, ids), dtype=np.float64, count=len(ids))
-
-
 def run_epoch(
     store: MemoryStore,
     agents: Sequence[AgentProfile],
@@ -123,10 +107,10 @@ def run_epoch(
     if relevance_memo is None:
         relevance_memo = {}
 
-    snapshot = store.records_snapshot()
-    memories_start = len(snapshot)
-    ids = [record.id for record in snapshot]
-    t_last = np.fromiter((record.t_last for record in snapshot), dtype=np.float64, count=len(ids))
+    scan = store.scan_t_last()
+    memories_start = len(scan)
+    ids = [memory_id for memory_id, _ in scan]
+    t_last = np.fromiter((t for _, t in scan), dtype=np.float64, count=memories_start)
 
     # Phase 1: decay for the whole snapshot in one kernel call.
     decay = combined_decay(now - t_last, cfg)
@@ -143,7 +127,11 @@ def run_epoch(
         if key not in by_scorer:
             agent_scorer = scorer if shared else scorer.get(profile.agent_id)
             memo = relevance_memo.setdefault(key, {})
-            r = _relevance_column(snapshot, ids, context, agent_scorer, memo)
+            # Only the ids the memo lacks are scored, so only they need a record.
+            for memory_id in ids:
+                if memory_id not in memo:
+                    memo[memory_id] = relevance(store.record(memory_id), context, agent_scorer)
+            r = np.fromiter(map(memo.__getitem__, ids), dtype=np.float64, count=len(ids))
             by_scorer[key] = vote_rule(decay, r, cfg)
         agent_votes[profile.agent_id] = by_scorer[key]
 
@@ -300,28 +288,16 @@ def run_simulation(
             slots[slot] = slots.get(slot, 0) + 1
 
         hits, misses = store.hits, store.misses
-        live = store.ids()
-        sampler = ZipfSampler(len(live), spec.access_skew) if live else None
-        pending_arrivals: list[MemoryRecord] = []
-        for interaction in range(cfg.epoch_interactions):
-            now += spec.interaction_interval_s
-            if live:
-                step = step_interaction(
-                    spec,
-                    live,
-                    rng,
-                    context=context,
-                    arrival_count=slots.get(interaction, 0),
-                    now=now,
-                    sampler=sampler,
-                )
-                for memory_id in step.access_ids:
-                    store.get(memory_id, now)
-                pending_arrivals.extend(step.arrivals)
-            elif slots.get(interaction, 0):
-                pending_arrivals.extend(
-                    make_arrivals(spec, rng, slots[interaction], now, context)
-                )
+        pending_arrivals, now = epoch_traffic(
+            spec,
+            store.ids(),
+            rng,
+            store.access,
+            context=context,
+            slots=slots,
+            interactions=cfg.epoch_interactions,
+            now=now,
+        )
 
         if epoch_index == epochs - 1:
             # Only the last commit's snapshot survives the run, so write only that one.

@@ -1,17 +1,17 @@
 """Dual-store memory persistence: vector index, metadata table, LRU cache, write buffer.
 
-Every read is served from one map of the freshest record per live id; an LRU
-cache of ids decides whether a read counts as a hit. Writes accumulate in an
-ordered buffer that batch-upserts into the vector index and the metadata
-table. The index and the metadata snapshot therefore lag unflushed writes,
-which is the modeled behavior of a batched remote store, while record reads
-never see stale data.
+A live id keeps the record it was put with plus a t_last column. A read only
+updates accounting (LRU hit or miss, t_last, pending id); `get` builds the
+freshest record on demand. Pending ids batch-upsert into the vector index and
+the metadata table, which therefore lag unflushed writes, the modeled behavior
+of a batched remote store, while record reads never see stale data.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from collections import OrderedDict
 from typing import Iterable, Sequence
 
@@ -101,37 +101,34 @@ class MetadataTable:
 
 
 class WriteBuffer:
-    """Ordered pending writes; later writes to the same id overwrite in place."""
+    """Ordered pending ids; a later write to a pending id keeps its place."""
 
     def __init__(self, last_flush: float = 0.0):
-        self.pending: dict[str, MemoryRecord] = {}
+        self.pending: dict[str, None] = {}
         self.last_flush = last_flush
 
-    def __len__(self) -> int:
-        return len(self.pending)
+    def append(self, memory_id: str) -> None:
+        self.pending[memory_id] = None
 
-    def append(self, record: MemoryRecord) -> None:
-        self.pending[record.id] = record
+    def discard(self, memory_id: str) -> None:
+        self.pending.pop(memory_id, None)
 
-    def discard(self, memory_id: str) -> bool:
-        return self.pending.pop(memory_id, None) is not None
-
-    def take_all(self) -> list[MemoryRecord]:
-        records = list(self.pending.values())
+    def take_all(self) -> list[str]:
+        memory_ids = list(self.pending)
         self.pending.clear()
-        return records
+        return memory_ids
 
 
 class MemoryStore:
     """Single-owner composite store; callers serialize through it.
 
-    Read path: `_live` holds the freshest record of every live id, in
-    insertion order, and serves every read. `_cache` is an LRU of ids that
-    only decides hit or miss: a hit refreshes t_last (the record was just
-    accessed) and re-buffers the touched record; a miss re-buffers the record
-    unchanged. The buffer, index and table are the flushed, lagging copy behind
-    the metadata snapshot. Every buffered write runs the flush check: flush
-    when the batch is full or the interval since the last flush has elapsed.
+    Read path: `_live` holds the record of every live id and `_t_last` its
+    freshest t_last, both in insertion order. `_cache` is an LRU of ids that
+    only decides hit or miss: a hit moves t_last to the read instant, a miss
+    leaves it, and either way the id is re-buffered. The buffer, index and
+    table are the flushed, lagging copy behind the metadata snapshot. Every
+    buffered write runs the flush check: flush when the batch is full or the
+    interval since the last flush has elapsed.
     """
 
     def __init__(
@@ -158,6 +155,7 @@ class MemoryStore:
         self.batch_interval_s = batch_interval_s
         self.snapshot_path = snapshot_path
         self._live: dict[str, MemoryRecord] = {}
+        self._t_last: dict[str, float] = {}
         self._cache: OrderedDict[str, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -178,32 +176,41 @@ class MemoryStore:
 
     # --- read/write operations ---
 
-    def _write(self, record: MemoryRecord, now: float) -> None:
-        """Make `record` the live copy, the most recent cache entry and a pending write."""
-        memory_id = record.id
-        self._live[memory_id] = record
-        if memory_id in self._cache:
-            self._cache.move_to_end(memory_id)
-        else:
-            self._cache[memory_id] = None
-            if len(self._cache) > self.cache_capacity:
-                self._cache.popitem(last=False)
-        self.buffer.append(record)
-        self.maybe_flush(now)
+    def access(self, memory_ids: Iterable[str], now: float) -> None:
+        """Account one read of each id at `now`, in order; an unknown id is a logged miss."""
+        if not 0.0 <= now < math.inf:
+            raise ValueError(f"t_last must be finite and >= 0, got {now}")
+        t_last = self._t_last
+        cache = self._cache
+        pending = self.buffer.pending
+        maybe_flush = self.maybe_flush
+        for memory_id in memory_ids:
+            if memory_id not in t_last:
+                self.misses += 1
+                logger.error("memory id not found: %s", memory_id)
+                continue
+            if memory_id in cache:
+                self.hits += 1
+                t_last[memory_id] = now
+                cache.move_to_end(memory_id)
+            else:
+                self.misses += 1
+                cache[memory_id] = None
+                if len(cache) > self.cache_capacity:
+                    cache.popitem(last=False)
+            pending[memory_id] = None
+            maybe_flush(now)
 
     def get(self, memory_id: str, now: float) -> MemoryRecord | None:
-        """Fetch one record; absence is a value, not an error."""
+        """Account one read, then return the freshest record; absence is a value, not an error."""
+        self.access((memory_id,), now)
+        return self.record(memory_id)
+
+    def record(self, memory_id: str) -> MemoryRecord | None:
+        """The freshest record of `memory_id`, built on demand; no cache accounting."""
         record = self._live.get(memory_id)
-        if record is None:
-            self.misses += 1
-            logger.error("memory id not found: %s", memory_id)
-            return None
-        if memory_id in self._cache:
-            self.hits += 1
-            record = record.touched(now)
-        else:
-            self.misses += 1
-        self._write(record, now)
+        if record is not None and record.t_last != self._t_last[memory_id]:
+            record = self._live[memory_id] = record.touched(self._t_last[memory_id])
         return record
 
     def put(self, record: MemoryRecord, now: float) -> None:
@@ -211,7 +218,17 @@ class MemoryStore:
             raise DimensionMismatch(
                 f"embedding length {record.embedding.shape[0]} != store dimension {self.index.dimension}"
             )
-        self._write(record, now)
+        memory_id = record.id
+        self._live[memory_id] = record
+        self._t_last[memory_id] = record.t_last
+        if memory_id in self._cache:
+            self._cache.move_to_end(memory_id)
+        else:
+            self._cache[memory_id] = None
+            if len(self._cache) > self.cache_capacity:
+                self._cache.popitem(last=False)
+        self.buffer.append(memory_id)
+        self.maybe_flush(now)
 
     def maybe_flush(self, now: float) -> int:
         """Flush when the batch is full or the flush interval has elapsed."""
@@ -228,11 +245,13 @@ class MemoryStore:
         return self._flush(now)
 
     def _flush(self, now: float) -> int:
-        records = self.buffer.take_all()
-        self.index.upsert([(r.id, r.embedding) for r in records])
-        self.table.update({r.id: (r.agent_id, r.t_last, r.salience) for r in records})
+        memory_ids = self.buffer.take_all()
+        live = self._live
+        t_last = self._t_last
+        self.index.upsert([(i, live[i].embedding) for i in memory_ids])
+        self.table.update({i: (live[i].agent_id, t_last[i], live[i].salience) for i in memory_ids})
         self.buffer.last_flush = now
-        return len(records)
+        return len(memory_ids)
 
     def commit(self, now: float) -> int:
         """Force any pending writes down and rewrite the snapshot if configured."""
@@ -258,6 +277,7 @@ class MemoryStore:
                 self.unknown_deletes += 1
                 continue
             purged.append(memory_id)
+            del self._t_last[memory_id]
             self._cache.pop(memory_id, None)
             self.buffer.discard(memory_id)
         self.index.delete(purged)
@@ -268,11 +288,11 @@ class MemoryStore:
 
     def scan_t_last(self) -> list[tuple[str, float]]:
         """(id, freshest t_last) per live id, in insertion order."""
-        return [(memory_id, record.t_last) for memory_id, record in self._live.items()]
+        return list(self._t_last.items())
 
     def records_snapshot(self) -> list[MemoryRecord]:
         """Every live record, freshest copy, in insertion order."""
-        return list(self._live.values())
+        return [self.record(memory_id) for memory_id in self._live]
 
     def ids(self) -> tuple[str, ...]:
         return tuple(self._live)

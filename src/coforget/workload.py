@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate, repeat
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,8 +29,7 @@ __all__ = [
     "generate_initial",
     "make_arrivals",
     "ZipfSampler",
-    "InteractionStep",
-    "step_interaction",
+    "epoch_traffic",
     "traffic_stream",
     "default_agents",
     "SummaryMetrics",
@@ -210,44 +210,46 @@ class ZipfSampler:
         self._cumulative = np.cumsum(ranks**-skew)
         self._total = float(self._cumulative[-1])
         self._search = self._cumulative.searchsorted
-        self.population = population
 
     def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
         return self._search(rng.random(k) * self._total, side="right")
 
 
-@dataclass(frozen=True)
-class InteractionStep:
-    """One interaction's traffic: ids to access now, records arriving later."""
-
-    access_ids: tuple[str, ...]
-    arrivals: tuple[MemoryRecord, ...]
-
-
-def step_interaction(
+def epoch_traffic(
     spec: WorkloadSpec,
     live_ids: Sequence[str],
     rng: np.random.Generator,
+    access: Callable[[Sequence[str], float], object],
     *,
     context: ContextProfile,
-    arrival_count: int = 0,
-    now: float = 0.0,
-    sampler: ZipfSampler | None = None,
-) -> InteractionStep:
-    """Draw one interaction: Zipf-ranked accesses plus any scheduled arrivals.
+    slots: Mapping[int, int],
+    interactions: int,
+    now: float,
+) -> tuple[list[MemoryRecord], float]:
+    """Draw one epoch's traffic; return its arrivals and the last interaction's instant.
 
-    Ranks follow insertion order of live_ids (early ids are popular). Arrival
-    records are returned for the caller to queue; they join the store only at
-    the next epoch boundary.
+    Interaction i, i+1 intervals after `now`, passes its Zipf-ranked reads of
+    `live_ids` (early ids are popular) to `access(ids, instant)` and then
+    draws slots.get(i, 0) arrivals, which join the store at the next epoch
+    boundary. The reads up to each arrival slot come from one RNG call, which
+    gives the stream of one call per interaction: each double takes one
+    64-bit draw and nothing is buffered.
     """
-    accesses: tuple[str, ...] = ()
-    if spec.accesses_per_interaction > 0:
-        if sampler is None or sampler.population != len(live_ids):
-            sampler = ZipfSampler(len(live_ids), spec.access_skew)
-        indexes = sampler.sample(rng, spec.accesses_per_interaction).tolist()
-        accesses = tuple([live_ids[i] for i in indexes])
-    arrivals = tuple(make_arrivals(spec, rng, arrival_count, now, context)) if arrival_count else ()
-    return InteractionStep(access_ids=accesses, arrivals=arrivals)
+    instants = list(accumulate(repeat(spec.interaction_interval_s, interactions), initial=now))
+    k = spec.accesses_per_interaction if live_ids else 0
+    sample = ZipfSampler(len(live_ids), spec.access_skew).sample if k else None
+    arrivals: list[MemoryRecord] = []
+    start = 0
+    # Each segment runs through an arrival slot; the last one through the epoch's end.
+    for slot, count in [*sorted(slots.items()), (interactions - 1, 0)]:
+        if k and slot >= start:
+            ids = [live_ids[i] for i in sample(rng, k * (slot + 1 - start)).tolist()]
+            for j, instant in enumerate(instants[start + 1 : slot + 2]):
+                access(ids[k * j : k * j + k], instant)
+        if count:
+            arrivals.extend(make_arrivals(spec, rng, count, instants[slot + 1], context))
+        start = slot + 1
+    return arrivals, instants[-1]
 
 
 def traffic_stream(spec: WorkloadSpec) -> np.random.Generator:

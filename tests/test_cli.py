@@ -74,6 +74,15 @@ class TestValidate:
         assert "N ≥ 3f+1" in out
         assert "decay weights" in out.lower() or "sum" in out.lower()
 
+    def test_negative_f_reported_once(self, tmp_path, capsys):
+        # f's sign is judged in one place, so neither command adds a bound
+        # message that only restates it.
+        path = write_config(tmp_path, "f = -1\n")
+        assert run_cli("validate", path) == 2
+        assert capsys.readouterr().out.splitlines() == ["f must be >= 0, got -1"]
+        assert run_cli("run", "--config", path, "--epochs", 1, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: f must be >= 0, got -1"]
+
     def test_agreement_bound_listed(self, tmp_path, capsys):
         # The CLI's roster has N = 4 agents, above 4f+1 for f = 0.
         path = write_config(tmp_path, "f = 0\n")

@@ -177,9 +177,10 @@ class TestValidateConfig:
         assert cfg.omega_d == 0.4 and cfg.omega_r == 0.6
 
     def test_fault_bound_violation(self):
-        # The config alone can only get f's sign wrong; N comes from the roster.
-        with pytest.raises(FaultBoundViolation, match="f must be >= 0"):
-            validate_config(ProtocolConfig(f=-1))
+        # The whole fault bound, f's sign included, is the roster check's.
+        with pytest.raises(FaultBoundViolation, match="^f must be >= 0, got -1$"):
+            validate_roster(ProtocolConfig(f=-1), roster_of(4))
+        assert config_violations(ProtocolConfig(f=-1)) == []
         with pytest.raises(FaultBoundViolation):
             validate_roster(ProtocolConfig(f=1), roster_of(3))
 
@@ -321,8 +322,8 @@ class TestConfigFile:
         assert protocol_config_from_items({"f": 2}).f == 2
         with pytest.raises(ConfigError, match="f must be an integer"):
             protocol_config_from_items({"f": 1.5})
-        cfg = protocol_config_from_items({"alpha": 0.2, "f": -1})
-        assert [cls for cls, _ in config_violations(cfg)] == [FaultBoundViolation, InvalidQuorumFraction]
+        cfg = protocol_config_from_items({"alpha": 0.2, "decay_weights": (0.5, 0.5, 0.5)})
+        assert [cls for cls, _ in config_violations(cfg)] == [InvalidQuorumFraction, WeightSumViolation]
 
     @pytest.mark.parametrize("key", ["n_agents", "rng_seed"])
     def test_run_derived_keys_are_unknown(self, key):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import random
 from collections import OrderedDict
 
@@ -113,26 +114,27 @@ class TestMetadataTable:
 
 
 class TestWriteBuffer:
-    def test_append_overwrites_same_id(self):
+    def test_append_keeps_the_first_place_of_an_id(self):
         buf = WriteBuffer()
-        buf.append(record(t_last=1.0))
-        buf.append(record(t_last=9.0))
-        assert len(buf) == 1
-        assert buf.pending["m1"].t_last == 9.0
+        for mid in ("m1", "m2", "m1"):
+            buf.append(mid)
+        assert len(buf.pending) == 2
+        assert list(buf.pending) == ["m1", "m2"]
 
     def test_take_all_clears_and_preserves_order(self):
         buf = WriteBuffer()
         for mid in ("c", "a", "b"):
-            buf.append(record(mid))
-        taken = buf.take_all()
-        assert [r.id for r in taken] == ["c", "a", "b"]
-        assert len(buf) == 0
+            buf.append(mid)
+        assert buf.take_all() == ["c", "a", "b"]
+        assert buf.pending == {}
 
     def test_discard(self):
         buf = WriteBuffer()
-        buf.append(record("x"))
-        assert buf.discard("x") is True
-        assert buf.discard("x") is False
+        buf.append("x")
+        buf.append("y")
+        buf.discard("x")
+        buf.discard("x")  # an id that is not pending is ignored
+        assert list(buf.pending) == ["y"]
 
 
 class TestMemoryStoreReads:
@@ -146,10 +148,47 @@ class TestMemoryStoreReads:
     def test_cache_hit_refreshes_t_last_and_rebuffers(self):
         st = store(batch_size=100)
         st.put(record("m1", t_last=1.0), now=1.0)
+        st.commit(now=1.0)
         got = st.get("m1", now=7.5)
         assert got.t_last == 7.5
-        assert st.buffer.pending["m1"].t_last == 7.5
+        assert list(st.buffer.pending) == ["m1"]
+        assert st.table.rows["m1"][1] == 1.0  # the flushed copy lags the pending write
+        st.commit(now=7.5)
+        assert st.table.rows["m1"][1] == 7.5
         assert st.hits == 1 and st.misses == 0
+
+    def test_access_updates_accounting_only(self):
+        st = store(cache_capacity=1, batch_size=100)
+        first = record("m1", t_last=1.0)
+        st.put(first, now=1.0)
+        st.put(record("m2", t_last=2.0), now=2.0)  # evicts m1
+        st.access(["m1", "m1", "m2", "ghost"], now=9.0)  # miss, hit, miss, unknown
+        assert (st.hits, st.misses) == (1, 3)
+        assert st.scan_t_last() == [("m1", 9.0), ("m2", 2.0)]
+        assert list(st.buffer.pending) == ["m1", "m2"]
+        assert st._live["m1"] is first  # no record was built
+
+    def test_get_builds_a_record_only_when_t_last_moved(self):
+        st = store(cache_capacity=1, batch_size=100)
+        first = record("m1", t_last=1.0)
+        st.put(first, now=1.0)
+        st.put(record("m2"), now=1.0)  # evicts m1
+        assert st.get("m1", now=5.0) is first  # a miss leaves t_last alone
+        touched = st.get("m1", now=6.0)
+        assert touched is not first and touched.t_last == 6.0
+        assert touched.embedding is first.embedding
+        assert st.record("m1") is touched
+        assert st.records_snapshot()[0] is touched
+
+    @pytest.mark.parametrize("now", [-1.0, math.inf, math.nan])
+    def test_access_checks_now_once_per_call(self, now):
+        st = store()
+        st.put(record("m1"), now=0.0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            st.access(["ghost", "m1"], now)
+        assert (st.hits, st.misses) == (0, 0)
+        with pytest.raises(ValueError):
+            st.access([], now)
 
     def test_cold_miss_reconstructs_without_refreshing_t_last(self):
         st = store(cache_capacity=1, batch_size=1)
@@ -210,7 +249,7 @@ class TestMemoryStoreWrites:
         assert st.size_flushes == 1
         assert st.index.upsert_calls == 1
         assert all(st.index.fetch(f"m{i}") is not None for i in range(50))
-        assert len(st.buffer) == 0
+        assert st.buffer.pending == {}
 
     def test_below_batch_size_never_flushes(self):
         st = store(batch_size=50, cache_capacity=100)
@@ -225,7 +264,7 @@ class TestMemoryStoreWrites:
         assert st.time_flushes == 0
         st.put(record("m2"), now=10.0 + 1e-9)
         assert st.time_flushes == 1
-        assert len(st.buffer) == 0
+        assert st.buffer.pending == {}
 
     def test_empty_buffer_never_flushes(self):
         st = store()
@@ -395,6 +434,11 @@ PROPERTY_OP = hst.one_of(
         hst.sampled_from(("a1", "a,2")),
     ),
     hst.tuples(hst.just("get"), hst.sampled_from(PROPERTY_IDS)),
+    # One accounting call over 1 to 4 ids, some never put.
+    hst.tuples(
+        hst.just("access"),
+        hst.lists(hst.sampled_from((*PROPERTY_IDS, "ghost")), min_size=1, max_size=4),
+    ),
     hst.tuples(hst.just("delete"), hst.sampled_from(PROPERTY_IDS)),
     hst.tuples(hst.just("commit")),
 )
@@ -403,22 +447,6 @@ PROPERTY_OPS = hst.lists(PROPERTY_OP, min_size=20, max_size=60)
 
 
 FLUSH_DTS = hst.one_of(hst.sampled_from((0.0, 0.5, 1.0, 2.5, 5.0)), hst.floats(0.0, 8.0))
-
-
-def overlay(st: MemoryStore, memory_id: str) -> tuple | None:
-    """Reference read: the pending write if any, else the flushed index + table row.
-
-    Gives (agent_id, t_last, salience, embedding as a tuple), or None for an
-    id in neither.
-    """
-    buffered = st.buffer.pending.get(memory_id)
-    if buffered is not None:
-        return buffered.agent_id, buffered.t_last, buffered.salience, tuple(buffered.embedding)
-    row = st.table.rows.get(memory_id)
-    if row is None:
-        return None
-    agent_id, t_last, salience = row
-    return agent_id, t_last, salience, tuple(st.index.fetch(memory_id))
 
 
 def fields(rec: MemoryRecord | None) -> tuple | None:
@@ -440,9 +468,27 @@ class TestStoreProperties:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(ops=PROPERTY_OPS, dts=hst.lists(hst.floats(0.0, 8.0), min_size=60, max_size=60))
     def test_scan_and_snapshot_match_reference(self, tmp_path_factory, ops, dts):
+        # Reference: each live id's (agent_id, t_last, salience, embedding) in
+        # insertion order, and an LRU of capacity 2 that decides which reads
+        # move t_last.
         path = tmp_path_factory.mktemp("snap") / "metadata.csv"
         st = store(cache_capacity=2, batch_size=3, batch_interval_s=5.0, snapshot_path=path)
-        order: dict[str, None] = {}
+        model: dict[str, tuple] = {}
+        lru: OrderedDict[str, None] = OrderedDict()
+
+        def cache(memory_id: str) -> bool:
+            hit = memory_id in lru
+            lru[memory_id] = None
+            lru.move_to_end(memory_id)
+            while len(lru) > 2:
+                lru.popitem(last=False)
+            return hit
+
+        def read(memory_id: str, now: float) -> None:
+            if memory_id in model and cache(memory_id):
+                agent_id, _, salience, embedding = model[memory_id]
+                model[memory_id] = (agent_id, now, salience, embedding)
+
         now = 0.0
         for op, dt in zip(ops, dts):
             now += dt
@@ -453,20 +499,33 @@ class TestStoreProperties:
                     record(memory_id, embedding=embedding, t_last=t_last, salience=salience, agent_id=agent_id),
                     now,
                 )
-                order.setdefault(memory_id)
+                model[memory_id] = (agent_id, t_last, salience, tuple(embedding))
+                cache(memory_id)
             elif op[0] == "get":
-                assert fields(st.get(op[1], now)) == overlay(st, op[1])
+                read(op[1], now)
+                assert fields(st.get(op[1], now)) == model.get(op[1])
+            elif op[0] == "access":
+                for memory_id in op[1]:
+                    read(memory_id, now)
+                st.access(op[1], now)
             elif op[0] == "delete":
                 if st.delete([op[1]]):
-                    del order[op[1]]
+                    del model[op[1]]
+                    lru.pop(op[1], None)
             else:
                 st.commit(now)
                 assert path.read_bytes() == full_snapshot(st.table.rows)
-            expected = [(memory_id, overlay(st, memory_id)) for memory_id in order]
-            assert [(rec.id, fields(rec)) for rec in st.records_snapshot()] == expected
-            assert list(st.scan_t_last()) == [(memory_id, row[1]) for memory_id, row in expected]
-            assert st.ids() == tuple(order)
-            assert st.count() == len(order)
+                assert list(st.table.rows) == list(model)
+            # The flushed copy lags the model only in the pending ids.
+            for memory_id, (agent_id, t_last, salience, embedding) in model.items():
+                if memory_id not in st.buffer.pending:
+                    assert st.table.rows[memory_id] == (agent_id, t_last, salience)
+                    assert tuple(st.index.fetch(memory_id)) == embedding
+            assert set(st.table.rows) <= set(model)
+            assert [(rec.id, fields(rec)) for rec in st.records_snapshot()] == list(model.items())
+            assert st.scan_t_last() == [(memory_id, row[1]) for memory_id, row in model.items()]
+            assert st.ids() == tuple(model)
+            assert st.count() == len(model)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(ops=PROPERTY_OPS, dts=hst.lists(FLUSH_DTS, min_size=60, max_size=60))
@@ -474,8 +533,10 @@ class TestStoreProperties:
         # Reference write path: an LRU of capacity 2, the pending ids in order,
         # and the flush rules (full batch first, then elapsed interval; commit
         # forces whatever is pending). At least 20 ops, and short or exact
-        # steps, let batches fill and land on the interval boundary.
+        # steps, let batches fill and land on the interval boundary. A twin
+        # store makes each access op's reads as gets, one at a time.
         st = store(cache_capacity=2, batch_size=3, batch_interval_s=5.0)
+        twin = store(cache_capacity=2, batch_size=3, batch_interval_s=5.0)
         live: set[str] = set()
         lru: OrderedDict[str, None] = OrderedDict()
         pending: dict[str, None] = {}
@@ -502,37 +563,69 @@ class TestStoreProperties:
                 counts["time"] += 1
                 flush(now)
 
+        def read(memory_id: str, now: float) -> None:
+            if memory_id not in live:
+                counts["misses"] += 1
+            else:
+                counts["hits" if memory_id in lru else "misses"] += 1
+                write(memory_id, now)
+
+        def state(s: MemoryStore) -> tuple:
+            return (
+                s.hits,
+                s.misses,
+                list(s._cache),
+                list(s.buffer.pending),
+                s.size_flushes,
+                s.time_flushes,
+                s.forced_flushes,
+                s.index.upsert_calls,
+                s.buffer.last_flush,
+            )
+
         now = 0.0
         for op, dt in zip(ops, dts):
             now += dt
             if op[0] == "put":
                 _, memory_id, t_last, salience, agent_id = op
-                st.put(record(memory_id, t_last=t_last, salience=salience, agent_id=agent_id), now)
+                rec = record(memory_id, t_last=t_last, salience=salience, agent_id=agent_id)
+                st.put(rec, now)
+                twin.put(rec, now)
                 write(memory_id, now)
-            elif op[0] == "get":
-                st.get(op[1], now)
-                if op[1] not in live:
-                    counts["misses"] += 1
+            elif op[0] in ("get", "access"):
+                memory_ids = [op[1]] if op[0] == "get" else op[1]
+                if op[0] == "get":
+                    st.get(op[1], now)
                 else:
-                    counts["hits" if op[1] in lru else "misses"] += 1
-                    write(op[1], now)
+                    st.access(memory_ids, now)
+                for memory_id in memory_ids:
+                    twin.get(memory_id, now)
+                    read(memory_id, now)
             elif op[0] == "delete":
                 st.delete([op[1]])
+                twin.delete([op[1]])
                 live.discard(op[1])
                 lru.pop(op[1], None)
                 pending.pop(op[1], None)
             else:
                 st.commit(now)
+                twin.commit(now)
                 if pending:
                     counts["forced"] += 1
                     flush(now)
                 else:
                     last_flush = now
-            assert (st.size_flushes, st.time_flushes, st.forced_flushes) == (
+            assert state(st) == state(twin)
+            assert state(st) == (
+                counts["hits"],
+                counts["misses"],
+                list(lru),
+                list(pending),
                 counts["size"],
                 counts["time"],
                 counts["forced"],
+                counts["upserts"],
+                last_flush,
             )
-            assert st.index.upsert_calls == counts["upserts"]
-            assert list(st.buffer.pending) == list(pending)
-            assert (st.hits, st.misses, st.cache_len()) == (counts["hits"], counts["misses"], len(lru))
+            assert st.table.rows == twin.table.rows
+            assert st.scan_t_last() == twin.scan_t_last()

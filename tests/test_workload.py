@@ -20,10 +20,10 @@ from coforget.workload import (
     ZipfSampler,
     aggregate,
     default_agents,
+    epoch_traffic,
     generate_initial,
     make_arrivals,
     make_context,
-    step_interaction,
     traffic_stream,
 )
 
@@ -208,79 +208,93 @@ class TestZipfSampler:
         assert set(sampler.sample(rng, 1000)) <= set(range(7))
 
 
-class TestStepInteraction:
-    def test_accesses_and_arrivals(self):
-        ws = spec(accesses_per_interaction=3)
-        rng = traffic_stream(ws)
-        live = [f"m{i}" for i in range(20)]
-        step = step_interaction(
-            ws, live, rng, context=make_context(ws), arrival_count=2, now=9.0
-        )
-        assert len(step.access_ids) == 3
-        assert set(step.access_ids) <= set(live)
-        assert len(step.arrivals) == 2
-        assert all(r.t_last == 9.0 for r in step.arrivals)
+def reference_traffic(ws, live, rng, context, slots, interactions, now):
+    """The traffic loop one interaction at a time: each interaction's Zipf
+    draws by a plain searchsorted over the mass, then its arrivals."""
+    k = ws.accesses_per_interaction
+    ranks = np.arange(1, len(live) + 1, dtype=np.float64)
+    cumulative = np.cumsum(ranks**-ws.access_skew)
+    accesses, arrivals = [], []
+    for interaction in range(interactions):
+        now += ws.interaction_interval_s
+        if live and k:
+            draws = rng.random(k) * cumulative[-1]
+            indexes = np.searchsorted(cumulative, draws, side="right")
+            accesses.append((tuple(live[int(i)] for i in indexes), now))
+        count = slots.get(interaction, 0)
+        if count:
+            arrivals.extend(make_arrivals(ws, rng, count, now, context))
+    return accesses, arrivals, now
 
-    def test_empty_population_raises_when_accessing(self):
-        ws = spec(accesses_per_interaction=1)
-        with pytest.raises(EmptyPopulation):
-            step_interaction(ws, [], traffic_stream(ws), context=make_context(ws))
 
-    def test_zero_accesses_tolerates_empty_population(self):
-        ws = spec(accesses_per_interaction=0)
-        step = step_interaction(ws, [], traffic_stream(ws), context=make_context(ws))
-        assert step.access_ids == ()
+def record_fields(records):
+    return [(r.id, r.agent_id, r.t_last, r.salience, tuple(r.embedding)) for r in records]
 
-    def test_sampler_reuse_and_rebuild(self):
-        ws = spec(accesses_per_interaction=2)
-        rng = traffic_stream(ws)
+
+class TestEpochTraffic:
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    @pytest.mark.parametrize("population", [0, 1, 40])
+    @pytest.mark.parametrize(
+        "slots",
+        [
+            {},
+            {0: 1},
+            {29: 2},
+            {0: 3, 7: 1, 8: 2, 29: 1},
+            {13: 4},
+        ],
+    )
+    def test_stream_matches_straight_line_reference(self, k, population, slots):
+        # Same ids at the same instant for every read, the same arrival
+        # records, the same last instant and the same RNG state afterwards.
+        ws = spec(accesses_per_interaction=k, access_skew=1.3, interaction_interval_s=0.1)
         context = make_context(ws)
-        sampler = ZipfSampler(10, ws.access_skew)
-        live = [f"m{i}" for i in range(10)]
-        step_interaction(ws, live, rng, context=context, sampler=sampler)
-        # Population changed: the stale sampler must not be trusted.
-        step = step_interaction(ws, live[:4], rng, context=context, sampler=sampler)
-        assert set(step.access_ids) <= set(live[:4])
+        live = tuple(f"m{i}" for i in range(population))
+        rng, twin = traffic_stream(ws), traffic_stream(ws)
+        rng.integers(0, 5)  # leave a buffered 32-bit half in both streams
+        twin.integers(0, 5)
+        reads = []
+        arrivals, end = epoch_traffic(
+            ws,
+            live,
+            rng,
+            lambda ids, instant: reads.append((tuple(ids), instant)),
+            context=context,
+            slots=slots,
+            interactions=30,
+            now=7200.0,
+        )
+        want_reads, want_arrivals, want_end = reference_traffic(
+            ws, live, twin, context, slots, 30, 7200.0
+        )
+        assert reads == want_reads
+        assert len(reads) == (30 if population and k else 0)
+        assert record_fields(arrivals) == record_fields(want_arrivals)
+        assert len(arrivals) == sum(slots.values())
+        assert end == want_end
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_early_ids_are_popular(self):
         ws = spec(accesses_per_interaction=1, access_skew=1.2)
-        rng = traffic_stream(ws)
-        context = make_context(ws)
         live = [f"m{i}" for i in range(30)]
         hits = {mid: 0 for mid in live}
-        for _ in range(3000):
-            step = step_interaction(ws, live, rng, context=context)
-            hits[step.access_ids[0]] += 1
-        assert hits["m0"] > hits["m15"]
 
-    def test_stream_matches_straight_line_reference(self):
-        # A twin generator replays the draws with a plain searchsorted over the
-        # Zipf mass plus make_arrivals: same ids, same records, same RNG state.
-        ws = spec(accesses_per_interaction=3, access_skew=1.3)
-        context = make_context(ws)
-        rng, twin = traffic_stream(ws), traffic_stream(ws)
-        live = tuple(f"m{i}" for i in range(40))
-        sampler = ZipfSampler(len(live), ws.access_skew)
-        for interaction in range(300):
-            if interaction == 150:
-                live = live[:25]  # the passed sampler is now stale and must be rebuilt
-            now = float(interaction)
-            count = (1, 0, 0, 2, 0)[interaction % 5]
-            step = step_interaction(
-                ws, live, rng, context=context, arrival_count=count, now=now, sampler=sampler
-            )
-            ranks = np.arange(1, len(live) + 1, dtype=np.float64)
-            cumulative = np.cumsum(ranks**-ws.access_skew)
-            draws = twin.random(ws.accesses_per_interaction) * cumulative[-1]
-            indexes = np.searchsorted(cumulative, draws, side="right")
-            assert step.access_ids == tuple(live[int(i)] for i in indexes)
-            expected = make_arrivals(ws, twin, count, now, context) if count else []
-            assert [(r.id, r.agent_id, r.t_last, r.salience) for r in step.arrivals] == [
-                (r.id, r.agent_id, r.t_last, r.salience) for r in expected
-            ]
-            for got, want in zip(step.arrivals, expected):
-                np.testing.assert_array_equal(got.embedding, want.embedding)
-        assert rng.bit_generator.state == twin.bit_generator.state
+        def access(ids, instant):
+            for mid in ids:
+                hits[mid] += 1
+
+        epoch_traffic(
+            ws,
+            live,
+            traffic_stream(ws),
+            access,
+            context=make_context(ws),
+            slots={},
+            interactions=3000,
+            now=0.0,
+        )
+        assert sum(hits.values()) == 3000
+        assert hits["m0"] > hits["m15"]
 
 
 class TestDefaultAgents:
