@@ -79,7 +79,10 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 def make_embedding(values: Iterable[float]) -> np.ndarray:
-    """Build a read-only float64 vector, the canonical embedding form (kept as is if already)."""
+    """Build a read-only, finite float64 vector, the canonical embedding form (kept as is if already).
+
+    A NaN or inf component would score relevance 1.0, so that memory could never be forgotten.
+    """
     if type(values) is np.ndarray and values.dtype is _FLOAT64 and not values.flags.writeable:
         arr = values
     else:
@@ -87,6 +90,8 @@ def make_embedding(values: Iterable[float]) -> np.ndarray:
         arr.flags.writeable = False
     if arr.ndim != 1:
         raise ValueError(f"embedding must be one-dimensional, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("embedding must be finite, got a NaN or infinite component")
     return arr
 
 
@@ -120,24 +125,6 @@ class MemoryRecord:
 
     def __hash__(self) -> int:
         return hash(self.id)
-
-    def touched(self, now: float) -> "MemoryRecord":
-        """Copy with t_last advanced to `now`; the other fields were checked at construction."""
-        if not 0.0 <= now < math.inf:
-            raise ValueError(f"t_last must be finite and >= 0, got {now}")
-        new = object.__new__(MemoryRecord)
-        _set_id(new, self.id)
-        _set_embedding(new, self.embedding)
-        _set_agent_id(new, self.agent_id)
-        _set_t_last(new, now)
-        _set_salience(new, self.salience)
-        return new
-
-
-# Slot setters for touched(), in field order; they bypass the frozen __setattr__.
-_set_id, _set_embedding, _set_agent_id, _set_t_last, _set_salience = (
-    getattr(MemoryRecord, fld.name).__set__ for fld in fields(MemoryRecord)
-)
 
 
 @dataclass(frozen=True)
@@ -220,8 +207,8 @@ def config_violations(cfg: ProtocolConfig) -> list[tuple[type[ConfigError], str]
                 f"got {len(cfg.decay_scales)} and {len(cfg.decay_weights)}",
             )
         )
-    if any(s <= 0 for s in cfg.decay_scales):
-        out.append((ConfigError, f"decay_scales must be positive, got {cfg.decay_scales}"))
+    if any(not 0 < s < math.inf for s in cfg.decay_scales):
+        out.append((ConfigError, f"decay_scales must be positive and finite, got {cfg.decay_scales}"))
     if any(not 0.0 <= g <= 1.0 for g in cfg.decay_weights):
         out.append((WeightSumViolation, f"each decay weight must lie in [0, 1], got {cfg.decay_weights}"))
     elif cfg.decay_weights and abs(math.fsum(cfg.decay_weights) - 1.0) > WEIGHT_SUM_TOL:
@@ -242,8 +229,8 @@ def config_violations(cfg: ProtocolConfig) -> list[tuple[type[ConfigError], str]
         out.append((ConfigError, f"cache_capacity must be >= 1, got {cfg.cache_capacity}"))
     if cfg.batch_size < 1:
         out.append((ConfigError, f"batch_size must be >= 1, got {cfg.batch_size}"))
-    if cfg.batch_interval_s <= 0:
-        out.append((ConfigError, f"batch_interval_s must be > 0, got {cfg.batch_interval_s}"))
+    if not 0 < cfg.batch_interval_s < math.inf:
+        out.append((ConfigError, f"batch_interval_s must be > 0 and finite, got {cfg.batch_interval_s}"))
     return out
 
 

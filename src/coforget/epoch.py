@@ -101,8 +101,9 @@ def run_epoch(
     the store after deletion commits. Consensus timeouts retain the memory and
     are recorded per-memory rather than raised. `relevance_memo` carries
     scores across epochs as {scorer key: {memory id: relevance}}; the key is
-    None for a shared scorer and the agent id for an agent's own scorer. The
-    epoch makes no reads, so its report's cache counts are 0.
+    None for a shared scorer and the agent id for an agent's own scorer, and
+    each column holds exactly this snapshot's ids. The epoch makes no reads,
+    so its report's cache counts are 0.
     """
     if relevance_memo is None:
         relevance_memo = {}
@@ -126,12 +127,12 @@ def run_epoch(
         key = None if shared else profile.agent_id
         if key not in by_scorer:
             agent_scorer = scorer if shared else scorer.get(profile.agent_id)
-            memo = relevance_memo.setdefault(key, {})
-            # Only the ids the memo lacks are scored, so only they need a record.
-            for memory_id in ids:
-                if memory_id not in memo:
-                    memo[memory_id] = relevance(store.record(memory_id), context, agent_scorer)
-            r = np.fromiter(map(memo.__getitem__, ids), dtype=np.float64, count=len(ids))
+            # Rebuilt over this snapshot, so deleted ids drop out; only new ids need a record.
+            old = relevance_memo.get(key, {})
+            memo = relevance_memo[key] = {
+                i: old[i] if i in old else relevance(store.record(i), context, agent_scorer) for i in ids
+            }
+            r = np.fromiter(memo.values(), dtype=np.float64, count=len(ids))
             by_scorer[key] = vote_rule(decay, r, cfg)
         agent_votes[profile.agent_id] = by_scorer[key]
 
@@ -206,12 +207,8 @@ def run_epoch(
             )
         )
 
-    # Phase 4: delete, persist, then admit the queued arrivals. Ids are never
-    # reused, so the memo entries of deleted ids are dropped.
+    # Phase 4: delete, persist, then admit the queued arrivals.
     deleted = store.delete(to_delete)
-    for memo in relevance_memo.values():
-        for memory_id in to_delete:
-            memo.pop(memory_id, None)
     store.commit(now)
     for record in arrivals:
         store.put(record, now)

@@ -1,10 +1,10 @@
 """Dual-store memory persistence: vector index, metadata table, LRU cache, write buffer.
 
-A live id keeps the record it was put with plus a t_last column. A read only
-updates accounting (LRU hit or miss, t_last, pending id); `get` builds the
-freshest record on demand. Pending ids batch-upsert into the vector index and
-the metadata table, which therefore lag unflushed writes, the modeled behavior
-of a batched remote store, while record reads never see stale data.
+A live id keeps its record as put, and t_last only in a column beside it. A
+read only updates accounting (LRU hit or miss, t_last, pending id); `get`
+builds the freshest record on demand. Pending ids batch-upsert into the vector
+index and the metadata table, which therefore lag unflushed writes, the
+modeled behavior of a batched remote store, while record reads never see stale data.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ import csv
 import logging
 import math
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MemoryRecord, ProtocolConfig, make_embedding
+from .core import MemoryRecord, ProtocolConfig
 from .relevance import DimensionMismatch
 
 logger = logging.getLogger(__name__)
@@ -44,32 +45,25 @@ class VectorIndex:
         self._entries: dict[str, np.ndarray] = {}
         self.upsert_calls = 0
 
-    def upsert(self, items: Sequence[tuple[str, np.ndarray]]) -> int:
-        """Insert or replace a batch; one call counts once toward the write budget."""
-        if not items:
-            return 0
-        staged = []
-        for memory_id, embedding in items:
-            vec = make_embedding(embedding)
-            if vec.shape[0] != self.dimension:
+    def upsert(self, records: Sequence[MemoryRecord]) -> None:
+        """Store each record's embedding, checked when the record was built, as is; all or none."""
+        if not records:
+            return
+        for record in records:
+            if record.embedding.shape[0] != self.dimension:
                 raise DimensionMismatch(
-                    f"embedding length {vec.shape[0]} != index dimension {self.dimension}"
+                    f"embedding length {record.embedding.shape[0]} != index dimension {self.dimension}"
                 )
-            staged.append((memory_id, vec))
         self.upsert_calls += 1
-        for memory_id, vec in staged:
-            self._entries[memory_id] = vec
-        return len(staged)
+        for record in records:
+            self._entries[record.id] = record.embedding
 
     def fetch(self, memory_id: str) -> np.ndarray | None:
         return self._entries.get(memory_id)
 
-    def delete(self, memory_ids: Iterable[str]) -> int:
-        removed = 0
+    def delete(self, memory_ids: Iterable[str]) -> None:
         for memory_id in memory_ids:
-            if self._entries.pop(memory_id, None) is not None:
-                removed += 1
-        return removed
+            self._entries.pop(memory_id, None)
 
 
 class MetadataTable:
@@ -81,12 +75,9 @@ class MetadataTable:
     def update(self, rows: dict[str, tuple[str, float, float]]) -> None:
         self.rows.update(rows)
 
-    def delete(self, memory_ids: Iterable[str]) -> int:
-        removed = 0
+    def delete(self, memory_ids: Iterable[str]) -> None:
         for memory_id in memory_ids:
-            if self.rows.pop(memory_id, None) is not None:
-                removed += 1
-        return removed
+            self.rows.pop(memory_id, None)
 
     def write_snapshot(self, path) -> int:
         """Rewrite the CSV snapshot (RFC 4180, CRLF, minimal quoting)."""
@@ -107,28 +98,17 @@ class WriteBuffer:
         self.pending: dict[str, None] = {}
         self.last_flush = last_flush
 
-    def append(self, memory_id: str) -> None:
-        self.pending[memory_id] = None
-
-    def discard(self, memory_id: str) -> None:
-        self.pending.pop(memory_id, None)
-
-    def take_all(self) -> list[str]:
-        memory_ids = list(self.pending)
-        self.pending.clear()
-        return memory_ids
-
 
 class MemoryStore:
     """Single-owner composite store; callers serialize through it.
 
-    Read path: `_live` holds the record of every live id and `_t_last` its
-    freshest t_last, both in insertion order. `_cache` is an LRU of ids that
-    only decides hit or miss: a hit moves t_last to the read instant, a miss
-    leaves it, and either way the id is re-buffered. The buffer, index and
-    table are the flushed, lagging copy behind the metadata snapshot. Every
-    buffered write runs the flush check: flush when the batch is full or the
-    interval since the last flush has elapsed.
+    Read path: `_live` holds each live id's record as put and `_t_last`, the
+    only home of t_last, its freshest value, both in insertion order. `_cache`
+    is an LRU of ids that only decides hit or miss: a hit moves t_last to the
+    read instant, a miss leaves it, and either way the id is re-buffered. The
+    buffer, index and table are the flushed, lagging copy behind the metadata
+    snapshot. Every buffered write runs the flush check: flush when the batch
+    is full or the interval since the last flush has elapsed.
     """
 
     def __init__(
@@ -145,8 +125,8 @@ class MemoryStore:
             raise ValueError(f"cache_capacity must be >= 1, got {cache_capacity}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if batch_interval_s <= 0.0:
-            raise ValueError(f"batch_interval_s must be > 0, got {batch_interval_s}")
+        if not 0.0 < batch_interval_s < math.inf:
+            raise ValueError(f"batch_interval_s must be > 0 and finite, got {batch_interval_s}")
         self.index = VectorIndex(dimension)
         self.table = MetadataTable()
         self.buffer = WriteBuffer(last_flush=start_time)
@@ -210,7 +190,7 @@ class MemoryStore:
         """The freshest record of `memory_id`, built on demand; no cache accounting."""
         record = self._live.get(memory_id)
         if record is not None and record.t_last != self._t_last[memory_id]:
-            record = self._live[memory_id] = record.touched(self._t_last[memory_id])
+            record = replace(record, t_last=self._t_last[memory_id])
         return record
 
     def put(self, record: MemoryRecord, now: float) -> None:
@@ -227,7 +207,7 @@ class MemoryStore:
             self._cache[memory_id] = None
             if len(self._cache) > self.cache_capacity:
                 self._cache.popitem(last=False)
-        self.buffer.append(memory_id)
+        self.buffer.pending[memory_id] = None
         self.maybe_flush(now)
 
     def maybe_flush(self, now: float) -> int:
@@ -245,13 +225,14 @@ class MemoryStore:
         return self._flush(now)
 
     def _flush(self, now: float) -> int:
-        memory_ids = self.buffer.take_all()
-        live = self._live
+        pending = self.buffer.pending
+        records = [self._live[i] for i in pending]
+        pending.clear()
         t_last = self._t_last
-        self.index.upsert([(i, live[i].embedding) for i in memory_ids])
-        self.table.update({i: (live[i].agent_id, t_last[i], live[i].salience) for i in memory_ids})
+        self.index.upsert(records)
+        self.table.update({r.id: (r.agent_id, t_last[r.id], r.salience) for r in records})
         self.buffer.last_flush = now
-        return len(memory_ids)
+        return len(records)
 
     def commit(self, now: float) -> int:
         """Force any pending writes down and rewrite the snapshot if configured."""
@@ -279,7 +260,7 @@ class MemoryStore:
             purged.append(memory_id)
             del self._t_last[memory_id]
             self._cache.pop(memory_id, None)
-            self.buffer.discard(memory_id)
+            self.buffer.pending.pop(memory_id, None)
         self.index.delete(purged)
         self.table.delete(purged)
         return len(purged)
@@ -290,15 +271,8 @@ class MemoryStore:
         """(id, freshest t_last) per live id, in insertion order."""
         return list(self._t_last.items())
 
-    def records_snapshot(self) -> list[MemoryRecord]:
-        """Every live record, freshest copy, in insertion order."""
-        return [self.record(memory_id) for memory_id in self._live]
-
     def ids(self) -> tuple[str, ...]:
         return tuple(self._live)
 
     def count(self) -> int:
         return len(self._live)
-
-    def cache_len(self) -> int:
-        return len(self._cache)

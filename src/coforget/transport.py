@@ -9,6 +9,7 @@ of the in-process transport.
 from __future__ import annotations
 
 import enum
+import math
 import random
 import struct
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.latency_min_ms <= self.latency_max_ms:
+        if not 0.0 <= self.latency_min_ms <= self.latency_max_ms < math.inf:
             raise ValueError(
                 f"latency band invalid: [{self.latency_min_ms}, {self.latency_max_ms}]"
             )

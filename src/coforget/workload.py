@@ -9,6 +9,7 @@ corpus, context, and traffic never share state.
 
 from __future__ import annotations
 
+import math
 import uuid
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -84,8 +85,8 @@ class WorkloadSpec:
         lo, hi = arrivals
         if lo < 0 or hi < lo:
             raise ValueError(f"arrival range invalid: {lo}..{hi}")
-        if self.access_skew <= 0.0:
-            raise ValueError(f"access_skew must be > 0, got {self.access_skew}")
+        if not 0.0 < self.access_skew < math.inf:
+            raise ValueError(f"access_skew must be > 0 and finite, got {self.access_skew}")
         if self.accesses_per_interaction < 0:
             raise ValueError(
                 f"accesses_per_interaction must be >= 0, got {self.accesses_per_interaction}"
@@ -97,11 +98,11 @@ class WorkloadSpec:
                 f"dimension must be >= 2, got {self.dimension}: a memory is placed at a"
                 " chosen cosine to the context, which needs a direction orthogonal to it"
             )
-        if self.history_window_s < 0.0:
-            raise ValueError(f"history_window_s must be >= 0, got {self.history_window_s}")
-        if self.interaction_interval_s <= 0.0:
+        if not 0.0 <= self.history_window_s < math.inf:
+            raise ValueError(f"history_window_s must be >= 0 and finite, got {self.history_window_s}")
+        if not 0.0 < self.interaction_interval_s < math.inf:
             raise ValueError(
-                f"interaction_interval_s must be > 0, got {self.interaction_interval_s}"
+                f"interaction_interval_s must be > 0 and finite, got {self.interaction_interval_s}"
             )
 
 

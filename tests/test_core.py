@@ -86,21 +86,15 @@ class TestMemoryRecord:
         with pytest.raises(ValueError):
             record(embedding=np.ones((2, 2)))
 
-    def test_touched_advances_t_last_only(self):
-        r = record(t_last=1.0)
-        t = r.touched(42.0)
-        assert t.t_last == 42.0
-        assert t.id == r.id
-        assert t is not r
-
-    def test_touched_copies_every_other_field(self):
-        r = record(t_last=1.0, agent_id="a,2", salience=0.25)
-        t = r.touched(42.0)
-        assert (t.id, t.agent_id, t.salience) == (r.id, r.agent_id, r.salience)
-        assert t.embedding is r.embedding
-        assert r.t_last == 1.0
+    def test_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            t.t_last = 0.0
+            record().t_last = 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_embedding(self, bad):
+        # A NaN cosine clamps to relevance 1.0, so the memory could never be forgotten.
+        with pytest.raises(ValueError, match="embedding must be finite"):
+            record(embedding=[bad, 0.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("t_last", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_t_last(self, t_last):
@@ -109,10 +103,6 @@ class TestMemoryRecord:
         with pytest.raises(ValueError, match="t_last must be finite"):
             record(t_last=t_last)
 
-    @pytest.mark.parametrize("now", [math.nan, math.inf, -1.0])
-    def test_touched_rejects_non_finite_or_negative_now(self, now):
-        with pytest.raises(ValueError, match="t_last must be finite"):
-            record().touched(now)
 
 
 def test_make_embedding_coerces_to_float64_readonly():
@@ -130,6 +120,16 @@ def test_make_embedding_keeps_canonical_arrays_and_copies_the_rest():
     np.testing.assert_array_equal(make_embedding(np.array([1, 2], dtype=np.int32)), canonical)
     with pytest.raises(ValueError, match="one-dimensional"):
         make_embedding(make_embedding([1.0]).reshape(1, 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_embedding_rejects_non_finite_on_both_paths(bad):
+    with pytest.raises(ValueError, match="finite"):
+        make_embedding([1.0, bad])
+    as_is = np.array([1.0, bad])
+    as_is.flags.writeable = False  # the canonical form, which is kept as is
+    with pytest.raises(ValueError, match="finite"):
+        make_embedding(as_is)
 
 
 class TestFaultProfile:
@@ -214,6 +214,26 @@ class TestValidateConfig:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             validate_config(ProtocolConfig(decay_scales=(10.0, 60.0)))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("decay_scales", (math.nan, 60.0, 3600.0)),
+            ("decay_scales", (10.0, math.inf, 3600.0)),
+            ("decay_scales", (-5.0, 60.0, 3600.0)),
+            ("decay_weights", (math.nan, 0.3, 0.5)),
+            ("alpha", math.nan),
+            ("omega_d", math.nan),
+            ("vote_threshold", math.nan),
+            ("batch_interval_s", math.nan),
+            ("batch_interval_s", math.inf),
+            ("batch_interval_s", 0.0),
+        ],
+    )
+    def test_out_of_range_or_non_finite_value_violates(self, field, value):
+        # A NaN decay scale made every decay NaN, so nothing was ever
+        # forgotten; a NaN batch interval meant no time flush ever fired.
+        assert len(config_violations(ProtocolConfig(**{field: value}))) == 1
 
     def test_threshold_open_interval(self):
         with pytest.raises(ConfigError):

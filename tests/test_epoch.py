@@ -214,18 +214,33 @@ class TestRunEpochOutcomes:
         )
 
     @pytest.mark.parametrize("per_agent", [False, True], ids=["shared", "per_agent"])
-    def test_relevance_memo_drops_deleted_ids(self, per_agent):
+    def test_relevance_memo_holds_the_snapshot_ids(self, per_agent):
+        # Each column is rebuilt over the epoch's snapshot: ids deleted in or
+        # between epochs drop out, and only ids the last column lacked are scored.
+        scored: list[str] = []
+
+        def zero(memory, ctx):
+            scored.append(memory.id)
+            return 0.0
+
         records = [record(f"m{i}", cos=0.0, t_last=0.0) for i in range(3)]
-        records.append(record("kept", cos=0.9, t_last=1e6))
+        records += [record("kept", cos=0.9, t_last=1e6), record("gone", cos=0.9, t_last=1e6)]
         st = fresh_store(records, now=1e6)
-        scorer = {a.agent_id: ExternalScorer(lambda m, c: 0.0) for a in AGENTS} if per_agent else None
-        memo: dict = {}
-        report = run_epoch(
-            st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo
-        )
-        assert report.deleted == 3
+        scorer = {a.agent_id: ExternalScorer(zero) for a in AGENTS} if per_agent else ExternalScorer(zero)
         keys = [a.agent_id for a in AGENTS] if per_agent else [None]
-        assert {key: set(scores) for key, scores in memo.items()} == {key: {"kept"} for key in keys}
+        memo: dict = {}
+        first = run_epoch(
+            st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo,
+            arrivals=[record("new", cos=0.5, t_last=1e6)],
+        )
+        assert first.deleted == 3
+        st.delete(["gone"])
+        snapshot = [memory_id for memory_id, _ in st.scan_t_last()]
+        assert snapshot == ["kept", "new"]
+        del scored[:]
+        run_epoch(st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo)
+        assert {key: list(column) for key, column in memo.items()} == {key: snapshot for key in keys}
+        assert scored == ["new"] * len(keys)
 
     def test_empty_store_epoch_is_a_no_op(self):
         st = MemoryStore.from_config(CFG, DIM)

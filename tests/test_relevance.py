@@ -1,5 +1,7 @@
 """Relevance scorers: cosine mapping and the external seam."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,16 @@ def test_zero_memory_embedding_is_uninformative():
 def test_zero_context_embedding_rejected_at_construction():
     with pytest.raises(ValueError):
         ContextProfile(embedding=np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_embeddings_rejected_at_construction(bad):
+    # min(1.0, nan) is 1.0: a NaN memory scored 1.0, and a NaN context scored
+    # every memory 1.0, so nothing could be forgotten.
+    with pytest.raises(ValueError, match="finite"):
+        record([bad, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        ContextProfile(embedding=np.array([bad, 1.0, 1.0, 1.0]))
 
 
 def test_dimension_mismatch():

@@ -21,7 +21,7 @@ from hypothesis import strategies as hst
 
 from coforget.core import MemoryRecord
 from coforget.relevance import DimensionMismatch
-from coforget.store import MemoryStore, MetadataTable, VectorIndex, WriteBuffer
+from coforget.store import MemoryStore, MetadataTable, VectorIndex
 
 
 def record(memory_id: str = "m1", dim: int = 4, **kwargs) -> MemoryRecord:
@@ -45,32 +45,33 @@ def store(dim: int = 4, **kwargs) -> MemoryStore:
 class TestVectorIndex:
     def test_upsert_fetch_delete(self):
         index = VectorIndex(3)
-        index.upsert([("a", np.array([1.0, 0.0, 0.0])), ("b", np.array([0.0, 1.0, 0.0]))])
-        np.testing.assert_array_equal(index.fetch("a"), [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(index.fetch("b"), [0.0, 1.0, 0.0])
+        a, b = record("a", embedding=[1.0, 0.0, 0.0]), record("b", embedding=[0.0, 1.0, 0.0])
+        index.upsert([a, b])
+        assert index.fetch("a") is a.embedding  # stored as is: no copy, no re-check
+        assert index.fetch("b") is b.embedding
         assert index.fetch("ghost") is None
-        assert index.delete(["a", "ghost"]) == 1
+        index.delete(["a", "ghost"])
         assert index.fetch("a") is None
         assert index.fetch("b") is not None
 
     def test_upsert_replaces_in_place(self):
         index = VectorIndex(2)
-        index.upsert([("a", np.array([1.0, 0.0]))])
-        index.upsert([("a", np.array([0.0, 1.0]))])
+        index.upsert([record("a", embedding=[1.0, 0.0])])
+        index.upsert([record("a", embedding=[0.0, 1.0])])
         np.testing.assert_array_equal(index.fetch("a"), [0.0, 1.0])
 
     def test_dimension_mismatch_rejected_before_staging(self):
         index = VectorIndex(3)
         with pytest.raises(DimensionMismatch):
-            index.upsert([("a", np.ones(3)), ("b", np.ones(2))])
+            index.upsert([record("a", dim=3), record("b", dim=2)])
         # The batch is atomic: the valid row must not have landed either.
         assert index.fetch("a") is None
         assert index.upsert_calls == 0
 
     def test_upsert_call_accounting(self):
         index = VectorIndex(2)
-        index.upsert([("a", np.ones(2)), ("b", np.ones(2))])
-        index.upsert([("c", np.ones(2))])
+        index.upsert([record("a", dim=2), record("b", dim=2)])
+        index.upsert([record("c", dim=2)])
         index.upsert([])  # empty batches are free
         assert index.upsert_calls == 2
 
@@ -84,7 +85,7 @@ class TestMetadataTable:
         table = MetadataTable()
         table.update({"a": ("agent", 1.5, 0.25)})
         assert table.rows["a"] == ("agent", 1.5, 0.25)
-        assert table.delete(["a", "ghost"]) == 1
+        table.delete(["a", "ghost"])
         assert "a" not in table.rows
 
     def test_snapshot_format(self, tmp_path):
@@ -111,30 +112,6 @@ class TestMetadataTable:
         table.delete(["a"])
         table.write_snapshot(path)
         assert path.read_text().strip() == "id,agent_id,timestamp,salience"
-
-
-class TestWriteBuffer:
-    def test_append_keeps_the_first_place_of_an_id(self):
-        buf = WriteBuffer()
-        for mid in ("m1", "m2", "m1"):
-            buf.append(mid)
-        assert len(buf.pending) == 2
-        assert list(buf.pending) == ["m1", "m2"]
-
-    def test_take_all_clears_and_preserves_order(self):
-        buf = WriteBuffer()
-        for mid in ("c", "a", "b"):
-            buf.append(mid)
-        assert buf.take_all() == ["c", "a", "b"]
-        assert buf.pending == {}
-
-    def test_discard(self):
-        buf = WriteBuffer()
-        buf.append("x")
-        buf.append("y")
-        buf.discard("x")
-        buf.discard("x")  # an id that is not pending is ignored
-        assert list(buf.pending) == ["y"]
 
 
 class TestMemoryStoreReads:
@@ -168,17 +145,22 @@ class TestMemoryStoreReads:
         assert list(st.buffer.pending) == ["m1", "m2"]
         assert st._live["m1"] is first  # no record was built
 
-    def test_get_builds_a_record_only_when_t_last_moved(self):
+    def test_reads_leave_the_put_record_in_place(self):
+        # t_last lives only in the store's column: a fresh record is built
+        # when it has moved, and the put record is never replaced.
         st = store(cache_capacity=1, batch_size=100)
         first = record("m1", t_last=1.0)
         st.put(first, now=1.0)
         st.put(record("m2"), now=1.0)  # evicts m1
         assert st.get("m1", now=5.0) is first  # a miss leaves t_last alone
-        touched = st.get("m1", now=6.0)
-        assert touched is not first and touched.t_last == 6.0
-        assert touched.embedding is first.embedding
-        assert st.record("m1") is touched
-        assert st.records_snapshot()[0] is touched
+        fresh = st.get("m1", now=6.0)
+        assert fresh is not first and fresh.t_last == 6.0
+        assert (fresh.id, fresh.agent_id, fresh.salience) == (first.id, first.agent_id, first.salience)
+        assert fresh.embedding is first.embedding
+        assert st.record("m1").t_last == 6.0
+        assert st._live["m1"] is first and first.t_last == 1.0
+        st.commit(now=6.0)
+        assert st.table.rows["m1"][1] == 6.0
 
     @pytest.mark.parametrize("now", [-1.0, math.inf, math.nan])
     def test_access_checks_now_once_per_call(self, now):
@@ -206,7 +188,7 @@ class TestMemoryStoreReads:
         assert st.misses == 1
         assert any("ghost" in r.getMessage() for r in caplog.records)
         # A failed lookup must not disturb the cache.
-        assert st.cache_len() == 1
+        assert list(st._cache) == ["m1"]
 
     def test_buffer_fallback_counts_as_miss(self):
         st = store(cache_capacity=1, batch_size=100)
@@ -241,6 +223,20 @@ class TestMemoryStoreWrites:
         st = store(dim=4)
         with pytest.raises(DimensionMismatch):
             st.put(record(dim=5), now=0.0)
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_flush_interval_that_is_not_finite_and_positive(self, interval):
+        # With a NaN interval no time flush would ever fire.
+        with pytest.raises(ValueError, match="batch_interval_s"):
+            store(batch_interval_s=interval)
+
+    def test_flush_stores_the_put_embedding_as_is(self):
+        st = store(batch_size=2)
+        first, second = record("m1"), record("m2", embedding=[1.0, 2.0, 3.0, 4.0])
+        st.put(first, now=0.0)
+        st.put(second, now=0.0)  # a full batch flushes both
+        assert st.index.fetch("m1") is first.embedding
+        assert st.index.fetch("m2") is second.embedding
 
     def test_batch_size_triggers_exactly_one_flush(self):
         st = store(batch_size=50, cache_capacity=100)
@@ -346,14 +342,13 @@ class TestScanAndSnapshot:
         assert [mid for mid, _ in st.scan_t_last()] == ["c", "a", "b"]
         assert st.ids() == ("c", "a", "b")
 
-    def test_records_snapshot_materializes_live_records(self):
+    def test_record_of_a_deleted_id_is_none(self):
         st = store(batch_size=2)
         st.put(record("m1", t_last=1.0), now=0.0)
         st.put(record("m2", t_last=2.0), now=0.0)
         st.delete(["m1"])
-        snapshot = st.records_snapshot()
-        assert [r.id for r in snapshot] == ["m2"]
-        assert snapshot[0].t_last == 2.0
+        assert st.record("m1") is None
+        assert st.record("m2").t_last == 2.0
 
 
 class TestReferenceModels:
@@ -376,7 +371,7 @@ class TestReferenceModels:
                     oracle.popitem(last=False)
             else:
                 expect_hit = mid in oracle
-                known = mid in {r.id for r in st.records_snapshot()}
+                known = mid in st.ids()
                 got = st.get(mid, now=float(step))
                 if expect_hit:
                     hits += 1
@@ -522,7 +517,7 @@ class TestStoreProperties:
                     assert st.table.rows[memory_id] == (agent_id, t_last, salience)
                     assert tuple(st.index.fetch(memory_id)) == embedding
             assert set(st.table.rows) <= set(model)
-            assert [(rec.id, fields(rec)) for rec in st.records_snapshot()] == list(model.items())
+            assert [(mid, fields(st.record(mid))) for mid in st.ids()] == list(model.items())
             assert st.scan_t_last() == [(memory_id, row[1]) for memory_id, row in model.items()]
             assert st.ids() == tuple(model)
             assert st.count() == len(model)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 import uuid
@@ -47,11 +48,22 @@ class TestNetworkConfig:
         with pytest.raises(ValueError, match="latency band"):
             NetworkConfig(latency_min_ms=5.0, latency_max_ms=1.0)
 
-    def test_negative_latency_rejected(self):
+    @pytest.mark.parametrize(
+        "band",
+        [
+            {"latency_min_ms": -1.0},
+            {"latency_min_ms": math.nan},
+            {"latency_max_ms": math.nan},
+            {"latency_max_ms": math.inf},
+            {"latency_min_ms": math.inf, "latency_max_ms": math.inf},
+        ],
+    )
+    def test_negative_or_non_finite_latency_rejected(self, band):
+        # An infinite latency made every epoch's elapsed_virtual_s NaN.
         with pytest.raises(ValueError, match="latency band"):
-            NetworkConfig(latency_min_ms=-1.0)
+            NetworkConfig(**band)
 
-    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
     def test_drop_prob_bounds(self, p):
         with pytest.raises(ValueError, match="drop_prob"):
             NetworkConfig(drop_prob=p)

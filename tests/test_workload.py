@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import uuid
 from dataclasses import dataclass, replace
 
@@ -69,12 +70,19 @@ class TestWorkloadSpec:
             ("arrivals_per_epoch", (-1, 2)),
             ("arrivals_per_epoch", (1, 2, 3)),
             ("access_skew", 0.0),
+            ("access_skew", math.nan),
+            ("access_skew", math.inf),
             ("accesses_per_interaction", -1),
             ("relevance_mix", 1.5),
+            ("relevance_mix", math.nan),
             ("dimension", 0),
             ("dimension", 1),
             ("history_window_s", -1.0),
+            ("history_window_s", math.nan),
+            ("history_window_s", math.inf),
             ("interaction_interval_s", 0.0),
+            ("interaction_interval_s", math.nan),
+            ("interaction_interval_s", math.inf),
             ("seed", -1),
         ],
     )
