@@ -31,7 +31,6 @@ from .core import (
     config_violations,
     make_embedding,
     parse_config_text,
-    protocol_config_from_items,
     validate_config,
     validate_roster,
 )

@@ -28,7 +28,6 @@ from .core import (
     ProtocolConfig,
     config_violations,
     parse_config_text,
-    protocol_config_from_items,
     spec_from_items,
     validate_roster,
 )
@@ -125,7 +124,7 @@ def _compose_run(
             return None
 
     agents = default_agents(faults)
-    cfg = build(protocol_config_from_items, protocol)
+    cfg = build(spec_from_items, ProtocolConfig, protocol)
     if cfg is not None:
         problems.extend(message for _, message in config_violations(cfg))
         build(validate_roster, cfg, agents)

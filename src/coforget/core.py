@@ -30,7 +30,6 @@ __all__ = [
     "config_violations",
     "parse_config_text",
     "spec_from_items",
-    "protocol_config_from_items",
     "make_embedding",
 ]
 
@@ -189,9 +188,12 @@ class ProtocolConfig:
     batch_interval_s: float = 10.0
 
     def __post_init__(self) -> None:
-        # Normalize list-ish inputs to tuples so the config stays hashable.
-        object.__setattr__(self, "decay_scales", tuple(float(s) for s in self.decay_scales))
-        object.__setattr__(self, "decay_weights", tuple(float(g) for g in self.decay_weights))
+        # Normalize list-ish inputs to tuples so the config stays hashable; a
+        # bare number, as a one-value config line parses, is a 1-tuple.
+        for key in ("decay_scales", "decay_weights"):
+            value = getattr(self, key)
+            values = (value,) if isinstance(value, (int, float)) else value
+            object.__setattr__(self, key, tuple(float(v) for v in values))
 
 
 def config_violations(cfg: ProtocolConfig) -> list[tuple[type[ConfigError], str]]:
@@ -351,15 +353,3 @@ def spec_from_items(cls: type, items: Mapping[str, Any], namespace: str = "") ->
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-
-def protocol_config_from_items(items: Mapping[str, Any]) -> ProtocolConfig:
-    """Build a ProtocolConfig from parsed key/value items.
-
-    Unknown keys and ill-typed values are an error; missing keys keep their
-    defaults. The constraints are left to config_violations or validate_config.
-    """
-    kwargs = dict(items)
-    for key in ("decay_scales", "decay_weights"):
-        if key in kwargs and not isinstance(kwargs[key], tuple):
-            kwargs[key] = (kwargs[key],)
-    return spec_from_items(ProtocolConfig, kwargs)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .consensus import run_round
+from .consensus import ConsensusTimeout, finalize, run_round
 from .core import AgentProfile, MemoryRecord, ProtocolConfig, Vote, validate_config, validate_roster
 from .decay import combined_decay
 from .relevance import ContextProfile, RelevanceScorer, relevance
@@ -28,7 +28,7 @@ from .transport import (
     propose_forgetting,
     resolve_behavior,
 )
-from .voting import AgentVote, decide, quorum_threshold, vote_rule, weighted_forget_score
+from .voting import AgentVote, quorum_threshold, vote_rule, weighted_forget_score
 from .workload import (
     SummaryMetrics,
     WorkloadSpec,
@@ -150,11 +150,8 @@ def run_epoch(
             proposed[memory_id] = None
 
     # Phase 3: one consensus round per proposed memory, then the quorum gate.
-    reached = 0
-    failed = 0
     elapsed = 0.0
     audits: list[MemoryAudit] = []
-    to_delete: list[str] = []
     q = quorum_threshold(agents, cfg.alpha) if active else 0.0
     for memory_id in sorted(proposed):
         i = row_of[memory_id]
@@ -182,45 +179,42 @@ def run_epoch(
             behaviors=behaviors,
         )
         elapsed += result.elapsed_virtual_s
-        s_m = weighted_forget_score(cast, agents)
-        # Consensus forget deletes only when S_m >= Q; consensus keep and a
-        # timeout retain the memory.
-        if result.decision is None:
-            failed += 1
+        # finalize is the deletion gate: consensus forget deletes only when
+        # S_m >= Q; consensus keep and a timeout retain the memory.
+        try:
+            forget = finalize(result.instance, cast, agents, cfg) is Vote.FORGET
+        except ConsensusTimeout:
+            forget = False
             decision = "timeout"
         else:
-            reached += 1
             decision = result.decision.value
-        outcome = "retained"
-        if result.decision is Vote.FORGET and decide(s_m, q) is Vote.FORGET:
-            to_delete.append(memory_id)
-            outcome = "deleted"
         audits.append(
             MemoryAudit(
                 memory_id=memory_id,
                 votes=tuple((agent_vote.agent_id, agent_vote.vote.value) for agent_vote in cast),
                 decision=decision,
-                s_m=s_m,
+                s_m=weighted_forget_score(cast, agents),
                 q=q,
                 commit_count=result.commit_count,
-                outcome=outcome,
+                outcome="deleted" if forget else "retained",
             )
         )
 
     # Phase 4: delete, persist, then admit the queued arrivals.
-    deleted = store.delete(to_delete)
+    deleted = store.delete([audit.memory_id for audit in audits if audit.outcome == "deleted"])
     store.commit(now)
     for record in arrivals:
         store.put(record, now)
 
     memories_end = store.count()
+    failed = sum(audit.decision == "timeout" for audit in audits)
     return EpochReport(
         epoch_index=epoch_index,
         memories_start=memories_start,
         memories_end=memories_end,
         additions=len(arrivals),
         proposed=len(proposed),
-        consensus_reached=reached,
+        consensus_reached=len(audits) - failed,
         consensus_failed=failed,
         deleted=deleted,
         deletion_rate=deleted / memories_start if memories_start else 0.0,
@@ -275,15 +269,8 @@ def run_simulation(
     rng = traffic_stream(spec)
     relevance_memo: dict[str | None, dict[str, float]] = {}
     reports: list[EpochReport] = []
-    lo, hi = spec.arrivals_per_epoch
 
     for epoch_index in range(epochs):
-        arrival_count = int(rng.integers(lo, hi + 1))
-        slots: dict[int, int] = {}
-        for _ in range(arrival_count):
-            slot = int(rng.integers(0, cfg.epoch_interactions))
-            slots[slot] = slots.get(slot, 0) + 1
-
         hits, misses = store.hits, store.misses
         pending_arrivals, now = epoch_traffic(
             spec,
@@ -291,7 +278,6 @@ def run_simulation(
             rng,
             store.access,
             context=context,
-            slots=slots,
             interactions=cfg.epoch_interactions,
             now=now,
         )

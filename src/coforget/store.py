@@ -23,6 +23,12 @@ from .relevance import DimensionMismatch
 
 logger = logging.getLogger(__name__)
 
+
+def _check_now(now: float) -> None:
+    # A NaN clock would stick in last_flush, and no time flush would fire again.
+    if not 0.0 <= now < math.inf:
+        raise ValueError(f"now must be finite and >= 0, got {now}")
+
 __all__ = [
     "VectorIndex",
     "MetadataTable",
@@ -158,8 +164,7 @@ class MemoryStore:
 
     def access(self, memory_ids: Iterable[str], now: float) -> None:
         """Account one read of each id at `now`, in order; an unknown id is a logged miss."""
-        if not 0.0 <= now < math.inf:
-            raise ValueError(f"t_last must be finite and >= 0, got {now}")
+        _check_now(now)
         t_last = self._t_last
         cache = self._cache
         pending = self.buffer.pending
@@ -194,6 +199,7 @@ class MemoryStore:
         return record
 
     def put(self, record: MemoryRecord, now: float) -> None:
+        _check_now(now)
         if record.embedding.shape[0] != self.index.dimension:
             raise DimensionMismatch(
                 f"embedding length {record.embedding.shape[0]} != store dimension {self.index.dimension}"
@@ -236,6 +242,7 @@ class MemoryStore:
 
     def commit(self, now: float) -> int:
         """Force any pending writes down and rewrite the snapshot if configured."""
+        _check_now(now)
         flushed = 0
         if self.buffer.pending:
             self.forced_flushes += 1

@@ -92,8 +92,8 @@ class SimulatedNetwork:
     """Single-owner event queue with seeded latency and drops.
 
     Delivery order is (timestamp, sender, per-sender sequence): deterministic
-    for a fixed seed and submission sequence. Self-submissions bypass latency
-    and drops entirely.
+    for a fixed seed and submission sequence. Every message, one addressed to
+    its own sender included, draws a drop and, if kept, a latency.
     """
 
     def __init__(self, config: NetworkConfig | None = None):
@@ -115,8 +115,7 @@ class SimulatedNetwork:
 
         Per destination the sender's sequence number is bumped, then one
         random() draw decides a drop and a kept message draws its latency
-        uniformly from the band. A message to the sender itself is delivered
-        at the current clock, with no draws.
+        uniformly from the band.
         """
         destinations = self._destinations
         if not destinations.issuperset(dests):
@@ -132,14 +131,11 @@ class SimulatedNetwork:
         scheduled = 0
         for dest in dests:
             seq += 1
-            if dest == sender:
-                heappush(heap, _new_delivery(Delivery, (clock, sender, seq, dest, msg, 0.0)))
-            elif draw() < drop_prob:
+            if draw() < drop_prob:
                 self.dropped += 1
                 continue
-            else:
-                latency_s = (lo + width * draw()) / 1000.0
-                heappush(heap, _new_delivery(Delivery, (clock + latency_s, sender, seq, dest, msg, latency_s)))
+            latency_s = (lo + width * draw()) / 1000.0
+            heappush(heap, _new_delivery(Delivery, (clock + latency_s, sender, seq, dest, msg, latency_s)))
             scheduled += 1
         self._seq[sender] = seq
         return scheduled

@@ -223,19 +223,25 @@ def epoch_traffic(
     access: Callable[[Sequence[str], float], object],
     *,
     context: ContextProfile,
-    slots: Mapping[int, int],
     interactions: int,
     now: float,
 ) -> tuple[list[MemoryRecord], float]:
     """Draw one epoch's traffic; return its arrivals and the last interaction's instant.
 
-    Interaction i, i+1 intervals after `now`, passes its Zipf-ranked reads of
-    `live_ids` (early ids are popular) to `access(ids, instant)` and then
-    draws slots.get(i, 0) arrivals, which join the store at the next epoch
-    boundary. The reads up to each arrival slot come from one RNG call, which
-    gives the stream of one call per interaction: each double takes one
-    64-bit draw and nothing is buffered.
+    The epoch first draws its arrival count from spec.arrivals_per_epoch and
+    then, per arrival, the interaction it lands in. Interaction i, i+1
+    intervals after `now`, passes its Zipf-ranked reads of `live_ids` (early
+    ids are popular) to `access(ids, instant)` and then draws the arrivals
+    that landed in it, which join the store at the next epoch boundary. The
+    reads up to each arrival slot come from one RNG call, which gives the
+    stream of one call per interaction: each double takes one 64-bit draw and
+    nothing is buffered.
     """
+    lo, hi = spec.arrivals_per_epoch
+    slots: dict[int, int] = {}
+    for _ in range(int(rng.integers(lo, hi + 1))):
+        slot = int(rng.integers(0, interactions))
+        slots[slot] = slots.get(slot, 0) + 1
     instants = list(accumulate(repeat(spec.interaction_interval_s, interactions), initial=now))
     k = spec.accesses_per_interaction if live_ids else 0
     sample = ZipfSampler(len(live_ids), spec.access_skew).sample if k else None

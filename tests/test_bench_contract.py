@@ -52,4 +52,6 @@ def test_child_runs_and_reports_its_counters(tmp_path, trace):
     if trace:
         # Only a traced run wraps run_round, so only it counts round deliveries.
         assert counters["rounds"]["deliveries"] > 0
-        assert {"store.MemoryStore.scan_t_last", "consensus.run_round"} <= set(result["spans"])
+        # A span is listed only once called; run_epoch gates every round through finalize.
+        spans = set(result["spans"])
+        assert {"store.MemoryStore.scan_t_last", "consensus.run_round", "consensus.finalize"} <= spans

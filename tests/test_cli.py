@@ -106,6 +106,11 @@ class TestValidate:
         assert run_cli("validate", path) == 2
         assert text.partition(" =")[0] in capsys.readouterr().out
 
+    def test_scalar_decay_key_error_shows_the_value_as_written(self, tmp_path, capsys):
+        path = write_config(tmp_path, "decay_scales = abc\n")
+        assert run_cli("validate", path) == 2
+        assert "decay_scales must be a number, got 'abc'\n" in capsys.readouterr().out
+
     def test_missing_file_names_the_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
         assert run_cli("validate", missing) == 2

@@ -22,7 +22,6 @@ from coforget.core import (
     config_violations,
     make_embedding,
     parse_config_text,
-    protocol_config_from_items,
     spec_from_items,
     validate_config,
     validate_roster,
@@ -334,29 +333,33 @@ class TestConfigFile:
 
     def test_unknown_protocol_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
-            protocol_config_from_items({"not_a_field": 1})
+            spec_from_items(ProtocolConfig, {"not_a_field": 1})
 
     def test_from_items_builds_and_validates(self):
         # Keys and value types are checked here; constraints are left to
         # config_violations, so every violation can be listed.
-        assert protocol_config_from_items({"f": 2}).f == 2
+        assert spec_from_items(ProtocolConfig, {"f": 2}).f == 2
         with pytest.raises(ConfigError, match="f must be an integer"):
-            protocol_config_from_items({"f": 1.5})
-        cfg = protocol_config_from_items({"alpha": 0.2, "decay_weights": (0.5, 0.5, 0.5)})
+            spec_from_items(ProtocolConfig, {"f": 1.5})
+        cfg = spec_from_items(ProtocolConfig, {"alpha": 0.2, "decay_weights": (0.5, 0.5, 0.5)})
         assert [cls for cls, _ in config_violations(cfg)] == [InvalidQuorumFraction, WeightSumViolation]
 
     @pytest.mark.parametrize("key", ["n_agents", "rng_seed"])
     def test_run_derived_keys_are_unknown(self, key):
         # N is the roster's size and the network seed comes from the run.
         with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
-            protocol_config_from_items({key: 4})
+            spec_from_items(ProtocolConfig, {key: 4})
 
     def test_single_scalar_scale_becomes_tuple(self):
-        cfg = protocol_config_from_items(
-            {"decay_scales": 60, "decay_weights": 1.0}
-        )
+        cfg = spec_from_items(ProtocolConfig, {"decay_scales": 60, "decay_weights": 1.0})
         assert cfg.decay_scales == (60.0,)
         assert cfg.decay_weights == (1.0,)
+
+    def test_library_config_takes_a_bare_number_or_any_iterable(self):
+        cfg = ProtocolConfig(decay_scales=60, decay_weights=1.0)
+        assert (cfg.decay_scales, cfg.decay_weights) == ((60.0,), (1.0,))
+        cfg = ProtocolConfig(decay_scales=[10, 60], decay_weights=iter((0.5, 0.5)))
+        assert (cfg.decay_scales, cfg.decay_weights) == ((10.0, 60.0), (0.5, 0.5))
 
 
 class TestSpecFromItems:
@@ -365,7 +368,7 @@ class TestSpecFromItems:
     @pytest.mark.parametrize("text", ["decay_scales = nan, 60, 3600", "alpha = inf", "batch_interval_s = -inf"])
     def test_non_finite_float_rejected(self, text):
         with pytest.raises(ConfigError, match="finite"):
-            protocol_config_from_items(parse_config_text(text))
+            spec_from_items(ProtocolConfig, parse_config_text(text))
 
     @pytest.mark.parametrize(
         "cls, items",
@@ -385,7 +388,7 @@ class TestSpecFromItems:
     @pytest.mark.parametrize("items", [{"alpha": "abc"}, {"omega_d": (0.4, 0.6)}, {"decay_weights": (0.5, "x")}])
     def test_non_number_for_float_field_rejected(self, items):
         with pytest.raises(ConfigError, match="must be a number"):
-            protocol_config_from_items(items)
+            spec_from_items(ProtocolConfig, items)
 
     def test_unknown_keys_named_with_their_namespace(self):
         with pytest.raises(ConfigError, match="unknown config keys: workload.churn"):
@@ -394,7 +397,7 @@ class TestSpecFromItems:
             spec_from_items(NetworkConfig, {"jitter": 1.0}, "network.")
 
     def test_ints_pass_for_float_fields(self):
-        cfg = protocol_config_from_items({"alpha": 1, "batch_interval_s": 10})
+        cfg = spec_from_items(ProtocolConfig, {"alpha": 1, "batch_interval_s": 10})
         assert (cfg.alpha, cfg.batch_interval_s) == (1, 10)
         assert spec_from_items(NetworkConfig, {"latency_max_ms": 7}).latency_max_ms == 7
         assert spec_from_items(WorkloadSpec, {"arrivals_per_epoch": (3, 4)}).arrivals_per_epoch == (3, 4)

@@ -123,6 +123,27 @@ class TestRunEpochOutcomes:
             "percept-2": "keep",
         }
 
+    def test_decided_forget_below_the_weighted_quorum_retains(self):
+        # Three light agents out-vote the heavy one in the round (2f+1 = 3
+        # COMMITs), but their forget weight 3.0 stays below Q = 2/3 * 13, so
+        # the deletion gate keeps the memory.
+        roster = (
+            AgentProfile("boss", weight=10.0),
+            *(AgentProfile(f"w{i}", weight=1.0) for i in (1, 2, 3)),
+        )
+        scorers = {"boss": ExternalScorer(lambda m, c: 1.0)}
+        scorers.update({f"w{i}": ExternalScorer(lambda m, c: 0.0) for i in (1, 2, 3)})
+        st = fresh_store([record("m0", cos=0.0, t_last=0.0)], now=0.0)
+        report = run_epoch(st, roster, context(), CFG, lossless(), now=1e6, scorer=scorers)
+        assert (report.proposed, report.consensus_reached, report.deleted) == (1, 1, 0)
+        audit = report.per_memory_audit[0]
+        assert audit.decision == "forget"
+        assert audit.s_m == pytest.approx(3.0)
+        assert audit.q == pytest.approx(8.667, abs=1e-3)
+        assert audit.commit_count == 3
+        assert audit.outcome == "retained"
+        assert st.ids() == ("m0",)
+
     def test_total_message_loss_retains_everything(self):
         records = [record(f"m{i}", cos=0.0, t_last=0.0) for i in range(4)]
         st = fresh_store(records, now=0.0)

@@ -230,6 +230,21 @@ class TestMemoryStoreWrites:
         with pytest.raises(ValueError, match="batch_interval_s"):
             store(batch_interval_s=interval)
 
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("method", ["put", "commit"])
+    def test_put_and_commit_reject_a_clock_that_is_not_finite_and_non_negative(self, method, now):
+        # A NaN clock would stick in last_flush, after which no time flush fires.
+        st = store(batch_size=100)
+        st.put(record("m1"), now=5.0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            if method == "put":
+                st.put(record("m2"), now=now)
+            else:
+                st.commit(now)
+        assert st.count() == 1
+        assert st.buffer.last_flush == 0.0
+        assert st.buffer.pending == {"m1": None}
+
     def test_flush_stores_the_put_embedding_as_is(self):
         st = store(batch_size=2)
         first, second = record("m1"), record("m2", embedding=[1.0, 2.0, 3.0, 4.0])

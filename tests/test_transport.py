@@ -141,16 +141,6 @@ class TestSimulatedNetwork:
         while (event := net.poll()) is not None:
             assert 0.002 <= event.latency_s <= 0.007
 
-    def test_self_delivery_bypasses_drops_and_latency(self):
-        net = SimulatedNetwork(NetworkConfig(drop_prob=1.0, seed=0))
-        net.register("a")
-        assert net.broadcast(msg(), "a", ("a",)) == 1
-        event = net.poll()
-        assert event is not None
-        assert event.latency_s == 0.0
-        assert event.time_s == 0.0
-        assert net.dropped == 0
-
     def test_poll_advances_the_clock(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=0.0, seed=5))
         net.register("a")
@@ -158,6 +148,17 @@ class TestSimulatedNetwork:
         net.broadcast(msg(), "a", ("b",))
         event = net.poll()
         assert net.clock == event.time_s > 0.0
+
+    def test_a_message_to_its_own_sender_is_not_special(self):
+        # It draws a drop like any other message, and a kept one a latency.
+        lossy = SimulatedNetwork(NetworkConfig(drop_prob=1.0, seed=0))
+        lossy.register("a")
+        assert lossy.broadcast(msg(), "a", ("a",)) == 0
+        assert lossy.dropped == 1
+        fixed = SimulatedNetwork(NetworkConfig(latency_min_ms=2.0, latency_max_ms=2.0, drop_prob=0.0))
+        fixed.register("a")
+        assert fixed.broadcast(msg(), "a", ("a",)) == 1
+        assert fixed.poll().latency_s == pytest.approx(0.002)
 
     def test_drain_reports_and_clears(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=0.0, seed=0))

@@ -216,9 +216,15 @@ class TestZipfSampler:
         assert set(sampler.sample(rng, 1000)) <= set(range(7))
 
 
-def reference_traffic(ws, live, rng, context, slots, interactions, now):
-    """The traffic loop one interaction at a time: each interaction's Zipf
-    draws by a plain searchsorted over the mass, then its arrivals."""
+def reference_traffic(ws, live, rng, context, interactions, now):
+    """The traffic loop one interaction at a time: the arrival count and each
+    arrival's slot first, then each interaction's Zipf draws by a plain
+    searchsorted over the mass, then its arrivals."""
+    lo, hi = ws.arrivals_per_epoch
+    slots = {}
+    for _ in range(int(rng.integers(lo, hi + 1))):
+        slot = int(rng.integers(0, interactions))
+        slots[slot] = slots.get(slot, 0) + 1
     k = ws.accesses_per_interaction
     ranks = np.arange(1, len(live) + 1, dtype=np.float64)
     cumulative = np.cumsum(ranks**-ws.access_skew)
@@ -243,19 +249,17 @@ class TestEpochTraffic:
     @pytest.mark.parametrize("k", [0, 1, 4])
     @pytest.mark.parametrize("population", [0, 1, 40])
     @pytest.mark.parametrize(
-        "slots",
-        [
-            {},
-            {0: 1},
-            {29: 2},
-            {0: 3, 7: 1, 8: 2, 29: 1},
-            {13: 4},
-        ],
+        "arrival_range", [(0, 0), (1, 1), (3, 6), (20, 20)], ids=["0..0", "1..1", "3..6", "20..20"]
     )
-    def test_stream_matches_straight_line_reference(self, k, population, slots):
+    def test_stream_matches_straight_line_reference(self, k, population, arrival_range):
         # Same ids at the same instant for every read, the same arrival
         # records, the same last instant and the same RNG state afterwards.
-        ws = spec(accesses_per_interaction=k, access_skew=1.3, interaction_interval_s=0.1)
+        ws = spec(
+            accesses_per_interaction=k,
+            access_skew=1.3,
+            interaction_interval_s=0.1,
+            arrivals_per_epoch=arrival_range,
+        )
         context = make_context(ws)
         live = tuple(f"m{i}" for i in range(population))
         rng, twin = traffic_stream(ws), traffic_stream(ws)
@@ -268,22 +272,19 @@ class TestEpochTraffic:
             rng,
             lambda ids, instant: reads.append((tuple(ids), instant)),
             context=context,
-            slots=slots,
             interactions=30,
             now=7200.0,
         )
-        want_reads, want_arrivals, want_end = reference_traffic(
-            ws, live, twin, context, slots, 30, 7200.0
-        )
+        want_reads, want_arrivals, want_end = reference_traffic(ws, live, twin, context, 30, 7200.0)
         assert reads == want_reads
         assert len(reads) == (30 if population and k else 0)
         assert record_fields(arrivals) == record_fields(want_arrivals)
-        assert len(arrivals) == sum(slots.values())
+        assert arrival_range[0] <= len(arrivals) <= arrival_range[1]
         assert end == want_end
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_early_ids_are_popular(self):
-        ws = spec(accesses_per_interaction=1, access_skew=1.2)
+        ws = spec(accesses_per_interaction=1, access_skew=1.2, arrivals_per_epoch=(0, 0))
         live = [f"m{i}" for i in range(30)]
         hits = {mid: 0 for mid in live}
 
@@ -297,7 +298,6 @@ class TestEpochTraffic:
             traffic_stream(ws),
             access,
             context=make_context(ws),
-            slots={},
             interactions=3000,
             now=0.0,
         )
