@@ -143,12 +143,10 @@ class RoundResult:
     elapsed_virtual_s: float
 
 
-# Round-engine encodings: a vote is its index in _VOTES, a phase its index in
-# _PHASES, and a tally slot of node i for vote v is 2*i + v.
+# Round-engine encodings: a vote is its index in _VOTES, and a tally slot of
+# node i for vote v is 2*i + v.
 _VOTES = (Vote.KEEP, Vote.FORGET)
 _VOTE_INDEX = {Vote.KEEP: 0, Vote.FORGET: 1}
-_PHASES = (Phase.IDLE, Phase.PREPARED, Phase.COMMITTED, Phase.DECIDED)
-_IDLE, _PREPARED, _COMMITTED, _DECIDED = range(4)
 _EVALUATE, _PREPARE, _COMMIT = int(MessageKind.EVALUATE), int(MessageKind.PREPARE), int(MessageKind.COMMIT)
 
 
@@ -196,10 +194,9 @@ def run_round(
     two_f = 2 * cfg.f
     prepare_masks = [0] * (2 * n)
     commit_masks = [0] * (2 * n)
-    phase = [_IDLE] * n
+    prepared = [False] * n
     decision: list[int | None] = [None] * n
 
-    net.register(*ids)
     dropped_before = net.dropped
     latency_before = net.delivered_latency_s
     net.broadcast((_EVALUATE, 1, None), ids[0], ids[1:])
@@ -224,19 +221,17 @@ def run_round(
         slot = 2 * node + vote
         if kind == _PREPARE:
             prepare_masks[slot] |= bit
-            if phase[node] != _IDLE or prepare_masks[slot].bit_count() < two_f:
+            if prepared[node] or decision[node] is not None or prepare_masks[slot].bit_count() < two_f:
                 continue
+            prepared[node] = True
             vote = wire[node]
             if vote is None:
-                phase[node] = _PREPARED
                 continue
-            phase[node] = _COMMITTED
             bit, slot = 1 << node, 2 * node + vote
             broadcast((_COMMIT, bit, vote), ids[node], peers[node])
             # Falls through: the node absorbs its own COMMIT.
         commit_masks[slot] |= bit
         if decision[node] is None and commit_masks[slot].bit_count() > two_f:
-            phase[node] = _DECIDED
             decision[node] = vote
     undelivered = net.drain()
 
@@ -249,7 +244,7 @@ def run_round(
     instance = PbftInstance(
         memory_id=memory_id,
         epoch=epoch,
-        phase=_PHASES[phase[0]],
+        phase=Phase.DECIDED if decided is not None else Phase.PREPARED if prepared[0] else Phase.IDLE,
         prepare_tally=tally(prepare_masks),
         commit_tally=tally(commit_masks),
         decision=None if decided is None else _VOTES[decided],

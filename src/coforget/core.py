@@ -154,12 +154,12 @@ class InvalidQuorumFraction(ConfigError):
 
 
 class FaultBoundViolation(ConfigError):
-    """f is negative, the roster's size N lies outside 3f+1 ≤ N ≤ 4f+1, or it repeats an agent id.
+    """f < 0, the roster's size N lies outside 3f+1 ≤ N ≤ 4f+1, under 2f+1 are active, or an id repeats.
 
     Below 3f+1, f faults can block or split a quorum. Above 4f+1, two honest
     observers can decide differently, because a COMMIT carries its sender's
     own vote and two 2f+1 commit quorums for different votes need only 4f+2
-    senders.
+    senders. With under 2f+1 active agents no commit quorum ever forms.
     """
 
 
@@ -246,10 +246,10 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
 
 
 def validate_roster(cfg: ProtocolConfig, agents: Sequence[AgentProfile]) -> None:
-    """Raise FaultBoundViolation unless f ≥ 0, 3f+1 ≤ N ≤ 4f+1 and the N agent ids are distinct.
+    """Raise FaultBoundViolation unless f ≥ 0, 3f+1 ≤ N ≤ 4f+1, 2f+1 are active and the ids are distinct.
 
-    N is the roster's size. An agent id is a node address on the consensus
-    network, so it must be unique.
+    N is the roster's size, inactive agents included. An agent id is a node
+    address on the consensus network, so it must be unique.
     """
     if cfg.f < 0:
         raise FaultBoundViolation(f"f must be >= 0, got {cfg.f}")
@@ -261,6 +261,9 @@ def validate_roster(cfg: ProtocolConfig, agents: Sequence[AgentProfile]) -> None
             f"N ≤ 4f+1 violated: N={n}, f={cfg.f}; with more agents two 2f+1 commit "
             f"quorums can back different votes and observers can disagree"
         )
+    active = sum(agent.active for agent in agents)
+    if active < 2 * cfg.f + 1:
+        raise FaultBoundViolation(f"{active} active agents cannot form a 2f+1 commit quorum: f={cfg.f}")
     seen: set[str] = set()
     for agent in agents:
         if agent.agent_id in seen:

@@ -92,18 +92,18 @@ def run_epoch(
     now: float,
     epoch_index: int = 0,
     arrivals: Sequence[MemoryRecord] = (),
-    relevance_memo: dict[str | None, dict[str, float]] | None = None,
+    relevance_memo: dict[RelevanceScorer | None, dict[str, float]] | None = None,
 ) -> EpochReport:
     """Run one full epoch against the store's current snapshot.
 
-    `scorer` is either one scorer shared by every agent or a mapping from
-    agent id to that agent's scorer. `arrivals` are queued records that enter
-    the store after deletion commits. Consensus timeouts retain the memory and
-    are recorded per-memory rather than raised. `relevance_memo` carries
-    scores across epochs as {scorer key: {memory id: relevance}}; the key is
-    None for a shared scorer and the agent id for an agent's own scorer, and
-    each column holds exactly this snapshot's ids. The epoch makes no reads,
-    so its report's cache counts are 0.
+    `scorer` is one scorer for every agent or a mapping from agent id to that
+    agent's scorer; None, or an agent the mapping omits, means the default.
+    `arrivals` enter the store after deletion commits. Consensus timeouts
+    retain the memory and are recorded per-memory rather than raised.
+    `relevance_memo` carries scores across epochs as {scorer: {memory id:
+    relevance}}, keyed by the scorer object an agent uses (None for the
+    default), with a column only per scorer of this epoch, over exactly this
+    snapshot's ids. The epoch makes no reads, so its cache counts are 0.
     """
     if relevance_memo is None:
         relevance_memo = {}
@@ -117,24 +117,24 @@ def run_epoch(
     decay = combined_decay(now - t_last, cfg)
 
     # Phase 2: independent evaluation, one relevance column and one vote
-    # column per scorer. A shared scorer gives every agent identical (D, R),
-    # so its column is computed once and attributed to each agent.
+    # column per scorer object. Agents sharing a scorer get identical (D, R),
+    # so its column is computed once and attributed to each of them.
     active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
-    shared = not isinstance(scorer, Mapping)
-    by_scorer: dict[str | None, tuple[np.ndarray, np.ndarray]] = {}
+    by_scorer: dict[RelevanceScorer | None, tuple[np.ndarray, np.ndarray]] = {}
     agent_votes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for profile in active:
-        key = None if shared else profile.agent_id
+        key = scorer.get(profile.agent_id) if isinstance(scorer, Mapping) else scorer
         if key not in by_scorer:
-            agent_scorer = scorer if shared else scorer.get(profile.agent_id)
             # Rebuilt over this snapshot, so deleted ids drop out; only new ids need a record.
             old = relevance_memo.get(key, {})
             memo = relevance_memo[key] = {
-                i: old[i] if i in old else relevance(store.record(i), context, agent_scorer) for i in ids
+                i: old[i] if i in old else relevance(store.record(i), context, key) for i in ids
             }
             r = np.fromiter(memo.values(), dtype=np.float64, count=len(ids))
             by_scorer[key] = vote_rule(decay, r, cfg)
         agent_votes[profile.agent_id] = by_scorer[key]
+    for stale in relevance_memo.keys() - by_scorer.keys():
+        del relevance_memo[stale]
 
     # Agents ship their forget lists, in id order, to this epoch's coordinator;
     # the proposal set is the union of acknowledged proposals.
@@ -239,7 +239,6 @@ def run_simulation(
     *,
     agents: Sequence[AgentProfile] | None = None,
     net_cfg: NetworkConfig | None = None,
-    scorer: RelevanceScorer | Mapping[str, RelevanceScorer] | None = None,
     strict_pbft: bool = False,
     snapshot_path=None,
 ) -> SimulationResult:
@@ -248,8 +247,9 @@ def run_simulation(
     The virtual clock starts at the end of the historical window and advances
     one interaction interval per interaction; an epoch fires every
     cfg.epoch_interactions interactions. The baseline series is the footprint
-    a no-forgetting twin would have (initial plus cumulative arrivals). A
-    roster outside 3f+1 ≤ N ≤ 4f+1 raises FaultBoundViolation.
+    a no-forgetting twin would have (initial plus cumulative arrivals). Agents
+    score with the default scorer. A roster outside 3f+1 ≤ N ≤ 4f+1 or with
+    under 2f+1 active agents raises FaultBoundViolation.
     """
     validate_config(cfg)
     if epochs < 1:
@@ -267,7 +267,7 @@ def run_simulation(
     store.commit(now)
 
     rng = traffic_stream(spec)
-    relevance_memo: dict[str | None, dict[str, float]] = {}
+    relevance_memo: dict[RelevanceScorer | None, dict[str, float]] = {}
     reports: list[EpochReport] = []
 
     for epoch_index in range(epochs):
@@ -291,7 +291,6 @@ def run_simulation(
             context,
             cfg,
             net,
-            scorer=scorer,
             epoch_index=epoch_index,
             now=now,
             arrivals=pending_arrivals,

@@ -32,7 +32,8 @@ class DimensionMismatch(ValueError):
     """Memory and context embeddings have different lengths."""
 
 
-@dataclass(frozen=True)
+# eq=False: equality and hashing go by identity; generated ones would raise on the ndarray.
+@dataclass(frozen=True, eq=False)
 class ContextProfile:
     """The shared situational context agents score memories against."""
 

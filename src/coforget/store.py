@@ -85,7 +85,7 @@ class MetadataTable:
         for memory_id in memory_ids:
             self.rows.pop(memory_id, None)
 
-    def write_snapshot(self, path) -> int:
+    def write_snapshot(self, path) -> None:
         """Rewrite the CSV snapshot (RFC 4180, CRLF, minimal quoting)."""
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -94,7 +94,6 @@ class MetadataTable:
                 [memory_id, agent_id, f"{timestamp:.6f}", repr(salience)]
                 for memory_id, (agent_id, timestamp, salience) in self.rows.items()
             )
-        return len(self.rows)
 
 
 class WriteBuffer:
@@ -216,21 +215,21 @@ class MemoryStore:
         self.buffer.pending[memory_id] = None
         self.maybe_flush(now)
 
-    def maybe_flush(self, now: float) -> int:
+    def maybe_flush(self, now: float) -> None:
         """Flush when the batch is full or the flush interval has elapsed."""
         buffer = self.buffer
         pending = len(buffer.pending)
         if not pending:
-            return 0
+            return
         if pending >= self.batch_size:
             self.size_flushes += 1
         elif now - buffer.last_flush > self.batch_interval_s:
             self.time_flushes += 1
         else:
-            return 0
-        return self._flush(now)
+            return
+        self._flush(now)
 
-    def _flush(self, now: float) -> int:
+    def _flush(self, now: float) -> None:
         pending = self.buffer.pending
         records = [self._live[i] for i in pending]
         pending.clear()
@@ -238,20 +237,17 @@ class MemoryStore:
         self.index.upsert(records)
         self.table.update({r.id: (r.agent_id, t_last[r.id], r.salience) for r in records})
         self.buffer.last_flush = now
-        return len(records)
 
-    def commit(self, now: float) -> int:
+    def commit(self, now: float) -> None:
         """Force any pending writes down and rewrite the snapshot if configured."""
         _check_now(now)
-        flushed = 0
         if self.buffer.pending:
             self.forced_flushes += 1
-            flushed = self._flush(now)
+            self._flush(now)
         else:
             self.buffer.last_flush = now
         if self.snapshot_path is not None:
             self.table.write_snapshot(self.snapshot_path)
-        return flushed
 
     def delete(self, memory_ids: Iterable[str]) -> int:
         """Purge ids from every structure; unknown ids are counted, not errors.

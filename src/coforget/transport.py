@@ -25,7 +25,6 @@ __all__ = [
     "FaultKind",
     "resolve_behavior",
     "Delivery",
-    "UnknownDestination",
     "SimulatedNetwork",
     "FrameKind",
     "Frame",
@@ -66,10 +65,6 @@ class NetworkConfig:
             raise ValueError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
 
 
-class UnknownDestination(KeyError):
-    """Message submitted to a destination that was never registered."""
-
-
 class Delivery(NamedTuple):
     """One scheduled message with its timing.
 
@@ -92,8 +87,9 @@ class SimulatedNetwork:
     """Single-owner event queue with seeded latency and drops.
 
     Delivery order is (timestamp, sender, per-sender sequence): deterministic
-    for a fixed seed and submission sequence. Every message, one addressed to
-    its own sender included, draws a drop and, if kept, a latency.
+    for a fixed seed and submission sequence. Any string is an address. Every
+    message, one addressed to its own sender included, draws a drop and, if
+    kept, a latency.
     """
 
     def __init__(self, config: NetworkConfig | None = None):
@@ -101,25 +97,18 @@ class SimulatedNetwork:
         self._rng = random.Random(self.config.seed)
         self._heap: list[Delivery] = []
         self._seq: dict[str, int] = {}
-        self._destinations: set[str] = set()
         self.clock = 0.0
         self.delivered = 0
         self.dropped = 0
         self.delivered_latency_s = 0.0
 
-    def register(self, *node_ids: str) -> None:
-        self._destinations.update(node_ids)
-
-    def broadcast(self, msg: object, sender: str, dests: Sequence[str]) -> int:
-        """Send one message to each destination in order; returns how many were scheduled.
+    def broadcast(self, msg: object, sender: str, dests: Sequence[str]) -> None:
+        """Send one message to each destination in order.
 
         Per destination the sender's sequence number is bumped, then one
-        random() draw decides a drop and a kept message draws its latency
-        uniformly from the band.
+        random() draw decides a drop (counted in `dropped`) and a kept message
+        draws its latency uniformly from the band.
         """
-        destinations = self._destinations
-        if not destinations.issuperset(dests):
-            raise UnknownDestination(next(d for d in dests if d not in destinations))
         heap = self._heap
         draw = self._rng.random
         drop_prob = self.config.drop_prob
@@ -128,7 +117,6 @@ class SimulatedNetwork:
         width = self.config.latency_max_ms - lo
         clock = self.clock
         seq = self._seq.get(sender, 0)
-        scheduled = 0
         for dest in dests:
             seq += 1
             if draw() < drop_prob:
@@ -136,9 +124,7 @@ class SimulatedNetwork:
                 continue
             latency_s = (lo + width * draw()) / 1000.0
             heappush(heap, _new_delivery(Delivery, (clock + latency_s, sender, seq, dest, msg, latency_s)))
-            scheduled += 1
         self._seq[sender] = seq
-        return scheduled
 
     def poll(self) -> Delivery | None:
         """Deliver the next scheduled message, advancing the virtual clock."""

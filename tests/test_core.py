@@ -193,6 +193,15 @@ class TestValidateConfig:
         with pytest.raises(FaultBoundViolation, match="N ≤ 4f\\+1"):
             validate_roster(ProtocolConfig(f=f), roster_of(n))
 
+    def test_roster_needs_2f_plus_1_active_agents(self):
+        # N counts inactive agents too, but only active ones vote: with two of
+        # four inactive at f = 1 no 2f+1 commit quorum can ever form.
+        roster = roster_of(4)
+        two_down = roster[:2] + [dataclasses.replace(a, active=False) for a in roster[2:]]
+        with pytest.raises(FaultBoundViolation, match="2 active agents cannot form a 2f\\+1 commit quorum"):
+            validate_roster(ProtocolConfig(f=1), two_down)
+        validate_roster(ProtocolConfig(f=1), roster[:3] + [dataclasses.replace(roster[3], active=False)])
+
     @pytest.mark.parametrize("n, f", [(1, 0), (4, 1), (5, 1), (7, 2), (9, 2), (10, 3)])
     def test_fault_bounds_are_inclusive(self, n, f):
         cfg = ProtocolConfig(f=f)

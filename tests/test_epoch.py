@@ -234,10 +234,11 @@ class TestRunEpochOutcomes:
             (a, "forget") for a in ("percept-1", "percept-2", "planner-1", "planner-2")
         )
 
-    @pytest.mark.parametrize("per_agent", [False, True], ids=["shared", "per_agent"])
-    def test_relevance_memo_holds_the_snapshot_ids(self, per_agent):
+    @pytest.mark.parametrize("mode", ["shared", "per_agent", "one_scorer_mapping"])
+    def test_relevance_memo_holds_the_snapshot_ids(self, mode):
         # Each column is rebuilt over the epoch's snapshot: ids deleted in or
-        # between epochs drop out, and only ids the last column lacked are scored.
+        # between epochs drop out, and only ids the last column lacked are
+        # scored, once per distinct scorer object.
         scored: list[str] = []
 
         def zero(memory, ctx):
@@ -247,8 +248,13 @@ class TestRunEpochOutcomes:
         records = [record(f"m{i}", cos=0.0, t_last=0.0) for i in range(3)]
         records += [record("kept", cos=0.9, t_last=1e6), record("gone", cos=0.9, t_last=1e6)]
         st = fresh_store(records, now=1e6)
-        scorer = {a.agent_id: ExternalScorer(zero) for a in AGENTS} if per_agent else ExternalScorer(zero)
-        keys = [a.agent_id for a in AGENTS] if per_agent else [None]
+        one = ExternalScorer(zero)
+        scorer = {
+            "shared": one,
+            "per_agent": {a.agent_id: ExternalScorer(zero) for a in AGENTS},
+            "one_scorer_mapping": {a.agent_id: one for a in AGENTS},
+        }[mode]
+        keys = list(scorer.values()) if mode == "per_agent" else [one]
         memo: dict = {}
         first = run_epoch(
             st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo,
@@ -262,6 +268,19 @@ class TestRunEpochOutcomes:
         run_epoch(st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo)
         assert {key: list(column) for key, column in memo.items()} == {key: snapshot for key in keys}
         assert scored == ["new"] * len(keys)
+
+    def test_relevance_memo_keeps_only_this_epochs_scorers(self):
+        # A replaced scorer gets a fresh column: its scores are not the old
+        # scorer's, and the old column is dropped, so the memo stays bounded.
+        st = fresh_store([record(f"m{i}", cos=0.0, t_last=0.0) for i in range(3)], now=0.0)
+        memo: dict = {}
+        keep = ExternalScorer(lambda m, c: 1.0)
+        first = run_epoch(st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=keep, relevance_memo=memo)
+        assert first.proposed == 0 and list(memo) == [keep]
+        forget = ExternalScorer(lambda m, c: 0.0)
+        second = run_epoch(st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=forget, relevance_memo=memo)
+        assert second.proposed == 3
+        assert list(memo) == [forget]
 
     def test_empty_store_epoch_is_a_no_op(self):
         st = MemoryStore.from_config(CFG, DIM)
@@ -302,6 +321,15 @@ class TestRunSimulation:
             run_simulation(self.SIM_CFG, self.SPEC, 1, agents=AGENTS[:3])
         with pytest.raises(FaultBoundViolation, match="N ≤ 4f\\+1 violated: N=4, f=0"):
             run_simulation(replace(self.SIM_CFG, f=0), self.SPEC, 1)
+
+    def test_rejects_a_roster_with_too_few_active_agents(self, monkeypatch):
+        # Two of four agents inactive at f = 1: every round would time out.
+        epochs_run = []
+        monkeypatch.setattr(coforget.epoch, "run_epoch", lambda *a, **k: epochs_run.append(a))
+        agents = [replace(a, active=a.agent_id.startswith("planner")) for a in AGENTS]
+        with pytest.raises(FaultBoundViolation, match="2 active agents"):
+            run_simulation(self.SIM_CFG, self.SPEC, 5, agents=agents)
+        assert epochs_run == []
 
     def test_rejects_a_repeated_agent_id_before_any_epoch(self, monkeypatch):
         # Without the check, the repeated id crashes the first consensus round.

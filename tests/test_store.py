@@ -92,13 +92,14 @@ class TestMetadataTable:
         table = MetadataTable()
         table.update({"m1": ("a1", 12.3456789, 0.5), "m,2": ("a2", 0.0, 0.125)})
         path = tmp_path / "snapshot.csv"
-        assert table.write_snapshot(path) == 2
+        table.write_snapshot(path)
         raw = path.read_bytes()
         assert b"\r\n" in raw  # RFC 4180 line endings
         text = raw.decode("utf-8")
         assert text.splitlines()[0] == "id,agent_id,timestamp,salience"
         assert '"m,2"' in text  # minimal quoting kicks in for the comma
         rows = list(csv.DictReader(text.splitlines()))
+        assert len(rows) == 2
         byid = {row["id"]: row for row in rows}
         assert byid["m1"]["timestamp"] == "12.345679"  # fixed six decimals
         assert byid["m1"]["salience"] == "0.5"  # repr round-trips exactly
@@ -279,18 +280,23 @@ class TestMemoryStoreWrites:
 
     def test_empty_buffer_never_flushes(self):
         st = store()
-        assert st.maybe_flush(now=1e9) == 0
-        assert st.time_flushes == 0
+        st.maybe_flush(now=1e9)
+        assert (st.size_flushes, st.time_flushes, st.forced_flushes) == (0, 0, 0)
+        assert st.index.upsert_calls == 0
 
     def test_commit_forces_pending_and_counts(self):
         st = store(batch_size=100)
         st.put(record("m1"), now=0.0)
-        assert st.commit(now=1.0) == 1
+        st.commit(now=1.0)
         assert st.forced_flushes == 1
+        assert st.table.rows.keys() == {"m1"}
+        assert st.buffer.pending == {}
         assert st.buffer.last_flush == 1.0
         # A commit with nothing pending still advances the flush clock.
-        assert st.commit(now=2.0) == 0
+        st.commit(now=2.0)
         assert st.forced_flushes == 1
+        assert st.table.rows.keys() == {"m1"}
+        assert st.buffer.pending == {}
         assert st.buffer.last_flush == 2.0
 
     def test_commit_writes_snapshot_when_configured(self, tmp_path):

@@ -21,7 +21,6 @@ from coforget.transport import (
     OversizeFrame,
     SimulatedNetwork,
     TruncatedFrame,
-    UnknownDestination,
     UnknownMessageKind,
     decode,
     decode_frame,
@@ -85,8 +84,6 @@ class TestNetworkConfig:
 class TestSimulatedNetwork:
     def trace(self, seed: int, drop_prob: float) -> tuple[list, int]:
         net = SimulatedNetwork(NetworkConfig(drop_prob=drop_prob, seed=seed))
-        for node in ("a", "b", "c"):
-            net.register(node)
         for i in range(40):
             net.broadcast(msg(epoch=i), "abc"[i % 3], ("abc"[(i + 1) % 3],))
         out = []
@@ -102,18 +99,11 @@ class TestSimulatedNetwork:
     def test_different_seeds_diverge(self):
         assert self.trace(seed=1, drop_prob=0.0) != self.trace(seed=2, drop_prob=0.0)
 
-    def test_unregistered_destination_raises(self):
-        net = SimulatedNetwork()
-        net.register("a")
-        with pytest.raises(UnknownDestination):
-            net.broadcast(msg(), "a", ("ghost",))
-
     def test_full_loss_drops_everything(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=1.0, seed=0))
-        net.register("a")
-        net.register("b")
         for i in range(10):
-            assert net.broadcast(msg(epoch=i), "a", ("b",)) == 0
+            net.broadcast(msg(epoch=i), "a", ("b",))
+            assert net.dropped == i + 1 and net.pending() == 0
         assert net.dropped == 10
         assert net.pending() == 0
         assert net.poll() is None
@@ -121,10 +111,9 @@ class TestSimulatedNetwork:
     def test_lossless_constant_latency_is_fifo(self):
         cfg = NetworkConfig(latency_min_ms=3.0, latency_max_ms=3.0, drop_prob=0.0, seed=0)
         net = SimulatedNetwork(cfg)
-        net.register("a")
-        net.register("b")
         for i in range(20):
-            assert net.broadcast(msg(epoch=i), "a", ("b",)) == 1
+            net.broadcast(msg(epoch=i), "a", ("b",))
+            assert net.pending() == i + 1 and net.dropped == 0
         epochs = []
         while (event := net.poll()) is not None:
             assert event.latency_s == pytest.approx(0.003)
@@ -134,8 +123,6 @@ class TestSimulatedNetwork:
     def test_latency_stays_in_band(self):
         cfg = NetworkConfig(latency_min_ms=2.0, latency_max_ms=7.0, drop_prob=0.0, seed=3)
         net = SimulatedNetwork(cfg)
-        net.register("a")
-        net.register("b")
         for i in range(100):
             net.broadcast(msg(epoch=i), "a", ("b",))
         while (event := net.poll()) is not None:
@@ -143,8 +130,6 @@ class TestSimulatedNetwork:
 
     def test_poll_advances_the_clock(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=0.0, seed=5))
-        net.register("a")
-        net.register("b")
         net.broadcast(msg(), "a", ("b",))
         event = net.poll()
         assert net.clock == event.time_s > 0.0
@@ -152,18 +137,16 @@ class TestSimulatedNetwork:
     def test_a_message_to_its_own_sender_is_not_special(self):
         # It draws a drop like any other message, and a kept one a latency.
         lossy = SimulatedNetwork(NetworkConfig(drop_prob=1.0, seed=0))
-        lossy.register("a")
-        assert lossy.broadcast(msg(), "a", ("a",)) == 0
+        lossy.broadcast(msg(), "a", ("a",))
+        assert lossy.pending() == 0
         assert lossy.dropped == 1
         fixed = SimulatedNetwork(NetworkConfig(latency_min_ms=2.0, latency_max_ms=2.0, drop_prob=0.0))
-        fixed.register("a")
-        assert fixed.broadcast(msg(), "a", ("a",)) == 1
+        fixed.broadcast(msg(), "a", ("a",))
+        assert fixed.pending() == 1 and fixed.dropped == 0
         assert fixed.poll().latency_s == pytest.approx(0.002)
 
     def test_drain_reports_and_clears(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=0.0, seed=0))
-        net.register("a")
-        net.register("b")
         for i in range(7):
             net.broadcast(msg(epoch=i), "a", ("b",))
         assert net.drain() == 7
@@ -172,9 +155,9 @@ class TestSimulatedNetwork:
 
     def test_counters_are_consistent(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=0.3, seed=9))
-        net.register("a")
-        net.register("b")
-        scheduled = sum(net.broadcast(msg(epoch=i), "a", ("b",)) for i in range(200))
+        for i in range(200):
+            net.broadcast(msg(epoch=i), "a", ("b",))
+        scheduled = net.pending()
         total_latency = 0.0
         while (event := net.poll()) is not None:
             total_latency += event.latency_s

@@ -111,6 +111,14 @@ class TestContext:
         np.testing.assert_array_equal(a.embedding, b.embedding)
         assert np.linalg.norm(a.embedding) == pytest.approx(1.0)
 
+    def test_context_equality_and_hash_go_by_identity(self):
+        # A generated __eq__ would compare the ndarray field and raise.
+        a = make_context(spec())
+        b = make_context(spec())
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert {a: 1, b: 2}[a] == 1
+
     def test_context_varies_with_seed(self):
         a = make_context(spec(seed=1))
         b = make_context(spec(seed=2))
