@@ -5,8 +5,8 @@ agents broadcast PREPARE with their vote, mark the instance prepared once any
 vote accumulates 2f identical senders, then broadcast COMMIT carrying their own
 vote; an observer decides when any vote reaches a 2f+1 commit tally. A node
 that decides before it has seen 2f identical PREPAREs never commits. There is
-no view change: an instance that cannot decide within its message budget times
-out and the memory is kept for re-evaluation next epoch.
+no view change: a round runs until its queue drains, and an instance still
+undecided then times out and the memory is kept for re-evaluation next epoch.
 
 run_round keeps one round's state in lists indexed by node position: the
 coordinator is position 0 and the active agents follow, sorted by id. Every
@@ -31,7 +31,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "MessageKind",
-    "Phase",
     "Behavior",
     "PbftMessage",
     "PbftInstance",
@@ -53,13 +52,6 @@ class MessageKind(enum.IntEnum):
     COMMIT = 2
 
 
-class Phase(enum.Enum):
-    IDLE = "idle"
-    PREPARED = "prepared"
-    COMMITTED = "committed"
-    DECIDED = "decided"
-
-
 class Behavior(enum.Enum):
     """How an agent acts during one consensus round, after fault-coin resolution."""
 
@@ -69,7 +61,7 @@ class Behavior(enum.Enum):
 
 
 class ConsensusTimeout(RuntimeError):
-    """The instance failed to decide within its message budget."""
+    """The round's queue drained before the instance decided."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +89,6 @@ class PbftInstance:
 
     memory_id: str
     epoch: int
-    phase: Phase = Phase.IDLE
     prepare_tally: dict[Vote, set[str]] = field(default_factory=dict)
     commit_tally: dict[Vote, set[str]] = field(default_factory=dict)
     decision: Vote | None = None
@@ -112,12 +103,12 @@ def finalize(
     """Gate a decided-forget instance through the weighted quorum.
 
     Consensus forget only deletes when S_m >= Q; consensus keep always keeps.
-    An undecided instance raises ConsensusTimeout and the memory is retained
-    this epoch.
+    An instance whose round drained its queue undecided raises
+    ConsensusTimeout and the memory is retained this epoch.
     """
     if instance.decision is None:
         raise ConsensusTimeout(
-            f"instance ({instance.memory_id}, {instance.epoch}) exhausted its message budget undecided"
+            f"instance ({instance.memory_id}, {instance.epoch}) drained its queue undecided"
         )
     if instance.decision is Vote.KEEP:
         return Vote.KEEP
@@ -128,7 +119,7 @@ def finalize(
 
 @dataclass
 class RoundResult:
-    """Everything one consensus round produced, from the coordinator's view."""
+    """Everything one round produced, from the coordinator's view, once its queue drained."""
 
     memory_id: str
     epoch: int
@@ -158,25 +149,21 @@ def run_round(
     cfg: ProtocolConfig,
     net,
     behaviors: Mapping[str, Behavior] | None = None,
-    budget: int | None = None,
 ) -> RoundResult:
     """Drive one consensus instance to completion over a simulated network.
 
     `votes` holds each active agent's pre-formed vote; `behaviors` the resolved
     fault behavior per agent (default honest). The coordinator sends one
     EVALUATE to each active agent; a silent agent sends nothing, an
-    equivocating one puts its inverted vote on the wire. Delivery stops when
-    the queue drains or `budget` messages have been delivered. With A active
-    agents a round delivers at most A(2A+1) messages (A EVALUATEs, then A
-    peers for each PREPARE and COMMIT broadcast), and that is the default, so
-    only an explicit budget can cut a round short.
+    equivocating one puts its inverted vote on the wire. Delivery runs until
+    the queue drains. Each agent PREPAREs once, on its EVALUATE, and COMMITs
+    at most once, so with A active agents a round delivers at most A(2A+1)
+    messages: A EVALUATEs, then A peers for each PREPARE and COMMIT broadcast.
     """
     behaviors = behaviors or {}
     active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
     if not active:
         logger.warning("instance (%s, %d) started with zero active agents; undecidable", memory_id, epoch)
-    if budget is None:
-        budget = len(active) * (2 * len(active) + 1)
     ids = [DEFAULT_COORDINATOR_ID] + [a.agent_id for a in active]
     n = len(ids)
     index = {node_id: i for i, node_id in enumerate(ids)}
@@ -204,10 +191,7 @@ def run_round(
     poll = net.poll
     broadcast = net.broadcast
     deliveries = 0
-    while deliveries < budget:
-        event = poll()
-        if event is None:
-            break
+    while (event := poll()) is not None:
         deliveries += 1
         node = index[event.dest]
         kind, bit, vote = event.msg
@@ -244,7 +228,6 @@ def run_round(
     instance = PbftInstance(
         memory_id=memory_id,
         epoch=epoch,
-        phase=Phase.DECIDED if decided is not None else Phase.PREPARED if prepared[0] else Phase.IDLE,
         prepare_tally=tally(prepare_masks),
         commit_tally=tally(commit_masks),
         decision=None if decided is None else _VOTES[decided],

@@ -92,7 +92,7 @@ def run_epoch(
     now: float,
     epoch_index: int = 0,
     arrivals: Sequence[MemoryRecord] = (),
-    relevance_memo: dict[RelevanceScorer | None, dict[str, float]] | None = None,
+    relevance_memo: dict[tuple[RelevanceScorer | None, ContextProfile], dict[str, float]] | None = None,
 ) -> EpochReport:
     """Run one full epoch against the store's current snapshot.
 
@@ -100,10 +100,11 @@ def run_epoch(
     agent's scorer; None, or an agent the mapping omits, means the default.
     `arrivals` enter the store after deletion commits. Consensus timeouts
     retain the memory and are recorded per-memory rather than raised.
-    `relevance_memo` carries scores across epochs as {scorer: {memory id:
-    relevance}}, keyed by the scorer object an agent uses (None for the
-    default), with a column only per scorer of this epoch, over exactly this
-    snapshot's ids. The epoch makes no reads, so its cache counts are 0.
+    `relevance_memo` carries scores across epochs as {(scorer, context):
+    {memory id: relevance}}, keyed by the scorer object an agent uses (None
+    for the default) and the context object scored against, with a column
+    only per pair of this epoch, over exactly this snapshot's ids. The epoch
+    makes no reads, so its cache counts are 0.
     """
     if relevance_memo is None:
         relevance_memo = {}
@@ -120,15 +121,16 @@ def run_epoch(
     # column per scorer object. Agents sharing a scorer get identical (D, R),
     # so its column is computed once and attributed to each of them.
     active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
-    by_scorer: dict[RelevanceScorer | None, tuple[np.ndarray, np.ndarray]] = {}
+    by_scorer: dict[tuple[RelevanceScorer | None, ContextProfile], tuple[np.ndarray, np.ndarray]] = {}
     agent_votes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for profile in active:
-        key = scorer.get(profile.agent_id) if isinstance(scorer, Mapping) else scorer
+        agent_scorer = scorer.get(profile.agent_id) if isinstance(scorer, Mapping) else scorer
+        key = (agent_scorer, context)
         if key not in by_scorer:
             # Rebuilt over this snapshot, so deleted ids drop out; only new ids need a record.
             old = relevance_memo.get(key, {})
             memo = relevance_memo[key] = {
-                i: old[i] if i in old else relevance(store.record(i), context, key) for i in ids
+                i: old[i] if i in old else relevance(store.record(i), context, agent_scorer) for i in ids
             }
             r = np.fromiter(memo.values(), dtype=np.float64, count=len(ids))
             by_scorer[key] = vote_rule(decay, r, cfg)
@@ -267,7 +269,7 @@ def run_simulation(
     store.commit(now)
 
     rng = traffic_stream(spec)
-    relevance_memo: dict[RelevanceScorer | None, dict[str, float]] = {}
+    relevance_memo: dict[tuple[RelevanceScorer | None, ContextProfile], dict[str, float]] = {}
     reports: list[EpochReport] = []
 
     for epoch_index in range(epochs):

@@ -112,8 +112,9 @@ class MemoryStore:
     is an LRU of ids that only decides hit or miss: a hit moves t_last to the
     read instant, a miss leaves it, and either way the id is re-buffered. The
     buffer, index and table are the flushed, lagging copy behind the metadata
-    snapshot. Every buffered write runs the flush check: flush when the batch
-    is full or the interval since the last flush has elapsed.
+    snapshot. `put` and `access` buffer an id through one write step,
+    `_write`, which ends in the flush check: flush when the batch is full or
+    the interval since the last flush has elapsed.
     """
 
     def __init__(
@@ -166,8 +167,7 @@ class MemoryStore:
         _check_now(now)
         t_last = self._t_last
         cache = self._cache
-        pending = self.buffer.pending
-        maybe_flush = self.maybe_flush
+        write = self._write
         for memory_id in memory_ids:
             if memory_id not in t_last:
                 self.misses += 1
@@ -176,14 +176,9 @@ class MemoryStore:
             if memory_id in cache:
                 self.hits += 1
                 t_last[memory_id] = now
-                cache.move_to_end(memory_id)
             else:
                 self.misses += 1
-                cache[memory_id] = None
-                if len(cache) > self.cache_capacity:
-                    cache.popitem(last=False)
-            pending[memory_id] = None
-            maybe_flush(now)
+            write(memory_id, now)
 
     def get(self, memory_id: str, now: float) -> MemoryRecord | None:
         """Account one read, then return the freshest record; absence is a value, not an error."""
@@ -206,22 +201,20 @@ class MemoryStore:
         memory_id = record.id
         self._live[memory_id] = record
         self._t_last[memory_id] = record.t_last
-        if memory_id in self._cache:
-            self._cache.move_to_end(memory_id)
-        else:
-            self._cache[memory_id] = None
-            if len(self._cache) > self.cache_capacity:
-                self._cache.popitem(last=False)
-        self.buffer.pending[memory_id] = None
-        self.maybe_flush(now)
+        self._write(memory_id, now)
 
-    def maybe_flush(self, now: float) -> None:
-        """Flush when the batch is full or the flush interval has elapsed."""
+    def _write(self, memory_id: str, now: float) -> None:
+        """Make the id the most recent LRU entry, buffer it, then run the flush check."""
+        cache = self._cache
+        if memory_id in cache:
+            cache.move_to_end(memory_id)
+        else:
+            cache[memory_id] = None
+            if len(cache) > self.cache_capacity:
+                cache.popitem(last=False)
         buffer = self.buffer
-        pending = len(buffer.pending)
-        if not pending:
-            return
-        if pending >= self.batch_size:
+        buffer.pending[memory_id] = None
+        if len(buffer.pending) >= self.batch_size:
             self.size_flushes += 1
         elif now - buffer.last_flush > self.batch_interval_s:
             self.time_flushes += 1

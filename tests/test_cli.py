@@ -36,6 +36,16 @@ workload.relevance_mix = 0.0
 workload.dimension = 16
 """
 
+# byzantine_f1 on a small store over a lossier network: at seed 0 over 30
+# epochs, 14 epochs propose nothing and 4 have a round time out, so the
+# default and the strict success rate differ.
+SPARSE_LOSSY = """\
+workload.initial_items = 40
+workload.arrivals_per_epoch = 0..3
+workload.dimension = 8
+network.drop_prob = 0.05
+"""
+
 OUTPUT_FILES = ("report.json", "epochs.csv", "audit.jsonl", "metadata.csv")
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -328,6 +338,30 @@ class TestRunOutputs:
                 assert (seed_dir / name).exists(), (seed, name)
             report = json.loads((seed_dir / "report.json").read_text())
             assert report["seed"] == seed
+
+    def test_strict_pbft_success_excludes_vacuous_epochs(self, tmp_path):
+        config = write_config(tmp_path, SPARSE_LOSSY)
+        reports = {}
+        for strict in (False, True):
+            out = tmp_path / f"strict-{strict}"
+            flag = ["--strict-pbft-success"] if strict else []
+            code = run_cli(
+                "run", "--scenario", "byzantine_f1", "--config", config,
+                "--epochs", 30, "--seed", 0, "--out", out, *flag,
+            )
+            assert code == 0
+            reports[strict] = json.loads((out / "report.json").read_text())
+        # The flag changes only the success rate's denominator, not the run.
+        epochs = reports[False]["epochs"]
+        assert reports[True]["epochs"] == epochs
+        started = [e for e in epochs if e["consensus_reached"] + e["consensus_failed"] > 0]
+        failed = [e for e in epochs if e["consensus_failed"] > 0]
+        assert (len(epochs), len(started), len(failed)) == (30, 16, 4)
+        plain = reports[False]["summary"]["pbft_success_rate"]
+        strict = reports[True]["summary"]["pbft_success_rate"]
+        assert plain == (len(epochs) - len(failed)) / len(epochs)
+        assert strict == (len(started) - len(failed)) / len(started)
+        assert (round(plain, 4), strict) == (0.8667, 0.75)
 
     def test_custom_scenario_runs_with_config(self, tmp_path):
         config = write_config(tmp_path)

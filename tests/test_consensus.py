@@ -1,7 +1,7 @@
-"""Three-phase consensus: message invariants, phase transitions, full rounds.
+"""Three-phase consensus: message invariants, tallies and decisions, full rounds.
 
 Each node's part in a round (its EVALUATE, the PREPARE and COMMIT it puts on
-the wire, the phase it reaches and the decision it takes) is checked end to
+the wire, the tallies it reaches and the decision it takes) is checked end to
 end through run_round over a simulated network, where the coordinator's
 tallies show what every agent sent, including fault behaviors. The quorum
 gate is checked through finalize.
@@ -21,7 +21,6 @@ from coforget.consensus import (
     MessageKind,
     PbftInstance,
     PbftMessage,
-    Phase,
     finalize,
     run_round,
 )
@@ -78,28 +77,25 @@ class TestPbftMessage:
 
 
 class TestStartInstance:
-    """run_round's EVALUATE fan-out, seen with a fixed 3 ms latency: every
-    EVALUATE lands before the first PREPARE can."""
-
-    FIXED = NetworkConfig(latency_min_ms=3.0, latency_max_ms=3.0, drop_prob=0.0, seed=0)
+    """run_round's EVALUATE fan-out, seen with every agent silent: the
+    EVALUATEs are all the round delivers."""
 
     def test_one_evaluate_per_active_agent(self):
-        net = SimulatedNetwork(self.FIXED)
-        result = run_round("m", 7, ROSTER, unanimous(Vote.FORGET), CFG, net, budget=4)
+        silent = {aid: Behavior.SILENT for aid in IDS}
+        result = run_round("m", 7, ROSTER, unanimous(Vote.FORGET), CFG, lossless_net(), behaviors=silent)
         assert result.instance.memory_id == "m"
         assert result.instance.epoch == 7
-        assert result.instance.phase is Phase.IDLE
+        assert result.instance.prepare_tally == {}
         assert result.deliveries == 4
-        # Each of the 4 EVALUATEs made its agent PREPARE to its 4 peers.
-        assert result.undelivered == 4 * 4
+        assert result.undelivered == 0
 
     def test_inactive_agents_get_no_evaluate(self):
         roster = ROSTER[:2] + (AgentProfile("percept-1", active=False),)
         votes = {aid: Vote.FORGET for aid in IDS[:2]}
-        net = SimulatedNetwork(self.FIXED)
-        result = run_round("m", 0, roster, votes, CFG, net, budget=2)
+        silent = {aid: Behavior.SILENT for aid in IDS[:2]}
+        result = run_round("m", 0, roster, votes, CFG, lossless_net(), behaviors=silent)
         assert result.deliveries == 2
-        assert result.undelivered == 2 * 2
+        assert result.undelivered == 0
         assert set(result.agent_decisions) == set(IDS[:2])
 
     def test_zero_active_agents_warns(self, caplog):
@@ -150,8 +146,8 @@ class TestOnPrepare:
         silent = {aid: Behavior.SILENT for aid in IDS[1:]}
         result = lossless_round(unanimous(Vote.FORGET), silent)
         assert result.instance.prepare_tally == {Vote.FORGET: {"planner-1"}}
-        assert result.instance.phase is Phase.IDLE
         assert result.instance.commit_tally == {}
+        assert not result.decided
         # 4 EVALUATEs and planner-1's PREPARE to its 4 peers; no COMMIT.
         assert result.deliveries == 4 + 4
 
@@ -165,11 +161,11 @@ class TestOnPrepare:
         assert result.instance.commit_tally[Vote.KEEP] == {"percept-1"}
 
     def test_passive_observer_marks_prepared_without_commit(self):
-        # The coordinator sees 2f PREPAREs from the percepts and marks
-        # PREPARED; it has no vote, so it appears in no tally.
+        # The coordinator sees 2f PREPAREs from the percepts, so it is
+        # prepared; it has no vote, so it appears in no tally.
         silent = {"planner-1": Behavior.SILENT, "planner-2": Behavior.SILENT}
         result = lossless_round(unanimous(Vote.FORGET), silent)
-        assert result.instance.phase is Phase.PREPARED
+        assert not result.decided
         assert result.instance.prepare_tally == {Vote.FORGET: {"percept-1", "percept-2"}}
         assert result.instance.commit_tally == {Vote.FORGET: {"percept-1", "percept-2"}}
         assert result.deliveries == 4 + 2 * 2 * 4
@@ -179,7 +175,6 @@ class TestOnPrepare:
         votes = {**unanimous(Vote.FORGET), "planner-2": Vote.KEEP}
         result = lossless_round(votes, silent)
         assert result.instance.prepare_tally == {Vote.FORGET: {"planner-1"}, Vote.KEEP: {"planner-2"}}
-        assert result.instance.phase is Phase.IDLE
         assert result.instance.commit_tally == {}
         assert not result.decided
 
@@ -201,7 +196,7 @@ class TestOnCommit:
         one_silent = lossless_round(unanimous(Vote.FORGET), {"planner-1": Behavior.SILENT})
         assert one_silent.decision is Vote.FORGET
         assert one_silent.commit_count == 2 * CFG.f + 1
-        assert one_silent.instance.phase is Phase.DECIDED
+        assert one_silent.instance.decision is Vote.FORGET
         two_silent = lossless_round(
             unanimous(Vote.FORGET), {"planner-1": Behavior.SILENT, "planner-2": Behavior.SILENT}
         )
@@ -214,7 +209,11 @@ class TestOnCommit:
         for seed in range(20):
             result = run_round("m", 0, ROSTER, votes, CFG, lossless_net(seed))
             assert result.decision is None
-            assert result.instance.phase is Phase.PREPARED
+            # Every PREPARE arrives, so the coordinator is prepared on both votes.
+            assert result.instance.prepare_tally == {
+                Vote.FORGET: {"planner-1", "planner-2"},
+                Vote.KEEP: {"percept-1", "percept-2"},
+            }
             assert set(result.agent_decisions.values()) == {None}
 
     def test_keep_majority_decides_keep(self):
@@ -232,7 +231,7 @@ class TestOnCommit:
         roster = tuple(AgentProfile(f"a{i}") for i in range(1, 8))
         votes = {a.agent_id: Vote.FORGET if a.agent_id <= "a3" else Vote.KEEP for a in roster}
         net = SimulatedNetwork(NetworkConfig(latency_min_ms=3.0, latency_max_ms=3.0, seed=0))
-        result = run_round("m", 0, roster, votes, cfg, net, budget=1000)
+        result = run_round("m", 0, roster, votes, cfg, net)
         assert result.instance.commit_tally == {
             Vote.FORGET: {"a1", "a2", "a3"},
             Vote.KEEP: {"a4", "a5", "a6", "a7"},
@@ -245,7 +244,6 @@ class TestOnCommit:
 class TestFinalize:
     def decided(self, vote: Vote) -> PbftInstance:
         inst = PbftInstance("m", 0)
-        inst.phase = Phase.DECIDED
         inst.decision = vote
         return inst
 
@@ -291,8 +289,8 @@ class TestAgentNode:
         # it reaches 2f = 2 only by counting its own.
         silent = {"percept-1": Behavior.SILENT, "percept-2": Behavior.SILENT}
         result = lossless_round(unanimous(Vote.FORGET), silent)
+        assert result.instance.prepare_tally == {Vote.FORGET: {"planner-1", "planner-2"}}
         assert result.instance.commit_tally == {Vote.FORGET: {"planner-1", "planner-2"}}
-        assert result.instance.phase is Phase.PREPARED
         assert not result.decided
 
     def test_silent_node_emits_nothing(self):
@@ -314,7 +312,7 @@ class TestAgentNode:
 
     def test_observer_node_emits_nothing(self):
         result = lossless_round(unanimous(Vote.FORGET))
-        assert result.instance.phase is Phase.DECIDED
+        assert result.instance.decision is Vote.FORGET
         # 4 EVALUATEs, then one PREPARE and one COMMIT from each agent to its
         # 4 peers; the coordinator sends nothing after the EVALUATEs.
         assert result.deliveries == 4 + 2 * 4 * 4
@@ -379,13 +377,6 @@ class TestRunRound:
         with pytest.raises(ConsensusTimeout):
             finalize(result.instance, cast(self.all_forget()), ROSTER, CFG)
 
-    def test_budget_zero_delivers_nothing(self):
-        net = lossless_net()
-        result = run_round("m", 0, ROSTER, self.all_forget(), CFG, net, budget=0)
-        assert result.deliveries == 0
-        assert not result.decided
-        assert result.undelivered == 4
-
     def test_inactive_agent_is_excluded(self):
         roster = ROSTER[:3] + (AgentProfile("percept-2", active=False),)
         votes = {aid: Vote.FORGET for aid in IDS[:3]}
@@ -436,9 +427,9 @@ class TestSafetyProperties:
             assert result.decision is vote
 
     @pytest.mark.parametrize("n", [5, 7, 10])
-    def test_default_budget_decides_every_unanimous_lossless_round(self, n):
+    def test_every_observer_decides_a_unanimous_lossless_round(self, n):
         # Liveness: with honest unanimous votes and no drops every observer
-        # decides, so the default budget must cover the whole round.
+        # decides, within the A(2A+1) messages a round can deliver.
         cfg = ProtocolConfig(f=(n - 1) // 3)
         roster = tuple(AgentProfile(f"a{i:02d}") for i in range(n))
         net = lossless_net(seed=n)

@@ -254,10 +254,11 @@ class TestRunEpochOutcomes:
             "per_agent": {a.agent_id: ExternalScorer(zero) for a in AGENTS},
             "one_scorer_mapping": {a.agent_id: one for a in AGENTS},
         }[mode]
-        keys = list(scorer.values()) if mode == "per_agent" else [one]
+        ctx = context()
+        keys = [(s, ctx) for s in scorer.values()] if mode == "per_agent" else [(one, ctx)]
         memo: dict = {}
         first = run_epoch(
-            st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo,
+            st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo,
             arrivals=[record("new", cos=0.5, t_last=1e6)],
         )
         assert first.deleted == 3
@@ -265,7 +266,7 @@ class TestRunEpochOutcomes:
         snapshot = [memory_id for memory_id, _ in st.scan_t_last()]
         assert snapshot == ["kept", "new"]
         del scored[:]
-        run_epoch(st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo)
+        run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo)
         assert {key: list(column) for key, column in memo.items()} == {key: snapshot for key in keys}
         assert scored == ["new"] * len(keys)
 
@@ -273,14 +274,28 @@ class TestRunEpochOutcomes:
         # A replaced scorer gets a fresh column: its scores are not the old
         # scorer's, and the old column is dropped, so the memo stays bounded.
         st = fresh_store([record(f"m{i}", cos=0.0, t_last=0.0) for i in range(3)], now=0.0)
+        ctx = context()
         memo: dict = {}
         keep = ExternalScorer(lambda m, c: 1.0)
-        first = run_epoch(st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=keep, relevance_memo=memo)
-        assert first.proposed == 0 and list(memo) == [keep]
+        first = run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=keep, relevance_memo=memo)
+        assert first.proposed == 0 and list(memo) == [(keep, ctx)]
         forget = ExternalScorer(lambda m, c: 0.0)
-        second = run_epoch(st, AGENTS, context(), CFG, lossless(), now=1e6, scorer=forget, relevance_memo=memo)
+        second = run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=forget, relevance_memo=memo)
         assert second.proposed == 3
-        assert list(memo) == [forget]
+        assert list(memo) == [(forget, ctx)]
+
+    def test_relevance_memo_rescores_under_a_new_context(self):
+        # A memory relevant to one context is scored afresh under an
+        # orthogonal one, not read back from the first context's column.
+        st = fresh_store([record("m0", cos=1.0, t_last=0.0)], now=0.0)
+        along, across = context(), ContextProfile(embedding=np.eye(DIM)[2], label="other")
+        memo: dict = {}
+        # Fully decayed, C = 0.6 R: R = 1 along the context keeps, R = 0.5 across it forgets.
+        first = run_epoch(st, AGENTS, along, CFG, lossless(), now=1e6, relevance_memo=memo)
+        assert first.proposed == 0
+        second = run_epoch(st, AGENTS, across, CFG, lossless(), now=1e6, relevance_memo=memo)
+        assert second.proposed == 1
+        assert list(memo) == [(None, across)]
 
     def test_empty_store_epoch_is_a_no_op(self):
         st = MemoryStore.from_config(CFG, DIM)

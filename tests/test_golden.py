@@ -1,13 +1,16 @@
-"""Golden outputs: small CLI runs shaped like the three benchmark workloads.
+"""Golden outputs: small CLI runs shaped like the three benchmark workloads,
+and a two-seed sweep of the default preset.
 
 Each run writes report.json, epochs.csv, audit.jsonl and metadata.csv, and
-each file's sha256 must match the constant recorded below. A refactor that
+each file's sha256 must match the constant recorded below. The sweep writes
+one such set per seed, each in its own seed-<n>/ directory. A refactor that
 claims "outputs byte-identical" is checked here rather than by a manual
 ``cmp``. Only an intended behaviour change may re-record these constants, and
 the change log must say which outputs moved and why.
 
 The ``.cfg`` overlays are inlined copies of ``perfbench/workloads/*.cfg``;
-the epoch counts are cut so the three runs take about 1.5 s together.
+the epoch counts are cut so the three runs take about 1.5 s together, and
+the sweep about 0.3 s.
 """
 
 from __future__ import annotations
@@ -83,3 +86,34 @@ def test_outputs_match_recorded_digests(tmp_path, name):
     assert main(argv) == 0
     actual = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
     assert actual == digests
+
+
+# baseline_no_faults, the default preset, at --epochs 12 --seed 3 --seeds 2:
+# directory -> {file: sha256}
+SWEEP = {
+    "seed-3": {
+        "report.json": "b7c76c52ddaa276d6010d720b6aebe05888019135199d37f120b49d889b20f13",
+        "epochs.csv": "b28d82b53055b39ea0662dc74aa1a7747d31e2c682cd8163aac2f30ee61d2369",
+        "audit.jsonl": "e1b605569f18939a5507c5699934acbf6955fd776a9b3697b486621d161d5a52",
+        "metadata.csv": "d89a4c63634d951f8496308bfddd8c0a6d2d717ab39b7364ab1c75ea6e17a5d2",
+    },
+    "seed-4": {
+        "report.json": "052123ffe073cb9555403ae1c8e6358079a2a86b89acc2baf100e39ccb7ef974",
+        "epochs.csv": "40bbccd018d6045a69f698eab7046fbf806495f6eda4cde6d0860bb17c57a654",
+        "audit.jsonl": "532e256cda764d7ebdd54edb2d5a4bf06bbf1c10f900944dee653d7e79397684",
+        "metadata.csv": "2a66edba60b50ff3f0c97b47d04d7ce27bb008225afb22b2b4cfdbc37c9dd09c",
+    },
+}
+
+
+def test_default_preset_sweep_matches_recorded_digests(tmp_path):
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", "baseline_no_faults", "--epochs", "12"]
+    argv += ["--seed", "3", "--seeds", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(SWEEP)
+    actual = {
+        seed_dir: {f: hashlib.sha256((out / seed_dir / f).read_bytes()).hexdigest() for f in digests}
+        for seed_dir, digests in SWEEP.items()
+    }
+    assert actual == SWEEP

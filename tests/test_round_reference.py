@@ -6,9 +6,8 @@ a random.Random seeded like the simulated network: one random() drop draw per
 destination, then a uniform latency for a kept message, with the sender's
 sequence number bumped for dropped messages too. Rosters of 4, 7 and 10
 agents with f = (N-1)//3, and of 7 agents with f = 1, up to f faulty agents,
-lossy networks, tied latencies and small message budgets must give an equal
-RoundResult and leave the network in the same state, round after round on one
-network.
+lossy networks and tied latencies must give an equal RoundResult and leave
+the network in the same state, round after round on one network.
 
 Observer agreement is asserted only where N <= 4f+1. A COMMIT carries its
 sender's own vote, so two 2f+1 commit quorums for different votes need only
@@ -30,7 +29,6 @@ from coforget.consensus import (
     MessageKind,
     PbftInstance,
     PbftMessage,
-    Phase,
     RoundResult,
     run_round,
 )
@@ -68,12 +66,9 @@ class ReferenceNetwork:
         return dest, msg
 
 
-def reference_round(memory_id, epoch, agents, votes, cfg, net, behaviors, budget):
+def reference_round(memory_id, epoch, agents, votes, cfg, net, behaviors):
     coordinator = DEFAULT_COORDINATOR_ID
     active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
-    if budget is None:
-        # A EVALUATEs, then A peers for each agent's PREPARE and COMMIT.
-        budget = len(active) * (2 * len(active) + 1)
     nodes = [coordinator] + [a.agent_id for a in active]
     behavior = {a.agent_id: behaviors.get(a.agent_id, Behavior.HONEST) for a in active}
     wire = {coordinator: None}
@@ -81,24 +76,22 @@ def reference_round(memory_id, epoch, agents, votes, cfg, net, behaviors, budget
         vote = votes[agent_id]
         wire[agent_id] = None if b is Behavior.SILENT else vote.inverted() if b is Behavior.EQUIVOCATE else vote
     state = {node: PbftInstance(memory_id, epoch) for node in nodes}
+    prepared: set[str] = set()
 
     def absorb(node: str, msg: PbftMessage) -> list[PbftMessage]:
         inst = state[node]
         if msg.kind is MessageKind.PREPARE:
             senders = inst.prepare_tally.setdefault(msg.vote, set())
             senders.add(msg.sender)
-            if inst.phase is Phase.IDLE and len(senders) >= 2 * cfg.f:
-                if wire[node] is None:
-                    inst.phase = Phase.PREPARED
-                else:
-                    inst.phase = Phase.COMMITTED
+            if node not in prepared and inst.decision is None and len(senders) >= 2 * cfg.f:
+                prepared.add(node)
+                if wire[node] is not None:
                     commit = PbftMessage(MessageKind.COMMIT, epoch, memory_id, node, wire[node])
                     return [commit] + absorb(node, commit)
         else:
             senders = inst.commit_tally.setdefault(msg.vote, set())
             senders.add(msg.sender)
             if inst.decision is None and len(senders) >= 2 * cfg.f + 1:
-                inst.phase = Phase.DECIDED
                 inst.decision = msg.vote
         return []
 
@@ -107,7 +100,7 @@ def reference_round(memory_id, epoch, agents, votes, cfg, net, behaviors, budget
     for agent_id in nodes[1:]:
         net.send(PbftMessage(MessageKind.EVALUATE, epoch, memory_id, coordinator), agent_id)
     deliveries = 0
-    while deliveries < budget and net.heap:
+    while net.heap:
         dest, msg = net.poll()
         deliveries += 1
         if msg.kind is MessageKind.EVALUATE:
@@ -163,10 +156,7 @@ def rounds(draw):
         seed=draw(hst.integers(0, 2**32)),
     )
     schedule = [
-        (
-            {agent_id: draw(hst.sampled_from([Vote.KEEP, Vote.FORGET])) for agent_id in ids},
-            draw(hst.one_of(hst.none(), hst.integers(0, 12), hst.integers(13, 12 * n))),
-        )
+        {agent_id: draw(hst.sampled_from([Vote.KEEP, Vote.FORGET])) for agent_id in ids}
         for _ in range(draw(hst.integers(1, 3)))
     ]
     return ProtocolConfig(f=f), agents, behaviors, net_cfg, schedule
@@ -179,9 +169,9 @@ class TestRunRoundMatchesReference:
         cfg, agents, behaviors, net_cfg, schedule = case
         net = SimulatedNetwork(net_cfg)
         ref = ReferenceNetwork(net_cfg)
-        for epoch, (votes, budget) in enumerate(schedule):
-            got = run_round(f"m{epoch}", epoch, agents, votes, cfg, net, behaviors=behaviors, budget=budget)
-            want = reference_round(f"m{epoch}", epoch, agents, votes, cfg, ref, behaviors, budget)
+        for epoch, votes in enumerate(schedule):
+            got = run_round(f"m{epoch}", epoch, agents, votes, cfg, net, behaviors=behaviors)
+            want = reference_round(f"m{epoch}", epoch, agents, votes, cfg, ref, behaviors)
             assert got == want
             assert net._rng.getstate() == ref.rng.getstate()
             assert net._seq == ref.seq

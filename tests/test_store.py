@@ -278,12 +278,6 @@ class TestMemoryStoreWrites:
         assert st.time_flushes == 1
         assert st.buffer.pending == {}
 
-    def test_empty_buffer_never_flushes(self):
-        st = store()
-        st.maybe_flush(now=1e9)
-        assert (st.size_flushes, st.time_flushes, st.forced_flushes) == (0, 0, 0)
-        assert st.index.upsert_calls == 0
-
     def test_commit_forces_pending_and_counts(self):
         st = store(batch_size=100)
         st.put(record("m1"), now=0.0)
