@@ -3,8 +3,9 @@
     coforget run --scenario byzantine_f1 --epochs 100 --seed 7 --out results/
     coforget validate my-run.cfg
 
-Each run writes report.json (summary + per-epoch array), epochs.csv (flat
-numeric columns), audit.jsonl (one line per per-memory consensus record), and
+Each run writes report.json (summary + per-epoch array, encoded straight to
+disk rather than built as one string first), epochs.csv (flat numeric
+columns), audit.jsonl (one line per per-memory consensus record), and
 metadata.csv (the store's final persisted snapshot). Identical config and
 seed produce byte-identical outputs. Exit codes: 0 success, 2 config error,
 3 I/O error.
@@ -147,9 +148,11 @@ def _write_outputs(out_dir: Path, scenario: str, seed: int, epochs: int, result:
             for r in result.reports
         ],
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    # Encode straight into the file: with indent set, json.dumps would join
+    # every chunk into one str the size of the report before writing it.
+    with open(out_dir / "report.json", "w", encoding="utf-8") as handle:
+        json.dump(report, handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
     numeric_columns = [f.name for f in dataclasses.fields(EpochReport) if f.name != "per_memory_audit"]
     with open(out_dir / "epochs.csv", "w", newline="", encoding="utf-8") as handle:
@@ -179,27 +182,35 @@ def cmd_run(args: argparse.Namespace) -> int:
     seeds = [args.seed + i for i in range(args.seeds)] if args.seeds else [args.seed]
     multi = args.seeds is not None
     for seed in seeds:
-        cfg, spec, net_cfg, agents = _compose_run(args.scenario, seed, file_items)
-        out_dir = args.out / f"seed-{seed}" if multi else args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
-        result = run_simulation(
-            cfg,
-            spec,
-            args.epochs,
-            agents=agents,
-            net_cfg=net_cfg,
-            strict_pbft=args.strict_pbft_success,
-            snapshot_path=out_dir / "metadata.csv",
-        )
-        _write_outputs(out_dir, args.scenario, seed, args.epochs, result)
-        summary = result.summary
-        print(
-            f"scenario={args.scenario} seed={seed} epochs={args.epochs} "
-            f"footprint_reduction={summary.footprint_reduction:.4f} "
-            f"pbft_success={summary.pbft_success_rate:.4f} "
-            f"cache_hit_rate={summary.cache_hit_rate:.4f} -> {out_dir}"
-        )
+        _run_seed(args, seed, file_items, args.out / f"seed-{seed}" if multi else args.out)
     return 0
+
+
+def _run_seed(args: argparse.Namespace, seed: int, file_items: tuple[dict, dict, dict], out_dir: Path) -> None:
+    """Run one seed and write its outputs.
+
+    The run's result lives only in this frame, so a sweep frees each seed's
+    history before the next seed starts.
+    """
+    cfg, spec, net_cfg, agents = _compose_run(args.scenario, seed, file_items)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    result = run_simulation(
+        cfg,
+        spec,
+        args.epochs,
+        agents=agents,
+        net_cfg=net_cfg,
+        strict_pbft=args.strict_pbft_success,
+        snapshot_path=out_dir / "metadata.csv",
+    )
+    _write_outputs(out_dir, args.scenario, seed, args.epochs, result)
+    summary = result.summary
+    print(
+        f"scenario={args.scenario} seed={seed} epochs={args.epochs} "
+        f"footprint_reduction={summary.footprint_reduction:.4f} "
+        f"pbft_success={summary.pbft_success_rate:.4f} "
+        f"cache_hit_rate={summary.cache_hit_rate:.4f} -> {out_dir}"
+    )
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 
+from coforget import cli
 from coforget.cli import main
 
 SMALL_RUN = """\
@@ -44,6 +47,16 @@ workload.initial_items = 40
 workload.arrivals_per_epoch = 0..3
 workload.dimension = 8
 network.drop_prob = 0.05
+"""
+
+# perfbench's forget_storm overlay (as in tests/test_golden.py): most of the
+# store is proposed, so report.json holds many audit entries.
+FORGET_STORM = """\
+decay_scales = 10, 60, 600
+workload.initial_items = 500
+workload.arrivals_per_epoch = 60..80
+workload.relevance_mix = 0.0
+workload.dimension = 64
 """
 
 OUTPUT_FILES = ("report.json", "epochs.csv", "audit.jsonl", "metadata.csv")
@@ -383,3 +396,52 @@ class TestRunOutputs:
         with open(out / "epochs.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert int(rows[0]["proposed"]) > 2000
+
+
+class TestRunMemory:
+    def test_seed_sweep_frees_each_result_before_the_next_seed(self, tmp_path, monkeypatch):
+        real = cli.run_simulation
+        results: list[weakref.ref] = []
+        alive_at_start: list[list[bool]] = []
+
+        def tracked(*args, **kwargs):
+            alive_at_start.append([ref() is not None for ref in results])
+            result = real(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(cli, "run_simulation", tracked)
+        config = write_config(tmp_path)
+        code = run_cli(
+            "run", "--config", config, "--epochs", 2, "--seeds", 3, "--out", tmp_path / "sweep"
+        )
+        assert code == 0
+        assert alive_at_start == [[], [False], [False, False]]
+        assert [ref() for ref in results] == [None, None, None]
+
+    def test_report_write_peak_is_below_the_report_size(self, tmp_path, monkeypatch):
+        # Streaming the encoder into the file keeps no chunk list and no
+        # whole-report string; joining them peaked at about 5x the file.
+        real = cli._write_outputs
+        peaks: list[int] = []
+
+        def measured(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                real(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_write_outputs", measured)
+        config = write_config(tmp_path, FORGET_STORM)
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--scenario", "byzantine_f1", "--config", config,
+            "--epochs", 12, "--seed", 1, "--out", out,
+        )
+        assert code == 0
+        report_bytes = (out / "report.json").stat().st_size
+        assert report_bytes > 500_000
+        assert len(peaks) == 1
+        assert peaks[0] < report_bytes

@@ -12,6 +12,7 @@ import io
 import logging
 import math
 import random
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -300,6 +301,31 @@ class TestMemoryStoreWrites:
         st.commit(now=0.0)
         assert path.exists()
         assert "m1" in path.read_text()
+
+    def test_every_commit_rewrites_the_snapshot(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        st = store(snapshot_path=path)
+        st.put(record("m1"), now=0.0)
+        st.put(record("m2"), now=0.0)
+        st.commit(now=1.0)
+        assert [line.split(",")[0] for line in path.read_text().splitlines()] == ["id", "m1", "m2"]
+        st.delete(["m1"])
+        st.commit(now=2.0)
+        assert [line.split(",")[0] for line in path.read_text().splitlines()] == ["id", "m2"]
+
+    def test_snapshot_rows_are_streamed_to_the_file(self, tmp_path):
+        # Rows go to the file one at a time; a list of every formatted row
+        # would peak at several times the file's size.
+        table = MetadataTable()
+        table.update({f"mem-{i:05d}": ("agent-a", float(i), 0.5) for i in range(40000)})
+        path = tmp_path / "meta.csv"
+        tracemalloc.start()
+        try:
+            table.write_snapshot(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
 
     def test_commit_without_snapshot_path_writes_nothing(self, tmp_path):
         st = store()
