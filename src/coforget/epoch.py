@@ -92,7 +92,6 @@ def run_epoch(
     now: float,
     epoch_index: int = 0,
     arrivals: Sequence[MemoryRecord] = (),
-    relevance_memo: dict[tuple[RelevanceScorer | None, ContextProfile], dict[str, float]] | None = None,
 ) -> EpochReport:
     """Run one full epoch against the store's current snapshot.
 
@@ -100,15 +99,12 @@ def run_epoch(
     agent's scorer; None, or an agent the mapping omits, means the default.
     `arrivals` enter the store after deletion commits. Consensus timeouts
     retain the memory and are recorded per-memory rather than raised.
-    `relevance_memo` carries scores across epochs as {(scorer, context):
-    {memory id: relevance}}, keyed by the scorer object an agent uses (None
-    for the default) and the context object scored against, with a column
-    only per pair of this epoch, over exactly this snapshot's ids. The epoch
-    makes no reads, so its cache counts are 0.
+    Relevance is cached in `store.relevance_columns` under (scorer, context),
+    the scorer object an agent uses (None for the default) and the context
+    object scored against, so each memory is scored once per put and pair;
+    only this epoch's pairs keep a column. The epoch makes no reads, so its
+    cache counts are 0.
     """
-    if relevance_memo is None:
-        relevance_memo = {}
-
     scan = store.scan_t_last()
     memories_start = len(scan)
     ids = [memory_id for memory_id, _ in scan]
@@ -121,22 +117,23 @@ def run_epoch(
     # column per scorer object. Agents sharing a scorer get identical (D, R),
     # so its column is computed once and attributed to each of them.
     active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
+    columns = store.relevance_columns
     by_scorer: dict[tuple[RelevanceScorer | None, ContextProfile], tuple[np.ndarray, np.ndarray]] = {}
     agent_votes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for profile in active:
         agent_scorer = scorer.get(profile.agent_id) if isinstance(scorer, Mapping) else scorer
         key = (agent_scorer, context)
         if key not in by_scorer:
-            # Rebuilt over this snapshot, so deleted ids drop out; only new ids need a record.
-            old = relevance_memo.get(key, {})
-            memo = relevance_memo[key] = {
-                i: old[i] if i in old else relevance(store.record(i), context, agent_scorer) for i in ids
-            }
-            r = np.fromiter(memo.values(), dtype=np.float64, count=len(ids))
+            # The store drops put and deleted ids from the column; only ids it lacks need a record.
+            column = columns.setdefault(key, {})
+            for i in ids:
+                if i not in column:
+                    column[i] = relevance(store.record(i), context, agent_scorer)
+            r = np.fromiter(map(column.__getitem__, ids), dtype=np.float64, count=len(ids))
             by_scorer[key] = vote_rule(decay, r, cfg)
         agent_votes[profile.agent_id] = by_scorer[key]
-    for stale in relevance_memo.keys() - by_scorer.keys():
-        del relevance_memo[stale]
+    for stale in columns.keys() - by_scorer.keys():
+        del columns[stale]
 
     # Agents ship their forget lists, in id order, to this epoch's coordinator;
     # the proposal set is the union of acknowledged proposals.
@@ -269,7 +266,6 @@ def run_simulation(
     store.commit(now)
 
     rng = traffic_stream(spec)
-    relevance_memo: dict[tuple[RelevanceScorer | None, ContextProfile], dict[str, float]] = {}
     reports: list[EpochReport] = []
 
     for epoch_index in range(epochs):
@@ -296,7 +292,6 @@ def run_simulation(
             epoch_index=epoch_index,
             now=now,
             arrivals=pending_arrivals,
-            relevance_memo=relevance_memo,
         )
         # Every read of the epoch window came from the traffic above.
         report.cache_hits, report.cache_misses = store.hits - hits, store.misses - misses

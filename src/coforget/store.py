@@ -115,6 +115,10 @@ class MemoryStore:
     snapshot. `put` and `access` buffer an id through one write step,
     `_write`, which ends in the flush check: flush when the batch is full or
     the interval since the last flush has elapsed.
+
+    `relevance_columns` maps a caller's opaque key to {memory id: score},
+    scores derived from a record as put: `put` and `delete` drop the id from
+    every column, so a re-put memory is scored afresh.
     """
 
     def __init__(
@@ -143,6 +147,7 @@ class MemoryStore:
         self._live: dict[str, MemoryRecord] = {}
         self._t_last: dict[str, float] = {}
         self._cache: OrderedDict[str, None] = OrderedDict()
+        self.relevance_columns: dict[object, dict[str, float]] = {}
         self.hits = 0
         self.misses = 0
         self.size_flushes = 0
@@ -201,6 +206,8 @@ class MemoryStore:
         memory_id = record.id
         self._live[memory_id] = record
         self._t_last[memory_id] = record.t_last
+        for column in self.relevance_columns.values():
+            column.pop(memory_id, None)
         self._write(memory_id, now)
 
     def _write(self, memory_id: str, now: float) -> None:
@@ -246,7 +253,8 @@ class MemoryStore:
         """Purge ids from every structure; unknown ids are counted, not errors.
 
         Purging the buffer prevents a pending write from resurrecting a
-        deleted record at the next flush.
+        deleted record at the next flush, and purging the relevance columns
+        keeps them to live ids.
         """
         purged = []
         for memory_id in memory_ids:
@@ -257,6 +265,8 @@ class MemoryStore:
             del self._t_last[memory_id]
             self._cache.pop(memory_id, None)
             self.buffer.pending.pop(memory_id, None)
+            for column in self.relevance_columns.values():
+                column.pop(memory_id, None)
         self.index.delete(purged)
         self.table.delete(purged)
         return len(purged)

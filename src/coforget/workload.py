@@ -313,20 +313,8 @@ def aggregate(reports: Sequence, *, strict_pbft: bool = False) -> SummaryMetrics
     final_footprint = reports[-1].memories_end
     reduction = 1.0 - final_footprint / final_baseline if final_baseline > 0 else 0.0
 
-    successes = 0
-    non_vacuous = 0
-    non_vacuous_successes = 0
-    for report in reports:
-        started = report.consensus_reached + report.consensus_failed
-        succeeded = report.consensus_failed == 0
-        successes += succeeded
-        if started > 0:
-            non_vacuous += 1
-            non_vacuous_successes += succeeded
-    if strict_pbft:
-        success_rate = non_vacuous_successes / non_vacuous if non_vacuous else 1.0
-    else:
-        success_rate = successes / len(reports)
+    counted = [r for r in reports if not strict_pbft or r.consensus_reached + r.consensus_failed > 0]
+    success_rate = sum(r.consensus_failed == 0 for r in counted) / len(counted) if counted else 1.0
 
     hits = sum(report.cache_hits for report in reports)
     misses = sum(report.cache_misses for report in reports)

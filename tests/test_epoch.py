@@ -235,10 +235,10 @@ class TestRunEpochOutcomes:
         )
 
     @pytest.mark.parametrize("mode", ["shared", "per_agent", "one_scorer_mapping"])
-    def test_relevance_memo_holds_the_snapshot_ids(self, mode):
-        # Each column is rebuilt over the epoch's snapshot: ids deleted in or
-        # between epochs drop out, and only ids the last column lacked are
-        # scored, once per distinct scorer object.
+    def test_relevance_columns_hold_the_snapshot_ids(self, mode):
+        # The store keeps one column per (scorer, context): ids deleted in or
+        # between epochs drop out, and only ids the column lacks are scored,
+        # once per distinct scorer object.
         scored: list[str] = []
 
         def zero(memory, ctx):
@@ -256,9 +256,8 @@ class TestRunEpochOutcomes:
         }[mode]
         ctx = context()
         keys = [(s, ctx) for s in scorer.values()] if mode == "per_agent" else [(one, ctx)]
-        memo: dict = {}
         first = run_epoch(
-            st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo,
+            st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=scorer,
             arrivals=[record("new", cos=0.5, t_last=1e6)],
         )
         assert first.deleted == 3
@@ -266,36 +265,76 @@ class TestRunEpochOutcomes:
         snapshot = [memory_id for memory_id, _ in st.scan_t_last()]
         assert snapshot == ["kept", "new"]
         del scored[:]
-        run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=scorer, relevance_memo=memo)
-        assert {key: list(column) for key, column in memo.items()} == {key: snapshot for key in keys}
+        second = run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=scorer)
+        assert second.deleted == 0
+        columns = st.relevance_columns
+        assert {key: list(column) for key, column in columns.items()} == {key: snapshot for key in keys}
         assert scored == ["new"] * len(keys)
 
-    def test_relevance_memo_keeps_only_this_epochs_scorers(self):
+    def test_relevance_columns_keep_only_this_epochs_scorers(self):
         # A replaced scorer gets a fresh column: its scores are not the old
-        # scorer's, and the old column is dropped, so the memo stays bounded.
+        # scorer's, and the old column is dropped, so the store stays bounded.
         st = fresh_store([record(f"m{i}", cos=0.0, t_last=0.0) for i in range(3)], now=0.0)
         ctx = context()
-        memo: dict = {}
         keep = ExternalScorer(lambda m, c: 1.0)
-        first = run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=keep, relevance_memo=memo)
-        assert first.proposed == 0 and list(memo) == [(keep, ctx)]
+        first = run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=keep)
+        assert first.proposed == 0 and list(st.relevance_columns) == [(keep, ctx)]
         forget = ExternalScorer(lambda m, c: 0.0)
-        second = run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=forget, relevance_memo=memo)
+        second = run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=forget)
         assert second.proposed == 3
-        assert list(memo) == [(forget, ctx)]
+        assert list(st.relevance_columns) == [(forget, ctx)]
 
-    def test_relevance_memo_rescores_under_a_new_context(self):
+    def test_relevance_columns_rescore_under_a_new_context(self):
         # A memory relevant to one context is scored afresh under an
         # orthogonal one, not read back from the first context's column.
         st = fresh_store([record("m0", cos=1.0, t_last=0.0)], now=0.0)
         along, across = context(), ContextProfile(embedding=np.eye(DIM)[2], label="other")
-        memo: dict = {}
         # Fully decayed, C = 0.6 R: R = 1 along the context keeps, R = 0.5 across it forgets.
-        first = run_epoch(st, AGENTS, along, CFG, lossless(), now=1e6, relevance_memo=memo)
+        first = run_epoch(st, AGENTS, along, CFG, lossless(), now=1e6)
         assert first.proposed == 0
-        second = run_epoch(st, AGENTS, across, CFG, lossless(), now=1e6, relevance_memo=memo)
+        second = run_epoch(st, AGENTS, across, CFG, lossless(), now=1e6)
         assert second.proposed == 1
-        assert list(memo) == [(None, across)]
+        assert list(st.relevance_columns) == [(None, across)]
+
+    def test_a_re_put_memory_is_scored_afresh(self):
+        # Kept while near the context; re-put under the same id as far, it is
+        # scored again rather than read back from its old column.
+        st = fresh_store([record("m0", cos=0.95, t_last=0.0)], now=0.0)
+        ctx = context()
+        first = run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6)
+        assert first.proposed == first.deleted == 0
+        st.put(record("m0", cos=-0.8, t_last=0.0), now=1e6)
+        second = run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6)
+        assert second.proposed == second.deleted == 1
+        assert st.count() == 0
+
+    def test_each_memory_is_scored_once_per_put(self):
+        # Planners and percepts use one scorer each, so the store keeps two
+        # columns; a memory is scored once by each per put, not per epoch.
+        calls: dict[str, int] = {}
+
+        def keep(memory, ctx):
+            calls[memory.id] = calls.get(memory.id, 0) + 1
+            return 1.0
+
+        planner, percept = ExternalScorer(keep), ExternalScorer(keep)
+        scorer = {a.agent_id: planner if a.agent_id.startswith("planner") else percept for a in AGENTS}
+        st = fresh_store([record(f"m{i}", cos=0.0, t_last=0.0) for i in range(3)], now=0.0)
+        ctx = context()
+        run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=scorer)
+        assert calls == {"m0": 2, "m1": 2, "m2": 2}
+        st.put(record("m1", cos=0.5, t_last=0.0), now=1e6)
+        st.delete(["m2"])
+        assert len(st.relevance_columns) == 2
+        assert all(list(column) == ["m0"] for column in st.relevance_columns.values())
+        for _ in range(2):
+            report = run_epoch(st, AGENTS, ctx, CFG, lossless(), now=1e6, scorer=scorer)
+            assert report.proposed == 0
+            assert calls == {"m0": 2, "m1": 4, "m2": 2}
+        assert {key: list(column) for key, column in st.relevance_columns.items()} == {
+            (planner, ctx): ["m0", "m1"],
+            (percept, ctx): ["m0", "m1"],
+        }
 
     def test_empty_store_epoch_is_a_no_op(self):
         st = MemoryStore.from_config(CFG, DIM)
