@@ -49,7 +49,6 @@ from .transport import (
     CodecError,
     CoordinatorEndpoint,
     Frame,
-    FrameKind,
     NetworkConfig,
     OversizeFrame,
     SimulatedNetwork,

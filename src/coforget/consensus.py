@@ -45,11 +45,20 @@ DEFAULT_COORDINATOR_ID = "coordinator"
 
 
 class MessageKind(enum.IntEnum):
-    """Consensus message kinds; values match the wire format's kind byte."""
+    """Every wire frame kind; each value is the frame's kind byte.
+
+    EVALUATE, PREPARE and COMMIT are consensus messages; PROPOSE and
+    PROPOSE_ACK carry the forgetting-proposal RPC.
+    """
 
     EVALUATE = 0
     PREPARE = 1
     COMMIT = 2
+    PROPOSE = 3
+    PROPOSE_ACK = 4
+
+
+_CONSENSUS_KINDS = frozenset((MessageKind.EVALUATE, MessageKind.PREPARE, MessageKind.COMMIT))
 
 
 class Behavior(enum.Enum):
@@ -66,7 +75,7 @@ class ConsensusTimeout(RuntimeError):
 
 @dataclass(frozen=True)
 class PbftMessage:
-    """An immutable consensus message. EVALUATE carries no vote; the others must."""
+    """An immutable consensus message. EVALUATE carries no vote; PREPARE and COMMIT must."""
 
     kind: MessageKind
     epoch: int
@@ -76,6 +85,8 @@ class PbftMessage:
     signature: bytes = b""
 
     def __post_init__(self) -> None:
+        if self.kind not in _CONSENSUS_KINDS:
+            raise ValueError(f"{self.kind.name} is not a consensus message")
         if self.kind is MessageKind.EVALUATE:
             if self.vote is not None:
                 raise ValueError("EVALUATE must not carry a vote")

@@ -8,7 +8,6 @@ of the in-process transport.
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 import struct
@@ -16,17 +15,14 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
-from .consensus import DEFAULT_COORDINATOR_ID, Behavior, MessageKind, PbftMessage
+from .consensus import _CONSENSUS_KINDS, DEFAULT_COORDINATOR_ID, Behavior, MessageKind, PbftMessage
 from .core import FaultKind, FaultProfile, Vote
 
 __all__ = [
     "NetworkConfig",
-    "FaultProfile",
-    "FaultKind",
     "resolve_behavior",
     "Delivery",
     "SimulatedNetwork",
-    "FrameKind",
     "Frame",
     "CodecError",
     "TruncatedFrame",
@@ -37,8 +33,6 @@ __all__ = [
     "decode_frame",
     "encode",
     "decode",
-    "frame_from_message",
-    "message_from_frame",
     "CoordinatorEndpoint",
     "propose_forgetting",
 ]
@@ -57,12 +51,13 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        problems = []
         if not 0.0 <= self.latency_min_ms <= self.latency_max_ms < math.inf:
-            raise ValueError(
-                f"latency band invalid: [{self.latency_min_ms}, {self.latency_max_ms}]"
-            )
+            problems.append(f"latency band invalid: [{self.latency_min_ms}, {self.latency_max_ms}]")
         if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
+            problems.append(f"drop_prob must be in [0, 1], got {self.drop_prob}")
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 class Delivery(NamedTuple):
@@ -164,7 +159,7 @@ def resolve_behavior(fault: FaultProfile, epoch: int, memory_id: str) -> Behavio
 #
 # Frame layout, all integers big-endian:
 #   [u32 frame_length excluding itself]
-#   [u8  kind: 0=EVALUATE, 1=PREPARE, 2=COMMIT, 3=PROPOSE, 4=PROPOSE_ACK]
+#   [u8  kind: a MessageKind value]
 #   [u64 epoch]
 #   [u16 sender_len][sender UTF-8]
 #   [u16 id_count] then per id: [u16 len][id UTF-8]
@@ -181,14 +176,6 @@ _HEAD = struct.Struct("!BQ")  # kind, epoch
 _FIXED_BODY = _HEAD.size + 2 + 2 + 1 + 2
 
 
-class FrameKind(enum.IntEnum):
-    EVALUATE = 0
-    PREPARE = 1
-    COMMIT = 2
-    PROPOSE = 3
-    PROPOSE_ACK = 4
-
-
 class CodecError(ValueError):
     """Base class for every frame decoding/encoding failure."""
 
@@ -198,7 +185,7 @@ class TruncatedFrame(CodecError):
 
 
 class UnknownMessageKind(CodecError):
-    """The kind byte names no known frame kind."""
+    """The kind byte names no MessageKind, or decode got a frame that is not a consensus message."""
 
 
 class OversizeFrame(CodecError):
@@ -206,14 +193,14 @@ class OversizeFrame(CodecError):
 
 
 _VOTE_TO_BYTE = {Vote.KEEP: 0, Vote.FORGET: 1, None: 2}
-_BYTE_TO_VOTE = {0: Vote.KEEP, 1: Vote.FORGET, 2: None}
+_BYTE_TO_VOTE = {code: vote for vote, code in _VOTE_TO_BYTE.items()}
 
 
 @dataclass(frozen=True)
 class Frame:
     """Decoded wire frame; PROPOSE/PROPOSE_ACK carry many ids, consensus kinds one."""
 
-    kind: FrameKind
+    kind: MessageKind
     epoch: int
     sender: str
     memory_ids: tuple[str, ...]
@@ -278,7 +265,7 @@ class _Cursor:
 
 
 def decode_frame(data: bytes) -> Frame:
-    """Parse exactly one complete frame; total over all five kinds.
+    """Parse exactly one complete frame of any MessageKind.
 
     Malformed input always raises a CodecError subclass: TruncatedFrame for
     short or over-declared input, UnknownMessageKind for a bad kind byte,
@@ -296,7 +283,7 @@ def decode_frame(data: bytes) -> Frame:
     cur = _Cursor(data[4:])
     kind_byte, epoch = _HEAD.unpack(cur.take(_HEAD.size))
     try:
-        kind = FrameKind(kind_byte)
+        kind = MessageKind(kind_byte)
     except ValueError as exc:
         raise UnknownMessageKind(f"unknown frame kind byte {kind_byte:#04x}") from exc
     sender = cur.text()
@@ -318,45 +305,25 @@ def decode_frame(data: bytes) -> Frame:
     )
 
 
-def frame_from_message(msg: PbftMessage) -> Frame:
-    return Frame(
-        kind=FrameKind(int(msg.kind)),
-        epoch=msg.epoch,
-        sender=msg.sender,
-        memory_ids=(msg.memory_id,),
-        vote=msg.vote,
-        signature=msg.signature,
-    )
-
-
-def message_from_frame(frame: Frame) -> PbftMessage:
-    if frame.kind not in (FrameKind.EVALUATE, FrameKind.PREPARE, FrameKind.COMMIT):
-        raise UnknownMessageKind(f"frame kind {frame.kind.name} is not a consensus message")
-    if len(frame.memory_ids) != 1:
-        raise CodecError(
-            f"consensus frames carry exactly one memory id, got {len(frame.memory_ids)}"
-        )
-    try:
-        return PbftMessage(
-            kind=MessageKind(int(frame.kind)),
-            epoch=frame.epoch,
-            memory_id=frame.memory_ids[0],
-            sender=frame.sender,
-            vote=frame.vote,
-            signature=frame.signature,
-        )
-    except ValueError as exc:
-        raise CodecError(str(exc)) from exc
-
-
 def encode(msg: PbftMessage) -> bytes:
-    """Serialize a consensus message to its wire frame."""
-    return encode_frame(frame_from_message(msg))
+    """Serialize a consensus message to its one-id wire frame."""
+    return encode_frame(Frame(msg.kind, msg.epoch, msg.sender, (msg.memory_id,), msg.vote, msg.signature))
 
 
 def decode(data: bytes) -> PbftMessage:
-    """Parse a consensus message; PROPOSE frames are rejected as non-consensus."""
-    return message_from_frame(decode_frame(data))
+    """Parse a consensus message; a PROPOSE or PROPOSE_ACK frame raises UnknownMessageKind.
+
+    A frame with other than one id, or one that PbftMessage rejects, raises CodecError.
+    """
+    frame = decode_frame(data)
+    if frame.kind not in _CONSENSUS_KINDS:
+        raise UnknownMessageKind(f"frame kind {frame.kind.name} is not a consensus message")
+    if len(frame.memory_ids) != 1:
+        raise CodecError(f"consensus frames carry exactly one memory id, got {len(frame.memory_ids)}")
+    try:
+        return PbftMessage(frame.kind, frame.epoch, frame.memory_ids[0], frame.sender, frame.vote, frame.signature)
+    except ValueError as exc:
+        raise CodecError(str(exc)) from exc
 
 
 # --- proposal RPC ---------------------------------------------------------------
@@ -374,12 +341,12 @@ class CoordinatorEndpoint:
 
     def handle_frame(self, data: bytes) -> bytes:
         frame = decode_frame(data)
-        if frame.kind is not FrameKind.PROPOSE:
+        if frame.kind is not MessageKind.PROPOSE:
             raise CodecError(f"endpoint expects PROPOSE, got {frame.kind.name}")
         acked = tuple(dict.fromkeys(frame.memory_ids))
         self.received.append((frame.sender, acked))
         return encode_frame(
-            Frame(kind=FrameKind.PROPOSE_ACK, epoch=frame.epoch, sender=DEFAULT_COORDINATOR_ID, memory_ids=acked)
+            Frame(kind=MessageKind.PROPOSE_ACK, epoch=frame.epoch, sender=DEFAULT_COORDINATOR_ID, memory_ids=acked)
         )
 
 
@@ -410,10 +377,10 @@ def propose_forgetting(
     acked: dict[str, None] = {}
     for chunk in chunks:
         request = encode_frame(
-            Frame(kind=FrameKind.PROPOSE, epoch=epoch, sender=agent_id, memory_ids=tuple(chunk))
+            Frame(kind=MessageKind.PROPOSE, epoch=epoch, sender=agent_id, memory_ids=tuple(chunk))
         )
         response = decode_frame(endpoint.handle_frame(request))
-        if response.kind is not FrameKind.PROPOSE_ACK:
+        if response.kind is not MessageKind.PROPOSE_ACK:
             raise CodecError(f"expected PROPOSE_ACK, got {response.kind.name}")
         acked.update(dict.fromkeys(response.memory_ids))
     return list(acked)

@@ -78,32 +78,31 @@ class WorkloadSpec:
             raise ValueError(f"arrival range must be lo..hi, got {arrivals!r}")
         arrivals = (int(arrivals[0]), int(arrivals[1]))
         object.__setattr__(self, "arrivals_per_epoch", arrivals)
+        problems = []
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if self.initial_items < 0:
-            raise ValueError(f"initial_items must be >= 0, got {self.initial_items}")
+            problems.append(f"initial_items must be >= 0, got {self.initial_items}")
         lo, hi = arrivals
         if lo < 0 or hi < lo:
-            raise ValueError(f"arrival range invalid: {lo}..{hi}")
+            problems.append(f"arrival range invalid: {lo}..{hi}")
         if not 0.0 < self.access_skew < math.inf:
-            raise ValueError(f"access_skew must be > 0 and finite, got {self.access_skew}")
+            problems.append(f"access_skew must be > 0 and finite, got {self.access_skew}")
         if self.accesses_per_interaction < 0:
-            raise ValueError(
-                f"accesses_per_interaction must be >= 0, got {self.accesses_per_interaction}"
-            )
+            problems.append(f"accesses_per_interaction must be >= 0, got {self.accesses_per_interaction}")
         if not 0.0 <= self.relevance_mix <= 1.0:
-            raise ValueError(f"relevance_mix must be in [0, 1], got {self.relevance_mix}")
+            problems.append(f"relevance_mix must be in [0, 1], got {self.relevance_mix}")
         if self.dimension < 2:
-            raise ValueError(
+            problems.append(
                 f"dimension must be >= 2, got {self.dimension}: a memory is placed at a"
                 " chosen cosine to the context, which needs a direction orthogonal to it"
             )
         if not 0.0 <= self.history_window_s < math.inf:
-            raise ValueError(f"history_window_s must be >= 0 and finite, got {self.history_window_s}")
+            problems.append(f"history_window_s must be >= 0 and finite, got {self.history_window_s}")
         if not 0.0 < self.interaction_interval_s < math.inf:
-            raise ValueError(
-                f"interaction_interval_s must be > 0 and finite, got {self.interaction_interval_s}"
-            )
+            problems.append(f"interaction_interval_s must be > 0 and finite, got {self.interaction_interval_s}")
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 # --- corpus generation -----------------------------------------------------------

@@ -106,6 +106,27 @@ class TestValidate:
         assert run_cli("run", "--config", path, "--epochs", 1, "--out", tmp_path / "out") == 2
         assert capsys.readouterr().err.splitlines() == ["config error: f must be >= 0, got -1"]
 
+    def test_every_workload_and_network_problem_listed(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            "workload.access_skew = -1\nworkload.relevance_mix = 2\nnetwork.latency_min_ms = 9\n"
+            "network.drop_prob = 2\nalpha = 0.3\nvote_threshold = 2\n",
+        )
+        problems = [
+            "alpha must lie in (0.5, 1], got 0.3",
+            "vote_threshold must lie in (0, 1), got 2",
+            "access_skew must be > 0 and finite, got -1",
+            "relevance_mix must be in [0, 1], got 2",
+            "latency band invalid: [9, 5.0]",
+            "drop_prob must be in [0, 1], got 2",
+        ]
+        assert run_cli("validate", path) == 2
+        assert capsys.readouterr().out.splitlines() == problems
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", path, "--epochs", 1, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: " + problems[0], *problems[1:]]
+        assert not out.exists()
+
     def test_agreement_bound_listed(self, tmp_path, capsys):
         # The CLI's roster has N = 4 agents, above 4f+1 for f = 0.
         path = write_config(tmp_path, "f = 0\n")

@@ -16,7 +16,6 @@ from coforget.transport import (
     CodecError,
     CoordinatorEndpoint,
     Frame,
-    FrameKind,
     NetworkConfig,
     OversizeFrame,
     SimulatedNetwork,
@@ -26,7 +25,6 @@ from coforget.transport import (
     decode_frame,
     encode,
     encode_frame,
-    message_from_frame,
     propose_forgetting,
     resolve_behavior,
 )
@@ -230,19 +228,26 @@ class TestCodecRoundTrip:
         assert decode(encode(original)) == original
 
     def test_propose_frame_round_trip_many_ids(self):
-        frame = Frame(FrameKind.PROPOSE, 9, "planner-1", ("a", "b", "c"), signature=b"s")
+        frame = Frame(MessageKind.PROPOSE, 9, "planner-1", ("a", "b", "c"), signature=b"s")
         assert decode_frame(encode_frame(frame)) == frame
 
     def test_propose_ack_round_trip_zero_ids(self):
-        frame = Frame(FrameKind.PROPOSE_ACK, 0, "coordinator", ())
+        frame = Frame(MessageKind.PROPOSE_ACK, 0, "coordinator", ())
         assert decode_frame(encode_frame(frame)) == frame
+
+    @pytest.mark.parametrize("kind", list(MessageKind))
+    def test_every_kind_round_trips_with_its_value_as_kind_byte(self, kind):
+        frame = Frame(kind, 1, "a", ("m",), vote=Vote.FORGET)
+        raw = encode_frame(frame)
+        assert raw[4] == int(kind)
+        assert decode_frame(raw) == frame
 
     def test_fuzzed_valid_frames_round_trip(self):
         rng = random.Random(777)
         alphabet = "abc-xyz0189 µλ"
         for _ in range(2000):
-            kind = FrameKind(rng.randrange(5))
-            n_ids = rng.randrange(4) if kind in (FrameKind.PROPOSE, FrameKind.PROPOSE_ACK) else 1
+            kind = MessageKind(rng.randrange(5))
+            n_ids = rng.randrange(4) if kind in (MessageKind.PROPOSE, MessageKind.PROPOSE_ACK) else 1
             frame = Frame(
                 kind=kind,
                 epoch=rng.randrange(2**64),
@@ -307,33 +312,43 @@ class TestCodecErrors:
             decode_frame(struct.pack("!I", MAX_FRAME_BYTES + 1) + b"\x00" * 16)
 
     def test_oversize_encode(self):
-        frame = Frame(FrameKind.PROPOSE, 0, "a", ("x" * (MAX_FRAME_BYTES + 1),))
+        frame = Frame(MessageKind.PROPOSE, 0, "a", ("x" * (MAX_FRAME_BYTES + 1),))
         with pytest.raises(OversizeFrame):
             encode_frame(frame)
 
     @pytest.mark.parametrize("epoch", [-1, 2**64])
     def test_epoch_out_of_u64_range(self, epoch):
-        frame = Frame(FrameKind.PREPARE, epoch, "a", ("m",), vote=Vote.KEEP)
+        frame = Frame(MessageKind.PREPARE, epoch, "a", ("m",), vote=Vote.KEEP)
         with pytest.raises(CodecError, match="epoch"):
             encode_frame(frame)
 
     def test_decode_rejects_propose_as_consensus(self):
-        raw = encode_frame(Frame(FrameKind.PROPOSE, 0, "a", ("m",)))
+        raw = encode_frame(Frame(MessageKind.PROPOSE, 0, "a", ("m",)))
         with pytest.raises(UnknownMessageKind, match="PROPOSE"):
             decode(raw)
 
+    def test_decode_rejects_propose_ack_as_consensus(self):
+        raw = encode_frame(Frame(MessageKind.PROPOSE_ACK, 0, "coordinator", ("m",)))
+        with pytest.raises(UnknownMessageKind, match="PROPOSE_ACK"):
+            decode(raw)
+
+    @pytest.mark.parametrize("kind", [MessageKind.PROPOSE, MessageKind.PROPOSE_ACK])
+    def test_pbft_message_rejects_rpc_kinds(self, kind):
+        with pytest.raises(ValueError, match="not a consensus message"):
+            PbftMessage(kind, 0, "m", "a", vote=Vote.KEEP)
+
     def test_consensus_frame_with_many_ids_rejected(self):
-        frame = Frame(FrameKind.PREPARE, 0, "a", ("m1", "m2"), vote=Vote.KEEP)
+        frame = Frame(MessageKind.PREPARE, 0, "a", ("m1", "m2"), vote=Vote.KEEP)
         with pytest.raises(CodecError, match="exactly one"):
-            message_from_frame(frame)
+            decode(encode_frame(frame))
 
     def test_evaluate_with_vote_rejected(self):
-        raw = encode_frame(Frame(FrameKind.EVALUATE, 0, "a", ("m",), vote=Vote.KEEP))
+        raw = encode_frame(Frame(MessageKind.EVALUATE, 0, "a", ("m",), vote=Vote.KEEP))
         with pytest.raises(CodecError):
             decode(raw)
 
     def test_prepare_without_vote_rejected(self):
-        raw = encode_frame(Frame(FrameKind.PREPARE, 0, "a", ("m",), vote=None))
+        raw = encode_frame(Frame(MessageKind.PREPARE, 0, "a", ("m",), vote=None))
         with pytest.raises(CodecError, match="carry a vote"):
             decode(raw)
 
@@ -370,7 +385,7 @@ class TestProposalRpc:
         rng = random.Random(5)
         ids = [str(uuid.UUID(int=rng.getrandbits(128))) for _ in range(3000)]
         with pytest.raises(OversizeFrame):
-            encode_frame(Frame(FrameKind.PROPOSE, 0, "planner-1", tuple(ids)))
+            encode_frame(Frame(MessageKind.PROPOSE, 0, "planner-1", tuple(ids)))
 
         class RecordingEndpoint(CoordinatorEndpoint):
             def __init__(self):
