@@ -3,12 +3,12 @@
     coforget run --scenario byzantine_f1 --epochs 100 --seed 7 --out results/
     coforget validate my-run.cfg
 
-Each run writes report.json (summary + per-epoch array, encoded straight to
-disk rather than built as one string first), epochs.csv (flat numeric
-columns), audit.jsonl (one line per per-memory consensus record), and
-metadata.csv (the store's final persisted snapshot). Identical config and
-seed produce byte-identical outputs. Exit codes: 0 success, 2 config error,
-3 I/O error.
+Each run writes report.json (the run summary and baseline footprints),
+epochs.csv (one row of numeric columns per epoch), audit.jsonl (one line per
+per-memory consensus record) and metadata.csv (the store's final persisted
+snapshot), so each epoch row and audit entry has one home. Identical config
+and seed produce byte-identical outputs. Exit codes: 0 success, 2 config
+error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .core import (
     config_violations,
     parse_config_text,
     spec_from_items,
+    typed_items,
     validate_roster,
 )
 from .epoch import EpochReport, SimulationResult, run_simulation
@@ -65,6 +66,8 @@ def _read_config_file(path: Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: {path} (byte {exc.start})") from None
     return parse_config_text(text)
 
 
@@ -115,7 +118,10 @@ def _compose_run(
     workload["seed"] = seed
     network["seed"] = seed
 
-    problems: list[str] = []
+    # The protocol's range checks and fault bound judge its well-typed keys.
+    typed, problems = typed_items(ProtocolConfig, protocol)
+    cfg = ProtocolConfig(**typed)
+    problems.extend(message for _, message in config_violations(cfg))
 
     def build(make, *args):
         try:
@@ -125,10 +131,7 @@ def _compose_run(
             return None
 
     agents = default_agents(faults)
-    cfg = build(spec_from_items, ProtocolConfig, protocol)
-    if cfg is not None:
-        problems.extend(message for _, message in config_violations(cfg))
-        build(validate_roster, cfg, agents)
+    build(validate_roster, cfg, agents)
     spec = build(spec_from_items, WorkloadSpec, workload, "workload.")
     net_cfg = build(spec_from_items, NetworkConfig, network, "network.")
     if problems:
@@ -143,16 +146,8 @@ def _write_outputs(out_dir: Path, scenario: str, seed: int, epochs: int, result:
         "epochs_requested": epochs,
         "summary": vars(result.summary),
         "baseline_footprints": result.baseline_footprints,
-        "epochs": [
-            {**vars(r), "per_memory_audit": [vars(entry) for entry in r.per_memory_audit]}
-            for r in result.reports
-        ],
     }
-    # Encode straight into the file: with indent set, json.dumps would join
-    # every chunk into one str the size of the report before writing it.
-    with open(out_dir / "report.json", "w", encoding="utf-8") as handle:
-        json.dump(report, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
     numeric_columns = [f.name for f in dataclasses.fields(EpochReport) if f.name != "per_memory_audit"]
     with open(out_dir / "epochs.csv", "w", newline="", encoding="utf-8") as handle:

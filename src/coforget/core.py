@@ -30,6 +30,7 @@ __all__ = [
     "config_violations",
     "parse_config_text",
     "spec_from_items",
+    "typed_items",
     "make_embedding",
 ]
 
@@ -330,29 +331,41 @@ def parse_config_text(text: str) -> dict[str, Any]:
     return items
 
 
-def spec_from_items(cls: type, items: Mapping[str, Any], namespace: str = "") -> Any:
-    """Build the config dataclass `cls` from parsed key/value items.
+def typed_items(cls: type, items: Mapping[str, Any], namespace: str = "") -> tuple[dict[str, Any], list[str]]:
+    """Split parsed items into those the config dataclass `cls` can take and one problem line per other key.
 
-    Unknown keys are an error, an int field takes only an int and a float
+    Unknown keys share one line. An int field takes only an int and a float
     field only a finite number (element by element in a tuple field), so a
-    value that would break a run never reaches it. The class's own checks run
-    last; their TypeError or ValueError becomes a ConfigError.
+    value that would break a run never reaches it.
     """
     types = {fld.name: str(fld.type) for fld in fields(cls)}
-    unknown = sorted(set(items) - set(types))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(namespace + key for key in unknown)}")
+    unknown = [namespace + key for key in sorted(set(items) - set(types))]
+    problems = [f"unknown config keys: {', '.join(unknown)}"] if unknown else []
+    typed: dict[str, Any] = {}
     for key, value in items.items():
-        kind = types[key]
-        integral = "int" in kind
-        wanted = "an integer" if integral else "a number"
-        for item in value if kind.startswith("tuple") and isinstance(value, tuple) else (value,):
-            if isinstance(item, bool) or not isinstance(item, int if integral else (int, float)):
-                raise ConfigError(f"{namespace}{key} must be {wanted}, got {value!r}")
-            if isinstance(item, float) and not math.isfinite(item):
-                raise ConfigError(f"{namespace}{key} must be finite, got {value!r}")
-    try:
-        return cls(**items)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        if key not in types:
+            continue
+        integral = "int" in types[key]
+        elements = value if types[key].startswith("tuple") and isinstance(value, tuple) else (value,)
+        if any(isinstance(v, bool) or not isinstance(v, int if integral else (int, float)) for v in elements):
+            problems.append(f"{namespace}{key} must be {'an integer' if integral else 'a number'}, got {value!r}")
+        elif any(isinstance(v, float) and not math.isfinite(v) for v in elements):
+            problems.append(f"{namespace}{key} must be finite, got {value!r}")
+        else:
+            typed[key] = value
+    return typed, problems
 
+
+def spec_from_items(cls: type, items: Mapping[str, Any], namespace: str = "") -> Any:
+    """Build the config dataclass `cls` from parsed items, or raise one ConfigError listing every problem.
+
+    The class's own checks judge the well-typed keys; their TypeError or ValueError adds its lines.
+    """
+    typed, problems = typed_items(cls, items, namespace)
+    try:
+        spec = cls(**typed)
+    except (TypeError, ValueError) as exc:
+        problems.append(str(exc))
+    if problems:
+        raise ConfigError("\n".join(problems))
+    return spec

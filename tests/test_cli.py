@@ -50,7 +50,7 @@ network.drop_prob = 0.05
 """
 
 # perfbench's forget_storm overlay (as in tests/test_golden.py): most of the
-# store is proposed, so report.json holds many audit entries.
+# store is proposed, so audit.jsonl holds many entries.
 FORGET_STORM = """\
 decay_scales = 10, 60, 600
 workload.initial_items = 500
@@ -81,6 +81,12 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def epoch_rows(out: Path) -> list[dict]:
+    """epochs.csv as one dict per epoch, every cell parsed as a number."""
+    with open(out / "epochs.csv", newline="") as handle:
+        return [{key: json.loads(cell) for key, cell in row.items()} for row in csv.DictReader(handle)]
+
+
 class TestValidate:
     def test_valid_config_exits_zero(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -106,20 +112,40 @@ class TestValidate:
         assert run_cli("run", "--config", path, "--epochs", 1, "--out", tmp_path / "out") == 2
         assert capsys.readouterr().err.splitlines() == ["config error: f must be >= 0, got -1"]
 
-    def test_every_workload_and_network_problem_listed(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path,
-            "workload.access_skew = -1\nworkload.relevance_mix = 2\nnetwork.latency_min_ms = 9\n"
-            "network.drop_prob = 2\nalpha = 0.3\nvote_threshold = 2\n",
-        )
-        problems = [
-            "alpha must lie in (0.5, 1], got 0.3",
-            "vote_threshold must lie in (0, 1), got 2",
-            "access_skew must be > 0 and finite, got -1",
-            "relevance_mix must be in [0, 1], got 2",
-            "latency band invalid: [9, 5.0]",
-            "drop_prob must be in [0, 1], got 2",
-        ]
+    @pytest.mark.parametrize(
+        "text, problems",
+        [
+            # Range problems in every namespace.
+            (
+                "workload.access_skew = -1\nworkload.relevance_mix = 2\nnetwork.latency_min_ms = 9\n"
+                "network.drop_prob = 2\nalpha = 0.3\nvote_threshold = 2\n",
+                [
+                    "alpha must lie in (0.5, 1], got 0.3",
+                    "vote_threshold must lie in (0, 1), got 2",
+                    "access_skew must be > 0 and finite, got -1",
+                    "relevance_mix must be in [0, 1], got 2",
+                    "latency band invalid: [9, 5.0]",
+                    "drop_prob must be in [0, 1], got 2",
+                ],
+            ),
+            # An ill-typed key hides neither the other keys of its namespace
+            # nor the range checks of its well-typed keys.
+            (
+                "workload.dimension = 2.5\nworkload.initial_items = 1.5\nworkload.access_skew = -1\n"
+                "epoch_interactions = 2.5\nbatch_size = 0\n",
+                [
+                    "epoch_interactions must be an integer, got 2.5",
+                    "batch_size must be >= 1, got 0",
+                    "workload.dimension must be an integer, got 2.5",
+                    "workload.initial_items must be an integer, got 1.5",
+                    "access_skew must be > 0 and finite, got -1",
+                ],
+            ),
+        ],
+        ids=["ranges", "types"],
+    )
+    def test_every_config_problem_listed(self, tmp_path, capsys, text, problems):
+        path = write_config(tmp_path, text)
         assert run_cli("validate", path) == 2
         assert capsys.readouterr().out.splitlines() == problems
         out = tmp_path / "out"
@@ -161,6 +187,17 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "config error" in err
         assert str(missing) in err
+
+    def test_non_utf8_file_is_a_config_error_naming_the_path(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"alpha = \xff\xfe\n")
+        out = tmp_path / "out"
+        for argv in (("validate", path), ("run", "--config", path, "--epochs", 1, "--out", out)):
+            assert run_cli(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            assert str(path) in err
+        assert not out.exists()
 
     def test_readme_config_example_is_valid(self, tmp_path, capsys):
         text = README.read_text(encoding="utf-8")
@@ -291,9 +328,10 @@ class TestRunOutputs:
         assert report["scenario"] == "baseline_no_faults"
         assert report["seed"] == 5
         assert report["epochs_requested"] == 3
-        assert len(report["epochs"]) == 3
+        assert set(report) == {"baseline_footprints", "epochs_requested", "scenario", "seed", "summary"}
         assert len(report["baseline_footprints"]) == 3
         summary = report["summary"]
+        assert summary["epochs"] == 3
         for key in (
             "footprint_reduction",
             "pbft_success_rate",
@@ -316,12 +354,11 @@ class TestRunOutputs:
 
     def test_audit_jsonl_parses_and_cross_checks(self, tmp_path):
         out = self.run_small(tmp_path, epochs=3)
-        report = json.loads((out / "report.json").read_text())
         audit_lines = [
             json.loads(line)
             for line in (out / "audit.jsonl").read_text().splitlines()
         ]
-        expected = sum(e["proposed"] for e in report["epochs"])
+        expected = sum(e["proposed"] for e in epoch_rows(out))
         assert len(audit_lines) == expected
         for line in audit_lines:
             assert line["outcome"] in ("deleted", "retained")
@@ -335,7 +372,7 @@ class TestRunOutputs:
         report = json.loads((out / "report.json").read_text())
         with open(out / "metadata.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
-        last = report["epochs"][-1]
+        last = epoch_rows(out)[-1]
         assert len(rows) == report["summary"]["final_footprint"] - last["additions"]
         assert list(rows[0]) == ["id", "agent_id", "timestamp", "salience"]
 
@@ -376,6 +413,7 @@ class TestRunOutputs:
     def test_strict_pbft_success_excludes_vacuous_epochs(self, tmp_path):
         config = write_config(tmp_path, SPARSE_LOSSY)
         reports = {}
+        rows = {}
         for strict in (False, True):
             out = tmp_path / f"strict-{strict}"
             flag = ["--strict-pbft-success"] if strict else []
@@ -385,9 +423,10 @@ class TestRunOutputs:
             )
             assert code == 0
             reports[strict] = json.loads((out / "report.json").read_text())
+            rows[strict] = epoch_rows(out)
         # The flag changes only the success rate's denominator, not the run.
-        epochs = reports[False]["epochs"]
-        assert reports[True]["epochs"] == epochs
+        epochs = rows[False]
+        assert rows[True] == epochs
         started = [e for e in epochs if e["consensus_reached"] + e["consensus_failed"] > 0]
         failed = [e for e in epochs if e["consensus_failed"] > 0]
         assert (len(epochs), len(started), len(failed)) == (30, 16, 4)
@@ -440,9 +479,9 @@ class TestRunMemory:
         assert alive_at_start == [[], [False], [False, False]]
         assert [ref() for ref in results] == [None, None, None]
 
-    def test_report_write_peak_is_below_the_report_size(self, tmp_path, monkeypatch):
-        # Streaming the encoder into the file keeps no chunk list and no
-        # whole-report string; joining them peaked at about 5x the file.
+    def test_output_write_peak_is_below_the_audit_size(self, tmp_path, monkeypatch):
+        # audit.jsonl is the largest output; each line is encoded and written
+        # on its own, so writing the outputs never holds a file-sized string.
         real = cli._write_outputs
         peaks: list[int] = []
 
@@ -459,10 +498,11 @@ class TestRunMemory:
         out = tmp_path / "out"
         code = run_cli(
             "run", "--scenario", "byzantine_f1", "--config", config,
-            "--epochs", 12, "--seed", 1, "--out", out,
+            "--epochs", 24, "--seed", 1, "--out", out,
         )
         assert code == 0
-        report_bytes = (out / "report.json").stat().st_size
-        assert report_bytes > 500_000
+        audit_bytes = (out / "audit.jsonl").stat().st_size
+        assert audit_bytes > 500_000
+        assert audit_bytes == max((out / name).stat().st_size for name in OUTPUT_FILES)
         assert len(peaks) == 1
-        assert peaks[0] < report_bytes
+        assert peaks[0] < audit_bytes

@@ -23,6 +23,7 @@ from coforget.core import (
     make_embedding,
     parse_config_text,
     spec_from_items,
+    typed_items,
     validate_config,
     validate_roster,
 )
@@ -404,6 +405,20 @@ class TestSpecFromItems:
             spec_from_items(WorkloadSpec, {"churn": 1}, "workload.")
         with pytest.raises(ConfigError, match="unknown config keys: network.jitter"):
             spec_from_items(NetworkConfig, {"jitter": 1.0}, "network.")
+
+    def test_every_key_problem_listed_then_the_class_checks_the_rest(self):
+        items = {"churn": 1, "dimension": 2.5, "initial_items": 1.5, "access_skew": -1}
+        with pytest.raises(ConfigError) as excinfo:
+            spec_from_items(WorkloadSpec, items, "workload.")
+        assert str(excinfo.value).splitlines() == [
+            "unknown config keys: workload.churn",
+            "workload.dimension must be an integer, got 2.5",
+            "workload.initial_items must be an integer, got 1.5",
+            "access_skew must be > 0 and finite, got -1",
+        ]
+        typed, problems = typed_items(ProtocolConfig, {"f": 1.5, "alpha": float("nan"), "batch_size": 0})
+        assert typed == {"batch_size": 0}
+        assert problems == ["f must be an integer, got 1.5", "alpha must be finite, got nan"]
 
     def test_ints_pass_for_float_fields(self):
         cfg = spec_from_items(ProtocolConfig, {"alpha": 1, "batch_interval_s": 10})
