@@ -27,10 +27,10 @@ from .core import (
     FaultKind,
     FaultProfile,
     ProtocolConfig,
+    _typed_items,
     config_violations,
     parse_config_text,
     spec_from_items,
-    typed_items,
     validate_roster,
 )
 from .epoch import EpochReport, SimulationResult, run_simulation
@@ -119,9 +119,9 @@ def _compose_run(
     network["seed"] = seed
 
     # The protocol's range checks and fault bound judge its well-typed keys.
-    typed, problems = typed_items(ProtocolConfig, protocol)
+    typed, problems = _typed_items(ProtocolConfig, protocol)
     cfg = ProtocolConfig(**typed)
-    problems.extend(message for _, message in config_violations(cfg))
+    problems.extend(message for _, message in config_violations(cfg, protocol.keys() - typed.keys()))
 
     def build(make, *args):
         try:
@@ -174,10 +174,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("scenario 'custom' requires --config")
     file_items = _split_namespaces(_read_config_file(args.config)) if args.config else ({}, {}, {})
 
-    seeds = [args.seed + i for i in range(args.seeds)] if args.seeds else [args.seed]
-    multi = args.seeds is not None
-    for seed in seeds:
-        _run_seed(args, seed, file_items, args.out / f"seed-{seed}" if multi else args.out)
+    for seed in range(args.seed, args.seed + (args.seeds or 1)):
+        _run_seed(args, seed, file_items, args.out / f"seed-{seed}" if args.seeds else args.out)
     return 0
 
 

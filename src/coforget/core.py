@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "config_violations",
     "parse_config_text",
     "spec_from_items",
-    "typed_items",
     "make_embedding",
 ]
 
@@ -197,33 +196,31 @@ class ProtocolConfig:
             object.__setattr__(self, key, tuple(float(v) for v in values))
 
 
-def config_violations(cfg: ProtocolConfig) -> list[tuple[type[ConfigError], str]]:
-    """All violated constraints of `cfg` but the fault bound, in declaration order."""
+def config_violations(cfg: ProtocolConfig, rejected: Collection[str] = ()) -> list[tuple[type[ConfigError], str]]:
+    """All violated constraints of `cfg` but the fault bound, in declaration order.
+
+    A check that compares two fields is skipped when either is in `rejected`, keys a config file gave
+    ill-typed: the default standing in for such a key would report a problem the file does not have.
+    """
     out: list[tuple[type[ConfigError], str]] = []
     if not 0.5 < cfg.alpha <= 1.0:
         out.append((InvalidQuorumFraction, f"alpha must lie in (0.5, 1], got {cfg.alpha}"))
-    if len(cfg.decay_scales) != len(cfg.decay_weights) or len(cfg.decay_scales) == 0:
-        out.append(
-            (
-                LengthMismatch,
-                f"decay_scales and decay_weights must be same nonempty length, "
-                f"got {len(cfg.decay_scales)} and {len(cfg.decay_weights)}",
-            )
-        )
+    if {"decay_scales", "decay_weights"}.isdisjoint(rejected) and (
+        len(cfg.decay_scales) != len(cfg.decay_weights) or len(cfg.decay_scales) == 0
+    ):
+        lengths = f"{len(cfg.decay_scales)} and {len(cfg.decay_weights)}"
+        out.append((LengthMismatch, f"decay_scales and decay_weights must be same nonempty length, got {lengths}"))
     if any(not 0 < s < math.inf for s in cfg.decay_scales):
         out.append((ConfigError, f"decay_scales must be positive and finite, got {cfg.decay_scales}"))
     if any(not 0.0 <= g <= 1.0 for g in cfg.decay_weights):
         out.append((WeightSumViolation, f"each decay weight must lie in [0, 1], got {cfg.decay_weights}"))
     elif cfg.decay_weights and abs(math.fsum(cfg.decay_weights) - 1.0) > WEIGHT_SUM_TOL:
-        out.append(
-            (WeightSumViolation, f"decay weights must sum to 1, got {math.fsum(cfg.decay_weights)!r}")
-        )
-    if not 0.0 <= cfg.omega_d <= 1.0 or not 0.0 <= cfg.omega_r <= 1.0 or abs(
-        cfg.omega_d + cfg.omega_r - 1.0
-    ) > WEIGHT_SUM_TOL:
-        out.append(
-            (WeightSumViolation, f"omega_d + omega_r must equal 1, got {cfg.omega_d} + {cfg.omega_r}")
-        )
+        out.append((WeightSumViolation, f"decay weights must sum to 1, got {math.fsum(cfg.decay_weights)!r}"))
+    if {"omega_d", "omega_r"}.isdisjoint(rejected) and (
+        not 0.0 <= cfg.omega_d <= 1.0 or not 0.0 <= cfg.omega_r <= 1.0
+        or abs(cfg.omega_d + cfg.omega_r - 1.0) > WEIGHT_SUM_TOL
+    ):
+        out.append((WeightSumViolation, f"omega_d + omega_r must equal 1, got {cfg.omega_d} + {cfg.omega_r}"))
     if not 0.0 < cfg.vote_threshold < 1.0:
         out.append((ConfigError, f"vote_threshold must lie in (0, 1), got {cfg.vote_threshold}"))
     if cfg.epoch_interactions < 1:
@@ -331,12 +328,11 @@ def parse_config_text(text: str) -> dict[str, Any]:
     return items
 
 
-def typed_items(cls: type, items: Mapping[str, Any], namespace: str = "") -> tuple[dict[str, Any], list[str]]:
+def _typed_items(cls: type, items: Mapping[str, Any], namespace: str = "") -> tuple[dict[str, Any], list[str]]:
     """Split parsed items into those the config dataclass `cls` can take and one problem line per other key.
 
-    Unknown keys share one line. An int field takes only an int and a float
-    field only a finite number (element by element in a tuple field), so a
-    value that would break a run never reaches it.
+    Unknown keys share one line. An int field takes only an int and a float field only a finite number
+    (element by element in a tuple field), so a value that would break a run never reaches it.
     """
     types = {fld.name: str(fld.type) for fld in fields(cls)}
     unknown = [namespace + key for key in sorted(set(items) - set(types))]
@@ -359,9 +355,13 @@ def typed_items(cls: type, items: Mapping[str, Any], namespace: str = "") -> tup
 def spec_from_items(cls: type, items: Mapping[str, Any], namespace: str = "") -> Any:
     """Build the config dataclass `cls` from parsed items, or raise one ConfigError listing every problem.
 
-    The class's own checks judge the well-typed keys; their TypeError or ValueError adds its lines.
+    The class's own checks judge the well-typed keys; their TypeError or ValueError adds its lines. Keys
+    in the class's `judged_together` set all keep their defaults when one of them is rejected.
     """
-    typed, problems = typed_items(cls, items, namespace)
+    typed, problems = _typed_items(cls, items, namespace)
+    together = getattr(cls, "judged_together", frozenset())
+    if not together.isdisjoint(items.keys() - typed.keys()):
+        typed = {key: value for key, value in typed.items() if key not in together}
     try:
         spec = cls(**typed)
     except (TypeError, ValueError) as exc:

@@ -13,7 +13,7 @@ import random
 import struct
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 from .consensus import _CONSENSUS_KINDS, DEFAULT_COORDINATOR_ID, Behavior, MessageKind, PbftMessage
 from .core import FaultKind, FaultProfile, Vote
@@ -49,6 +49,8 @@ class NetworkConfig:
     latency_max_ms: float = 5.0
     drop_prob: float = 0.0
     seed: int = 0
+    # One check judges both bounds, so spec_from_items defaults both when a file gives either ill-typed.
+    judged_together: ClassVar[frozenset[str]] = frozenset({"latency_min_ms", "latency_max_ms"})
 
     def __post_init__(self) -> None:
         problems = []

@@ -141,8 +141,19 @@ class TestValidate:
                     "access_skew must be > 0 and finite, got -1",
                 ],
             ),
+            # A check that compares two keys is skipped when one is ill-typed:
+            # its default would be compared with the other key's value.
+            (
+                "decay_scales = nan, 60\ndecay_weights = 0.5, 0.5\nomega_d = nan\nomega_r = 0.5\n"
+                "network.latency_min_ms = 9\nnetwork.latency_max_ms = fast\n",
+                [
+                    "decay_scales must be finite, got (nan, 60)",
+                    "omega_d must be finite, got nan",
+                    "network.latency_max_ms must be a number, got 'fast'",
+                ],
+            ),
         ],
-        ids=["ranges", "types"],
+        ids=["ranges", "types", "cross-field"],
     )
     def test_every_config_problem_listed(self, tmp_path, capsys, text, problems):
         path = write_config(tmp_path, text)
@@ -389,7 +400,8 @@ class TestRunOutputs:
         out_b = tmp_path / "b"
         assert run_cli("run", "--config", base, "--epochs", 2, "--seed", 1, "--out", out_a) == 0
         assert run_cli("run", "--config", plain, "--epochs", 2, "--seed", 1, "--out", out_b) == 0
-        assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+        for name in OUTPUT_FILES:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_different_seeds_diverge(self, tmp_path):
         first = self.run_small(tmp_path, out_name="s0", epochs=2, seed=0)
@@ -425,6 +437,8 @@ class TestRunOutputs:
             reports[strict] = json.loads((out / "report.json").read_text())
             rows[strict] = epoch_rows(out)
         # The flag changes only the success rate's denominator, not the run.
+        for name in ("epochs.csv", "audit.jsonl", "metadata.csv"):
+            assert (tmp_path / "strict-False" / name).read_bytes() == (tmp_path / "strict-True" / name).read_bytes()
         epochs = rows[False]
         assert rows[True] == epochs
         started = [e for e in epochs if e["consensus_reached"] + e["consensus_failed"] > 0]

@@ -23,7 +23,6 @@ from coforget.core import (
     make_embedding,
     parse_config_text,
     spec_from_items,
-    typed_items,
     validate_config,
     validate_roster,
 )
@@ -416,9 +415,23 @@ class TestSpecFromItems:
             "workload.initial_items must be an integer, got 1.5",
             "access_skew must be > 0 and finite, got -1",
         ]
-        typed, problems = typed_items(ProtocolConfig, {"f": 1.5, "alpha": float("nan"), "batch_size": 0})
-        assert typed == {"batch_size": 0}
-        assert problems == ["f must be an integer, got 1.5", "alpha must be finite, got nan"]
+        with pytest.raises(ConfigError) as excinfo:
+            spec_from_items(ProtocolConfig, {"f": 1.5, "alpha": float("nan"), "batch_size": 0})
+        assert str(excinfo.value).splitlines() == ["f must be an integer, got 1.5", "alpha must be finite, got nan"]
+
+    def test_a_check_comparing_a_rejected_key_is_skipped(self):
+        cfg = ProtocolConfig(decay_weights=(0.5, 0.6), omega_r=0.5)
+        assert [cls for cls, _ in config_violations(cfg)] == [LengthMismatch, WeightSumViolation, WeightSumViolation]
+        # Only the comparisons go: decay_weights is still judged on its own.
+        skipped = config_violations(cfg, {"decay_scales", "omega_d"})
+        assert skipped == [(WeightSumViolation, "decay weights must sum to 1, got 1.1")]
+        with pytest.raises(ConfigError) as excinfo:
+            spec_from_items(NetworkConfig, {"latency_min_ms": 9, "latency_max_ms": "x", "drop_prob": 2}, "network.")
+        assert str(excinfo.value).splitlines() == [
+            "network.latency_max_ms must be a number, got 'x'",
+            "drop_prob must be in [0, 1], got 2",
+        ]
+        assert spec_from_items(NetworkConfig, {"latency_min_ms": 2}).latency_min_ms == 2
 
     def test_ints_pass_for_float_fields(self):
         cfg = spec_from_items(ProtocolConfig, {"alpha": 1, "batch_interval_s": 10})
