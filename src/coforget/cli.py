@@ -41,7 +41,7 @@ SCENARIOS = ("baseline_no_faults", "byzantine_f1", "cache_profile", "custom")
 
 # byzantine_f1 models a lossy network alongside the faulty agent. The
 # per-epoch pbft_success_rate this rate gives falls with proposal volume:
-# 0.93 on the default workload at seed 0 (about 12 rounds per epoch), 0.52
+# 0.93 on the default workload at seed 0 (about 12 rounds per epoch), 0.55
 # on perfbench's forget_storm (about 74).
 BYZANTINE_DROP_PROB = 0.0065
 

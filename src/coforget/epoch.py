@@ -20,7 +20,7 @@ from .consensus import ConsensusTimeout, finalize, run_round
 from .core import AgentProfile, MemoryRecord, ProtocolConfig, Vote, validate_config, validate_roster
 from .decay import combined_decay
 from .relevance import ContextProfile, RelevanceScorer, relevance
-from .store import MemoryStore
+from .store import MemoryStore, _check_now
 from .transport import (
     CoordinatorEndpoint,
     NetworkConfig,
@@ -103,8 +103,10 @@ def run_epoch(
     the scorer object an agent uses (None for the default) and the context
     object scored against, so each memory is scored once per put and pair;
     only this epoch's pairs keep a column. The epoch makes no reads, so its
-    cache counts are 0.
+    cache counts are 0. A NaN, infinite or negative `now` raises before any
+    phase, so the store is left as it was.
     """
+    _check_now(now)
     scan = store.scan_t_last()
     memories_start = len(scan)
     ids = [memory_id for memory_id, _ in scan]

@@ -10,7 +10,6 @@ corpus, context, and traffic never share state.
 from __future__ import annotations
 
 import math
-import uuid
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Callable, Mapping, Sequence
@@ -120,31 +119,6 @@ def _unit_vector(rng: np.random.Generator, dimension: int) -> np.ndarray:
             return vec / norm
 
 
-def _embedding_at_cosine(
-    rng: np.random.Generator, context_unit: np.ndarray, cosine: float
-) -> np.ndarray:
-    """Sample a vector whose cosine to the context is exactly `cosine`.
-
-    Decomposes into a context component plus a random orthogonal component,
-    then rescales by a random magnitude (cosine is scale-invariant, and the
-    varied norms exercise normalization downstream).
-    """
-    dimension = context_unit.shape[0]
-    while True:
-        raw = rng.standard_normal(dimension)
-        ortho = raw - float(np.dot(raw, context_unit)) * context_unit
-        norm = float(np.linalg.norm(ortho))
-        if norm > 0.0:
-            ortho /= norm
-            break
-    direction = cosine * context_unit + np.sqrt(max(0.0, 1.0 - cosine * cosine)) * ortho
-    return direction * rng.uniform(0.5, 2.0)
-
-
-def _fresh_id(rng: np.random.Generator) -> str:
-    return str(uuid.UUID(bytes=rng.bytes(16), version=4))
-
-
 def make_context(spec: WorkloadSpec) -> ContextProfile:
     """The shared task context every relevance score is measured against."""
     rng = _stream(spec.seed, _STREAM_CONTEXT)
@@ -154,43 +128,71 @@ def make_context(spec: WorkloadSpec) -> ContextProfile:
     )
 
 
-def _draw_record(
+def _draw_records(
     spec: WorkloadSpec,
     rng: np.random.Generator,
     context_unit: np.ndarray,
-    t_last: float,
-) -> MemoryRecord:
-    near = rng.random() < spec.relevance_mix
-    lo, hi = NEAR_COS if near else FAR_COS
-    cosine = rng.uniform(lo, hi)
-    return MemoryRecord(
-        id=_fresh_id(rng),
-        embedding=_embedding_at_cosine(rng, context_unit, cosine),
-        agent_id=AGENT_IDS[int(rng.integers(len(AGENT_IDS)))],
-        t_last=t_last,
-        salience=float(rng.uniform(0.0, 1.0)),
-    )
+    t_last: Sequence[float],
+) -> list[MemoryRecord]:
+    """Draw one record per t_last value, each field in one array call (stream v2).
+
+    Near flags, cosines, magnitudes, agents and saliences come as length-n
+    arrays, then every id from one 16n-byte draw. Each embedding is then its
+    own standard normal vector, redrawn while nothing is left of it once its
+    context component is removed; that orthogonal part is scaled in place so
+    the cosine to the context and the norm are exactly the drawn ones (the
+    varied norms exercise normalization downstream). No records, no draws.
+    """
+    n = len(t_last)
+    if not n:
+        return []
+    near = rng.random(n) < spec.relevance_mix
+    lo, hi = (np.where(near, near_end, far_end) for near_end, far_end in zip(NEAR_COS, FAR_COS))
+    cosines = rng.uniform(lo, hi)
+    magnitudes = rng.uniform(0.5, 2.0, n)
+    agents = rng.integers(len(AGENT_IDS), size=n)
+    saliences = rng.random(n)
+    raw = np.frombuffer(rng.bytes(16 * n), dtype=np.uint8).reshape(n, 16).copy()
+    raw[:, 6] = raw[:, 6] & 0x0F | 0x40  # UUID version 4
+    raw[:, 8] = raw[:, 8] & 0x3F | 0x80  # RFC 4122 variant
+    hexes = raw.tobytes().hex()
+    rows = (hexes[at : at + 32] for at in range(0, 32 * n, 32))
+    ids = [f"{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}" for h in rows]
+    records = []
+    for memory_id, cosine, magnitude, agent, t, salience in zip(
+        ids, cosines.tolist(), magnitudes.tolist(), agents.tolist(), t_last, saliences.tolist()
+    ):
+        while True:
+            vec = rng.standard_normal(context_unit.shape[0])
+            vec -= vec.dot(context_unit) * context_unit
+            norm = math.sqrt(vec.dot(vec))
+            if norm > 0.0:
+                break
+        vec *= math.sqrt(1.0 - cosine * cosine) * magnitude / norm
+        vec += cosine * magnitude * context_unit
+        vec.flags.writeable = False
+        records.append(
+            MemoryRecord(id=memory_id, embedding=vec, agent_id=AGENT_IDS[agent], t_last=t, salience=salience)
+        )
+    return records
 
 
 def generate_initial(spec: WorkloadSpec) -> list[MemoryRecord]:
     """The seeded initial corpus; t_last spread over the historical window."""
     context_unit = make_context(spec).embedding
     rng = _stream(spec.seed, _STREAM_INITIAL)
-    return [
-        _draw_record(spec, rng, context_unit, t_last=float(rng.uniform(0.0, spec.history_window_s)))
-        for _ in range(spec.initial_items)
-    ]
+    t_last = rng.uniform(0.0, spec.history_window_s, spec.initial_items).tolist()
+    return _draw_records(spec, rng, context_unit, t_last)
 
 
 def make_arrivals(
     spec: WorkloadSpec,
     rng: np.random.Generator,
-    count: int,
-    now: float,
+    instants: Sequence[float],
     context: ContextProfile,
 ) -> list[MemoryRecord]:
-    """Fresh records arriving mid-run; t_last starts at the arrival instant."""
-    return [_draw_record(spec, rng, context.embedding, t_last=now) for _ in range(count)]
+    """Fresh records arriving mid-run, one per instant, which starts its t_last."""
+    return _draw_records(spec, rng, context.embedding, instants)
 
 
 # --- access traffic --------------------------------------------------------------
@@ -227,34 +229,24 @@ def epoch_traffic(
 ) -> tuple[list[MemoryRecord], float]:
     """Draw one epoch's traffic; return its arrivals and the last interaction's instant.
 
-    The epoch first draws its arrival count from spec.arrivals_per_epoch and
-    then, per arrival, the interaction it lands in. Interaction i, i+1
-    intervals after `now`, passes its Zipf-ranked reads of `live_ids` (early
-    ids are popular) to `access(ids, instant)` and then draws the arrivals
-    that landed in it, which join the store at the next epoch boundary. The
-    reads up to each arrival slot come from one RNG call, which gives the
-    stream of one call per interaction: each double takes one 64-bit draw and
-    nothing is buffered.
+    The epoch draws, in this order: its arrival count from
+    spec.arrivals_per_epoch; every arrival's interaction slot in one call,
+    then sorted; every read of the epoch in one Zipf call; and the arrival
+    records in one make_arrivals call. Interaction i, i+1 intervals after
+    `now`, passes its Zipf-ranked reads of `live_ids` (early ids are popular)
+    to `access(ids, instant)`. Each arrival's t_last is its slot's instant;
+    arrivals join the store at the next epoch boundary.
     """
     lo, hi = spec.arrivals_per_epoch
-    slots: dict[int, int] = {}
-    for _ in range(int(rng.integers(lo, hi + 1))):
-        slot = int(rng.integers(0, interactions))
-        slots[slot] = slots.get(slot, 0) + 1
+    slots = np.sort(rng.integers(0, interactions, size=int(rng.integers(lo, hi + 1))))
     instants = list(accumulate(repeat(spec.interaction_interval_s, interactions), initial=now))
     k = spec.accesses_per_interaction if live_ids else 0
-    sample = ZipfSampler(len(live_ids), spec.access_skew).sample if k else None
-    arrivals: list[MemoryRecord] = []
-    start = 0
-    # Each segment runs through an arrival slot; the last one through the epoch's end.
-    for slot, count in [*sorted(slots.items()), (interactions - 1, 0)]:
-        if k and slot >= start:
-            ids = [live_ids[i] for i in sample(rng, k * (slot + 1 - start)).tolist()]
-            for j, instant in enumerate(instants[start + 1 : slot + 2]):
-                access(ids[k * j : k * j + k], instant)
-        if count:
-            arrivals.extend(make_arrivals(spec, rng, count, instants[slot + 1], context))
-        start = slot + 1
+    if k:
+        reads = ZipfSampler(len(live_ids), spec.access_skew).sample(rng, k * interactions).tolist()
+        ids = [live_ids[i] for i in reads]
+        for j, instant in enumerate(instants[1:]):
+            access(ids[k * j : k * j + k], instant)
+    arrivals = make_arrivals(spec, rng, [instants[slot + 1] for slot in slots.tolist()], context)
     return arrivals, instants[-1]
 
 

@@ -443,12 +443,12 @@ class TestRunOutputs:
         assert rows[True] == epochs
         started = [e for e in epochs if e["consensus_reached"] + e["consensus_failed"] > 0]
         failed = [e for e in epochs if e["consensus_failed"] > 0]
-        assert (len(epochs), len(started), len(failed)) == (30, 16, 4)
+        assert (len(epochs), len(started), len(failed)) == (30, 20, 6)
         plain = reports[False]["summary"]["pbft_success_rate"]
         strict = reports[True]["summary"]["pbft_success_rate"]
         assert plain == (len(epochs) - len(failed)) / len(epochs)
         assert strict == (len(started) - len(failed)) / len(started)
-        assert (round(plain, 4), strict) == (0.8667, 0.75)
+        assert (round(plain, 4), strict) == (0.8, 0.7)
 
     def test_custom_scenario_runs_with_config(self, tmp_path):
         config = write_config(tmp_path)

@@ -344,6 +344,19 @@ class TestRunEpochOutcomes:
         assert report.proposed == 0
         assert report.deletion_rate == 0.0
 
+    @pytest.mark.parametrize("now", [math.inf, math.nan, -1.0])
+    def test_a_bad_clock_raises_before_any_phase(self, now):
+        # Checked only at the commit, an infinite clock would first delete
+        # every memory it decays to nothing and then leave the store uncommitted.
+        records = [record(f"m{i}", cos=0.0, t_last=0.0) for i in range(20)]
+        st = fresh_store(records, now=0.0)
+        before = (st.count(), st.scan_t_last(), [st.record(r.id) for r in records])
+        arrival = record("new", cos=0.0, t_last=0.0)
+        with pytest.raises(ValueError, match="now must be finite"):
+            run_epoch(st, AGENTS, context(), CFG, lossless(), now=now, arrivals=[arrival])
+        assert (st.count(), st.scan_t_last(), [st.record(r.id) for r in records]) == before
+        assert st.record("new") is None
+
     def test_direct_epoch_reports_no_cache_reads(self):
         # Reads belong to the traffic between epochs; the epoch makes none.
         st = fresh_store([record(f"m{i}", cos=0.5, t_last=10.0) for i in range(3)], now=10.0)

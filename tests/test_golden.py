@@ -57,10 +57,10 @@ GOLDEN = {
         12,
         1,
         {
-            "report.json": "bf8b14561c262925515a8cf9276202525c4e7892f9243c57e21925dd30709f63",
-            "epochs.csv": "af60fef8e17d9fb6fc703d0f2f97c153030de3663358464a8cbc1961ebbcb99e",
-            "audit.jsonl": "b2ac30d2ca96ce061df101c217519c1b88f1934c100e8000a14ccacc6cfaa1d7",
-            "metadata.csv": "51bd1ec328103a2daf4fc83766735ac4fc604746789da4515baef83e33ee0b3b",
+            "report.json": "6f61cc3b4f37d8d4cf5903bc4d65ee74055eb279d716df954c42914c6785b991",
+            "epochs.csv": "d178433e9ec09dea44d5f909fab3f9cf6467128bbf2041c51c8581ee50208a14",
+            "audit.jsonl": "20bd7e67fdba2c54899e07382e7e57c1fc4c8f037a31bc655eaefb43c6c8392a",
+            "metadata.csv": "ad1580679e206acb4b780347f8a0856186773356329a22754c185e167a2e4637",
         },
     ),
     "long_horizon": (
@@ -69,10 +69,10 @@ GOLDEN = {
         12,
         0,
         {
-            "report.json": "0617fecf74e134ff382664fa6dec2d23391e6bf24a3dcc8adcc247e0506aabb6",
-            "epochs.csv": "f9f36aad74b761ae51f4218a8f9c930ae536c830776bec455af371b44ed67906",
-            "audit.jsonl": "b75b86c18bb6f86b465ebf7659d09dfe59654cdd40e98407ed513b5544343926",
-            "metadata.csv": "276c03ca770e87ba286eb1e49700946173579e3a34123d29016a31dab3a42a16",
+            "report.json": "7900c426675988209a80647c1cd1ad729e1c32123b0fcf332a1bc73773d1d3db",
+            "epochs.csv": "bd938f49e06422161d1342d3c01d966c1cf45136e588b93591c9bd4eb297d1f6",
+            "audit.jsonl": "0b8712e8360ad52cb2fcb3bdc79f8021b3fa1777a709d164dad9926c0bee1c2d",
+            "metadata.csv": "bc7a2c9905c13ef032faadeb3904abed8c23af854b2d40652589bf1d84b63e18",
         },
     ),
     "hot_reads": (
@@ -81,10 +81,10 @@ GOLDEN = {
         4,
         0,
         {
-            "report.json": "45c74c9a4f973ac449da4d8192ed4293b60faa3aa83ea1dfebf1a781fda9f20a",
-            "epochs.csv": "77f34bf56d69215dcfe1370d05ba9310414f15a1cf1724da72a0bc4c2969d45c",
-            "audit.jsonl": "8633806812a0a0970e0613190ca06c18b759c30525c715ceb065f76647f91884",
-            "metadata.csv": "015a469ece178f18e18ab08a1b9ef846227c6b944f0bf3963625e4f0c32d9bbd",
+            "report.json": "a86e121515ad7705f4016d5eb632fc924959c008ba0180348fac47dedc7d31d1",
+            "epochs.csv": "52d849c670b7c09b3d6d72c4e5045c2b0b09a90d4ae0e757e59c370bde10fa5c",
+            "audit.jsonl": "13298970013cd40f4a7b447238707d59efb11997343e6fe292253bac39fa5f15",
+            "metadata.csv": "29ea4de213f436fec7475a1be9b21fd6c52b34ffd51ac979a148d0f1d26e6b6b",
         },
     ),
 }
@@ -108,16 +108,16 @@ def test_outputs_match_recorded_digests(tmp_path, name):
 # directory -> {file: sha256}
 SWEEP = {
     "seed-3": {
-        "report.json": "b2d2db341d26c7dbb4d0cf71b7f014432764a8f45d4e115eee27b0aa7ab889fb",
-        "epochs.csv": "b28d82b53055b39ea0662dc74aa1a7747d31e2c682cd8163aac2f30ee61d2369",
-        "audit.jsonl": "e1b605569f18939a5507c5699934acbf6955fd776a9b3697b486621d161d5a52",
-        "metadata.csv": "d89a4c63634d951f8496308bfddd8c0a6d2d717ab39b7364ab1c75ea6e17a5d2",
+        "report.json": "1ea79d0ede7f419c385889b16f3a24ace8626bb6b0fc0051877b62d501f12e9d",
+        "epochs.csv": "d5e28678f1514ca78275d141bba3e6add5d5f65712641dfe4a83bbf74a472005",
+        "audit.jsonl": "4e12530d8033229cffb056fe6f1e25bfe021b1b46d4df9729489930a3283be0f",
+        "metadata.csv": "c67cd9314df460c9d825f20d95f2efa1c67db48368fccbcfe5d5638baea4d81c",
     },
     "seed-4": {
-        "report.json": "f215ae07140545bbc1e8db25af83432c80a3d9f0fc7f4193f10ccf2be401435a",
-        "epochs.csv": "40bbccd018d6045a69f698eab7046fbf806495f6eda4cde6d0860bb17c57a654",
-        "audit.jsonl": "532e256cda764d7ebdd54edb2d5a4bf06bbf1c10f900944dee653d7e79397684",
-        "metadata.csv": "2a66edba60b50ff3f0c97b47d04d7ce27bb008225afb22b2b4cfdbc37c9dd09c",
+        "report.json": "b592fbb562b2542ae29d28b857720ffd2759a07013410a2e72ce8cd1c9f5b11b",
+        "epochs.csv": "4f9dec061f244dacafe3aeae750155229416d428079aef9ef87524addda2140b",
+        "audit.jsonl": "35e70dc70cb1bc71d01e05c8c2138a6d3cd553c9f5ffe91b136d1c75edfe6fb7",
+        "metadata.csv": "1fd75546c1c8a46e4e82c39e95c7d1e9537a13feca69f5a4c70ff6cd6a007a2d",
     },
 }
 

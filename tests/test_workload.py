@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 import uuid
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from coforget.core import ConfigError, FaultKind, FaultProfile, spec_from_items
+from coforget.core import ConfigError, FaultKind, FaultProfile, MemoryRecord, spec_from_items
 from coforget.relevance import relevance
 from coforget.workload import (
     AGENT_IDS,
@@ -19,6 +20,7 @@ from coforget.workload import (
     SummaryMetrics,
     WorkloadSpec,
     ZipfSampler,
+    _draw_records,
     aggregate,
     default_agents,
     epoch_traffic,
@@ -181,11 +183,97 @@ class TestGenerateInitial:
             assert 0.4 <= norm <= 2.1  # uniform(0.5, 2.0) magnitude, pre-normalization
 
     def test_arrivals_start_at_now(self):
+        # Each arrival's t_last is its own instant, in the order given.
         ws = spec()
         rng = traffic_stream(ws)
-        arrivals = make_arrivals(ws, rng, 5, now=123.5, context=make_context(ws))
-        assert len(arrivals) == 5
-        assert all(r.t_last == 123.5 for r in arrivals)
+        instants = [123.5, 124.0, 124.0, 130.25, 131.0]
+        arrivals = make_arrivals(ws, rng, instants, context=make_context(ws))
+        assert [r.t_last for r in arrivals] == instants
+
+
+class ParallelFirst:
+    """A generator whose first standard normal lies along `along`; the rest come from `rng`."""
+
+    def __init__(self, rng: np.random.Generator, along: np.ndarray):
+        self.rng, self.along, self.normals = rng, along, 0
+
+    def standard_normal(self, size):
+        self.normals += 1
+        return 2.0 * self.along if self.normals == 1 else self.rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestDrawRecords:
+    N = 120
+
+    def draw(self, ws, n=N, rng=None):
+        rng = rng or traffic_stream(ws)
+        return _draw_records(ws, rng, make_context(ws).embedding, [float(i) for i in range(n)])
+
+    def test_cosine_and_norm_are_the_drawn_ones(self):
+        ws = spec(relevance_mix=0.5)
+        records = self.draw(ws)
+        # The cosines and magnitudes are the second and third array draws.
+        twin = traffic_stream(ws)
+        near = twin.random(self.N) < ws.relevance_mix
+        lo = np.where(near, NEAR_COS[0], FAR_COS[0])
+        cosines = twin.uniform(lo, np.where(near, NEAR_COS[1], FAR_COS[1]))
+        magnitudes = twin.uniform(0.5, 2.0, self.N)
+        context_unit = make_context(ws).embedding
+        for rec, want_cos, want_norm in zip(records, cosines, magnitudes):
+            assert abs(cosine(rec.embedding, context_unit) - want_cos) <= 1e-12
+            norm = float(np.linalg.norm(rec.embedding))
+            assert 0.5 <= norm <= 2.0
+            assert norm == pytest.approx(want_norm, abs=1e-12)
+
+    def test_embeddings_are_read_only_and_unshared(self):
+        ws = spec()
+        records = self.draw(ws, n=40)
+        context_unit = make_context(ws).embedding
+        for rec in records:
+            assert rec.embedding.dtype == np.float64
+            assert not rec.embedding.flags.writeable
+            assert not np.shares_memory(rec.embedding, context_unit)
+        for a, b in combinations(records, 2):
+            assert not np.shares_memory(a.embedding, b.embedding)
+
+    def test_ids_are_unique_uuid4_strings(self):
+        ids = [r.id for r in self.draw(spec())]
+        assert len(set(ids)) == self.N
+        for mid in ids:
+            parsed = uuid.UUID(mid)
+            assert str(parsed) == mid
+            assert parsed.version == 4
+            assert parsed.variant == uuid.RFC_4122
+
+    def test_agents_come_from_the_roster(self):
+        assert {r.agent_id for r in self.draw(spec())} == set(AGENT_IDS)
+
+    @pytest.mark.parametrize("mix,band", [(0.0, FAR_COS), (1.0, NEAR_COS)], ids=["far", "near"])
+    def test_relevance_mix_extremes_pick_one_band(self, mix, band):
+        ws = spec(relevance_mix=mix)
+        context_unit = make_context(ws).embedding
+        for rec in self.draw(ws):
+            assert band[0] - 1e-12 <= cosine(rec.embedding, context_unit) <= band[1] + 1e-12
+
+    def test_no_records_draw_nothing(self):
+        ws = spec()
+        rng = traffic_stream(ws)
+        rng.integers(0, 5)  # a buffered 32-bit half, which a zero-length bytes draw would drop
+        state = rng.bit_generator.state
+        assert self.draw(ws, n=0, rng=rng) == []
+        assert rng.bit_generator.state == state
+
+    def test_a_normal_along_the_context_is_redrawn_once(self):
+        ws = spec(dimension=4)
+        context_unit = np.eye(4)[0]
+        stub = ParallelFirst(traffic_stream(ws), context_unit)
+        [got] = _draw_records(ws, stub, context_unit, [1.0])
+        [want] = _draw_records(ws, traffic_stream(ws), context_unit, [1.0])
+        assert stub.normals == 2
+        assert record_fields([got]) == record_fields([want])
 
 
 class TestZipfSampler:
@@ -224,28 +312,51 @@ class TestZipfSampler:
         assert set(sampler.sample(rng, 1000)) <= set(range(7))
 
 
+def reference_records(ws, rng, context_unit, t_last):
+    """Stream v2's records one scalar draw at a time: every near flag, cosine,
+    magnitude, agent and salience in turn, then the ids 16 bytes at a time,
+    then each record's normal vector, redrawn while it lies along the context."""
+    n = len(t_last)
+    if not n:
+        return []
+    near = [rng.random() < ws.relevance_mix for _ in range(n)]
+    cosines = [rng.uniform(*(NEAR_COS if flag else FAR_COS)) for flag in near]
+    magnitudes = [rng.uniform(0.5, 2.0) for _ in range(n)]
+    agents = [AGENT_IDS[int(rng.integers(len(AGENT_IDS)))] for _ in range(n)]
+    saliences = [rng.random() for _ in range(n)]
+    ids = [str(uuid.UUID(bytes=rng.bytes(16), version=4)) for _ in range(n)]
+    records = []
+    for i in range(n):
+        ortho = np.zeros(1)
+        while not ortho.any():
+            raw = rng.standard_normal(len(context_unit))
+            ortho = raw - raw.dot(context_unit) * context_unit
+        norm = math.sqrt(ortho.dot(ortho))
+        scale = math.sqrt(1.0 - cosines[i] * cosines[i]) * magnitudes[i] / norm
+        embedding = ortho * scale + cosines[i] * magnitudes[i] * context_unit
+        records.append(MemoryRecord(ids[i], embedding, agents[i], t_last[i], saliences[i]))
+    return records
+
+
 def reference_traffic(ws, live, rng, context, interactions, now):
-    """The traffic loop one interaction at a time: the arrival count and each
-    arrival's slot first, then each interaction's Zipf draws by a plain
-    searchsorted over the mass, then its arrivals."""
+    """Stream v2's epoch one interaction at a time: the arrival count, each
+    arrival's slot, each interaction's Zipf draws by a plain searchsorted over
+    the mass, then the arrival records at their slots' instants."""
     lo, hi = ws.arrivals_per_epoch
-    slots = {}
-    for _ in range(int(rng.integers(lo, hi + 1))):
-        slot = int(rng.integers(0, interactions))
-        slots[slot] = slots.get(slot, 0) + 1
+    count = int(rng.integers(lo, hi + 1))
+    slots = sorted(int(rng.integers(0, interactions)) for _ in range(count))
     k = ws.accesses_per_interaction
     ranks = np.arange(1, len(live) + 1, dtype=np.float64)
     cumulative = np.cumsum(ranks**-ws.access_skew)
-    accesses, arrivals = [], []
-    for interaction in range(interactions):
+    accesses, instants = [], []
+    for _ in range(interactions):
         now += ws.interaction_interval_s
+        instants.append(now)
         if live and k:
             draws = rng.random(k) * cumulative[-1]
             indexes = np.searchsorted(cumulative, draws, side="right")
             accesses.append((tuple(live[int(i)] for i in indexes), now))
-        count = slots.get(interaction, 0)
-        if count:
-            arrivals.extend(make_arrivals(ws, rng, count, now, context))
+    arrivals = reference_records(ws, rng, context.embedding, [instants[slot] for slot in slots])
     return accesses, arrivals, now
 
 
