@@ -130,7 +130,10 @@ def finalize(
 
 @dataclass
 class RoundResult:
-    """Everything one round produced, from the coordinator's view, once its queue drained."""
+    """Everything one round produced, from the coordinator's view, once its queue drained.
+
+    deliveries, dropped and elapsed_virtual_s are how far the network's two counters and its clock moved.
+    """
 
     memory_id: str
     epoch: int
@@ -195,15 +198,12 @@ def run_round(
     prepared = [False] * n
     decision: list[int | None] = [None] * n
 
-    dropped_before = net.dropped
-    latency_before = net.delivered_latency_s
+    delivered_before, dropped_before, clock_before = net.delivered, net.dropped, net.clock
     net.broadcast((_EVALUATE, 1, None), ids[0], ids[1:])
 
     poll = net.poll
     broadcast = net.broadcast
-    deliveries = 0
     while (event := poll()) is not None:
-        deliveries += 1
         node = index[event.dest]
         kind, bit, vote = event.msg
         if kind == _EVALUATE:
@@ -253,8 +253,8 @@ def run_round(
         agent_decisions={
             ids[i]: None if decision[i] is None else _VOTES[decision[i]] for i in range(1, n)
         },
-        deliveries=deliveries,
+        deliveries=net.delivered - delivered_before,
         dropped=net.dropped - dropped_before,
         undelivered=undelivered,
-        elapsed_virtual_s=net.delivered_latency_s - latency_before,
+        elapsed_virtual_s=net.clock - clock_before,
     )

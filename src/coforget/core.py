@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any, Collection, Iterable, Mapping, Sequence
 
@@ -35,6 +36,11 @@ __all__ = [
 
 # Unit-sum checks (decay weights, score weights) use this tolerance.
 WEIGHT_SUM_TOL = 1e-9
+
+
+def _is_integer(value: object) -> bool:
+    """True for a Python or numpy integer; a bool is a flag, not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class Vote(enum.Enum):
@@ -154,7 +160,7 @@ class InvalidQuorumFraction(ConfigError):
 
 
 class FaultBoundViolation(ConfigError):
-    """f < 0, the roster's size N lies outside 3f+1 ≤ N ≤ 4f+1, under 2f+1 are active, or an id repeats.
+    """f is no integer ≥ 0, the roster size N lies outside 3f+1 ≤ N ≤ 4f+1, under 2f+1 are active, or an id repeats.
 
     Below 3f+1, f faults can block or split a quorum. Above 4f+1, two honest
     observers can decide differently, because a COMMIT carries its sender's
@@ -223,12 +229,12 @@ def config_violations(cfg: ProtocolConfig, rejected: Collection[str] = ()) -> li
         out.append((WeightSumViolation, f"omega_d + omega_r must equal 1, got {cfg.omega_d} + {cfg.omega_r}"))
     if not 0.0 < cfg.vote_threshold < 1.0:
         out.append((ConfigError, f"vote_threshold must lie in (0, 1), got {cfg.vote_threshold}"))
-    if cfg.epoch_interactions < 1:
-        out.append((ConfigError, f"epoch_interactions must be >= 1, got {cfg.epoch_interactions}"))
-    if cfg.cache_capacity < 1:
-        out.append((ConfigError, f"cache_capacity must be >= 1, got {cfg.cache_capacity}"))
-    if cfg.batch_size < 1:
-        out.append((ConfigError, f"batch_size must be >= 1, got {cfg.batch_size}"))
+    for key in ("epoch_interactions", "cache_capacity", "batch_size"):
+        count = getattr(cfg, key)
+        if not _is_integer(count):
+            out.append((ConfigError, f"{key} must be an integer, got {count!r}"))
+        elif count < 1:
+            out.append((ConfigError, f"{key} must be >= 1, got {count}"))
     if not 0 < cfg.batch_interval_s < math.inf:
         out.append((ConfigError, f"batch_interval_s must be > 0 and finite, got {cfg.batch_interval_s}"))
     return out
@@ -244,11 +250,13 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
 
 
 def validate_roster(cfg: ProtocolConfig, agents: Sequence[AgentProfile]) -> None:
-    """Raise FaultBoundViolation unless f ≥ 0, 3f+1 ≤ N ≤ 4f+1, 2f+1 are active and the ids are distinct.
+    """Raise FaultBoundViolation unless f is an integer ≥ 0, 3f+1 ≤ N ≤ 4f+1, 2f+1 are active and ids are distinct.
 
     N is the roster's size, inactive agents included. An agent id is a node
     address on the consensus network, so it must be unique.
     """
+    if not _is_integer(cfg.f):
+        raise FaultBoundViolation(f"f must be an integer, got {cfg.f!r}")
     if cfg.f < 0:
         raise FaultBoundViolation(f"f must be >= 0, got {cfg.f}")
     n = len(agents)

@@ -75,7 +75,7 @@ class EpochReport:
     consensus_failed: int
     deleted: int
     deletion_rate: float
-    elapsed_virtual_s: float
+    elapsed_virtual_s: float  # how far the network clock advanced over Phase 3's rounds
     cache_hits: int = 0
     cache_misses: int = 0
     per_memory_audit: list[MemoryAudit] = field(default_factory=list)
@@ -151,7 +151,7 @@ def run_epoch(
             proposed[memory_id] = None
 
     # Phase 3: one consensus round per proposed memory, then the quorum gate.
-    elapsed = 0.0
+    clock_before = net.clock
     audits: list[MemoryAudit] = []
     q = quorum_threshold(agents, cfg.alpha) if active else 0.0
     for memory_id in sorted(proposed):
@@ -179,7 +179,6 @@ def run_epoch(
             net,
             behaviors=behaviors,
         )
-        elapsed += result.elapsed_virtual_s
         # finalize is the deletion gate: consensus forget deletes only when
         # S_m >= Q; consensus keep and a timeout retain the memory.
         try:
@@ -219,7 +218,7 @@ def run_epoch(
         consensus_failed=failed,
         deleted=deleted,
         deletion_rate=deleted / memories_start if memories_start else 0.0,
-        elapsed_virtual_s=elapsed,
+        elapsed_virtual_s=net.clock - clock_before,
         per_memory_audit=audits,
     )
 

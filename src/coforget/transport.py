@@ -63,10 +63,11 @@ class NetworkConfig:
 
 
 class Delivery(NamedTuple):
-    """One scheduled message with its timing.
+    """One scheduled message and the virtual instant it arrives.
 
     The network's heap holds these tuples directly, so they order by
     (time_s, sender, seq); seq is unique per sender, so no two compare equal.
+    Polling a delivery moves the network's clock to its time_s.
     """
 
     time_s: float
@@ -74,7 +75,6 @@ class Delivery(NamedTuple):
     seq: int
     dest: str
     msg: object
-    latency_s: float
 
 
 _new_delivery = tuple.__new__  # builds a Delivery without its Python-level __new__
@@ -97,7 +97,6 @@ class SimulatedNetwork:
         self.clock = 0.0
         self.delivered = 0
         self.dropped = 0
-        self.delivered_latency_s = 0.0
 
     def broadcast(self, msg: object, sender: str, dests: Sequence[str]) -> None:
         """Send one message to each destination in order.
@@ -120,7 +119,7 @@ class SimulatedNetwork:
                 self.dropped += 1
                 continue
             latency_s = (lo + width * draw()) / 1000.0
-            heappush(heap, _new_delivery(Delivery, (clock + latency_s, sender, seq, dest, msg, latency_s)))
+            heappush(heap, _new_delivery(Delivery, (clock + latency_s, sender, seq, dest, msg)))
         self._seq[sender] = seq
 
     def poll(self) -> Delivery | None:
@@ -130,7 +129,6 @@ class SimulatedNetwork:
         delivery = heappop(self._heap)
         self.clock = delivery.time_s
         self.delivered += 1
-        self.delivered_latency_s += delivery.latency_s
         return delivery
 
     def pending(self) -> int:

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AgentProfile, FaultProfile, MemoryRecord
+from .core import AgentProfile, FaultProfile, MemoryRecord, _is_integer
 from .relevance import ContextProfile
 
 __all__ = [
@@ -71,13 +71,26 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         arrivals = self.arrivals_per_epoch
-        if isinstance(arrivals, int):
+        if np.isscalar(arrivals):
             arrivals = (arrivals, arrivals)
         if len(arrivals) != 2:
             raise ValueError(f"arrival range must be lo..hi, got {arrivals!r}")
+        # A count of another type is reported before any range is checked;
+        # numpy integers are kept as Python ints.
+        counts = ("initial_items", "accesses_per_interaction", "dimension", "seed")
+        problems = [
+            f"{key} must be an integer, got {getattr(self, key)!r}"
+            for key in counts
+            if not _is_integer(getattr(self, key))
+        ]
+        if not all(map(_is_integer, arrivals)):
+            problems.append(f"arrivals_per_epoch must be integers, got {self.arrivals_per_epoch!r}")
+        if problems:
+            raise ValueError("\n".join(problems))
+        for key in counts:
+            object.__setattr__(self, key, int(getattr(self, key)))
         arrivals = (int(arrivals[0]), int(arrivals[1]))
         object.__setattr__(self, "arrivals_per_epoch", arrivals)
-        problems = []
         if self.seed < 0:
             problems.append(f"seed must be >= 0, got {self.seed}")
         if self.initial_items < 0:

@@ -332,6 +332,22 @@ class TestRunRound:
         assert set(result.agent_decisions.values()) == {Vote.FORGET}
         assert result.elapsed_virtual_s > 0.0
 
+    def test_a_round_lasts_at_most_three_hops(self):
+        # Acceptance 1's randomized rounds, drawn the same way. Each message
+        # is sent when the one before it arrives (EVALUATE, then PREPARE, then
+        # COMMIT), so no round outlasts three maximal latencies.
+        rng = random.Random(20260825)
+        three_hops_s = 3 * NetworkConfig().latency_max_ms / 1000.0
+        for trial in range(1500):
+            votes = {aid: rng.choice([Vote.KEEP, Vote.FORGET]) for aid in IDS}
+            behaviors = {}
+            if rng.random() < 0.6:
+                behaviors[rng.choice(IDS)] = rng.choice([Behavior.SILENT, Behavior.EQUIVOCATE])
+            drop_prob = rng.choice([0.0, 0.0, 0.0, 0.0, 0.02, 0.1, 0.3])
+            net = SimulatedNetwork(NetworkConfig(drop_prob=drop_prob, seed=trial))
+            result = run_round(f"m{trial}", trial, ROSTER, votes, CFG, net, behaviors=behaviors)
+            assert 0.0 <= result.elapsed_virtual_s == net.clock <= three_hops_s, trial
+
     def test_unanimous_keep_decides_keep(self):
         votes = {aid: Vote.KEEP for aid in IDS}
         result = run_round("m", 0, ROSTER, votes, CFG, lossless_net())

@@ -183,6 +183,24 @@ class TestValidateConfig:
         with pytest.raises(FaultBoundViolation):
             validate_roster(ProtocolConfig(f=1), roster_of(3))
 
+    @pytest.mark.parametrize("f", [1.0, 1.5, True])
+    def test_non_integer_f_rejected(self, f):
+        # f = 1.0 passed every bound and ran with a float 2f.
+        with pytest.raises(FaultBoundViolation, match=f"^f must be an integer, got {f!r}$"):
+            validate_roster(ProtocolConfig(f=f), roster_of(4))
+        validate_roster(ProtocolConfig(f=np.int64(1)), roster_of(4))
+
+    @pytest.mark.parametrize("field", ["epoch_interactions", "cache_capacity", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_non_integer_count_violates(self, field, value):
+        # epoch_interactions = 2.5 validated and then broke range() mid-run;
+        # cache_capacity = 1.5 validated and ran with a capacity of 1.
+        cfg = ProtocolConfig(**{field: value})
+        assert config_violations(cfg) == [(ConfigError, f"{field} must be an integer, got {value!r}")]
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            validate_config(cfg)
+        assert config_violations(ProtocolConfig(**{field: np.int64(3)})) == []
+
     def test_fault_bound_message_names_the_rule(self):
         with pytest.raises(FaultBoundViolation, match="N ≥ 3f\\+1 violated: N=3, f=1"):
             validate_roster(ProtocolConfig(f=1), roster_of(3))

@@ -14,6 +14,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import coforget.consensus
 import coforget.epoch
 from coforget.core import AgentProfile, FaultBoundViolation, ProtocolConfig, MemoryRecord
 from coforget.decay import decay_score
@@ -154,6 +155,29 @@ class TestRunEpochOutcomes:
         assert report.deleted == 0
         assert st.count() == 4
         assert all(a.decision == "timeout" for a in report.per_memory_audit)
+
+    def test_elapsed_time_is_the_clock_advance_over_the_rounds(self, monkeypatch):
+        rounds = []
+
+        def recording_run_round(*args, **kwargs):
+            rounds.append(coforget.consensus.run_round(*args, **kwargs))
+            return rounds[-1]
+
+        monkeypatch.setattr(coforget.epoch, "run_round", recording_run_round)
+        net = SimulatedNetwork(NetworkConfig(drop_prob=0.1, seed=3))
+        for now in (1e6, 2e6):
+            st = fresh_store([record(f"m{i}", cos=0.0, t_last=0.0) for i in range(6)], now=0.0)
+            rounds.clear()
+            clock_before = net.clock
+            report = run_epoch(st, AGENTS, context(), CFG, net, now=now)
+            assert report.proposed == len(rounds) == 6
+            assert report.elapsed_virtual_s == net.clock - clock_before > 0.0
+            assert report.elapsed_virtual_s == pytest.approx(sum(r.elapsed_virtual_s for r in rounds), rel=1e-12)
+        # No proposal, no round: the clock stands still.
+        clock_before = net.clock
+        st = fresh_store([record("fresh", cos=-0.5, t_last=100.0)], now=100.0)
+        assert run_epoch(st, AGENTS, context(), CFG, net, now=100.0).elapsed_virtual_s == 0.0
+        assert net.clock == clock_before
 
     def test_arrivals_join_after_deletion(self):
         # An arrival that would itself qualify for forgetting still survives

@@ -58,7 +58,7 @@ GOLDEN = {
         1,
         {
             "report.json": "6f61cc3b4f37d8d4cf5903bc4d65ee74055eb279d716df954c42914c6785b991",
-            "epochs.csv": "d178433e9ec09dea44d5f909fab3f9cf6467128bbf2041c51c8581ee50208a14",
+            "epochs.csv": "4123c4ad755bbbde85abcfbfa2c50000bf2456d1f35f9057eaa0836172f903ac",
             "audit.jsonl": "20bd7e67fdba2c54899e07382e7e57c1fc4c8f037a31bc655eaefb43c6c8392a",
             "metadata.csv": "ad1580679e206acb4b780347f8a0856186773356329a22754c185e167a2e4637",
         },
@@ -70,7 +70,7 @@ GOLDEN = {
         0,
         {
             "report.json": "7900c426675988209a80647c1cd1ad729e1c32123b0fcf332a1bc73773d1d3db",
-            "epochs.csv": "bd938f49e06422161d1342d3c01d966c1cf45136e588b93591c9bd4eb297d1f6",
+            "epochs.csv": "ffbb302976b67be61fae5fa2185e28c5de9758c85a29c81268cd5193a4786bb6",
             "audit.jsonl": "0b8712e8360ad52cb2fcb3bdc79f8021b3fa1777a709d164dad9926c0bee1c2d",
             "metadata.csv": "bc7a2c9905c13ef032faadeb3904abed8c23af854b2d40652589bf1d84b63e18",
         },
@@ -82,7 +82,7 @@ GOLDEN = {
         0,
         {
             "report.json": "a86e121515ad7705f4016d5eb632fc924959c008ba0180348fac47dedc7d31d1",
-            "epochs.csv": "52d849c670b7c09b3d6d72c4e5045c2b0b09a90d4ae0e757e59c370bde10fa5c",
+            "epochs.csv": "7bc3c002f7a240e50dac4eb1e14fa16c688ca513b2aef092e6e67ccc696dc4df",
             "audit.jsonl": "13298970013cd40f4a7b447238707d59efb11997343e6fe292253bac39fa5f15",
             "metadata.csv": "29ea4de213f436fec7475a1be9b21fd6c52b34ffd51ac979a148d0f1d26e6b6b",
         },
@@ -109,13 +109,13 @@ def test_outputs_match_recorded_digests(tmp_path, name):
 SWEEP = {
     "seed-3": {
         "report.json": "1ea79d0ede7f419c385889b16f3a24ace8626bb6b0fc0051877b62d501f12e9d",
-        "epochs.csv": "d5e28678f1514ca78275d141bba3e6add5d5f65712641dfe4a83bbf74a472005",
+        "epochs.csv": "6f5f3b427ccd58abcc2e61fba650d351018f65c9a6ffdd55d7689422c43a25fd",
         "audit.jsonl": "4e12530d8033229cffb056fe6f1e25bfe021b1b46d4df9729489930a3283be0f",
         "metadata.csv": "c67cd9314df460c9d825f20d95f2efa1c67db48368fccbcfe5d5638baea4d81c",
     },
     "seed-4": {
         "report.json": "b592fbb562b2542ae29d28b857720ffd2759a07013410a2e72ce8cd1c9f5b11b",
-        "epochs.csv": "4f9dec061f244dacafe3aeae750155229416d428079aef9ef87524addda2140b",
+        "epochs.csv": "5a9e90679a022692b2dc1419a0d5711632a7dc01b0ff7f1988e71148fe0d5018",
         "audit.jsonl": "35e70dc70cb1bc71d01e05c8c2138a6d3cd553c9f5ffe91b136d1c75edfe6fb7",
         "metadata.csv": "1fd75546c1c8a46e4e82c39e95c7d1e9537a13feca69f5a4c70ff6cd6a007a2d",
     },

@@ -7,7 +7,8 @@ destination, then a uniform latency for a kept message, with the sender's
 sequence number bumped for dropped messages too. Rosters of 4, 7 and 10
 agents with f = (N-1)//3, and of 7 agents with f = 1, up to f faulty agents,
 lossy networks and tied latencies must give an equal RoundResult and leave
-the network in the same state, round after round on one network.
+the network in the same state, round after round on one network. A round's
+elapsed time is how far the network clock moved while it ran.
 
 Observer agreement is asserted only where N <= 4f+1. A COMMIT carries its
 sender's own vote, so two 2f+1 commit quorums for different votes need only
@@ -45,7 +46,6 @@ class ReferenceNetwork:
     clock: float = 0.0
     delivered: int = 0
     dropped: int = 0
-    delivered_latency_s: float = 0.0
 
     def __post_init__(self) -> None:
         self.rng = random.Random(self.config.seed)
@@ -56,13 +56,12 @@ class ReferenceNetwork:
             self.dropped += 1
             return
         latency_s = self.rng.uniform(self.config.latency_min_ms, self.config.latency_max_ms) / 1000.0
-        heapq.heappush(self.heap, (self.clock + latency_s, msg.sender, seq, dest, msg, latency_s))
+        heapq.heappush(self.heap, (self.clock + latency_s, msg.sender, seq, dest, msg))
 
     def poll(self) -> tuple[str, PbftMessage]:
-        time_s, _, _, dest, msg, latency_s = heapq.heappop(self.heap)
+        time_s, _, _, dest, msg = heapq.heappop(self.heap)
         self.clock = time_s
         self.delivered += 1
-        self.delivered_latency_s += latency_s
         return dest, msg
 
 
@@ -96,7 +95,7 @@ def reference_round(memory_id, epoch, agents, votes, cfg, net, behaviors):
         return []
 
     dropped_before = net.dropped
-    latency_before = net.delivered_latency_s
+    started_s = net.clock
     for agent_id in nodes[1:]:
         net.send(PbftMessage(MessageKind.EVALUATE, epoch, memory_id, coordinator), agent_id)
     deliveries = 0
@@ -129,7 +128,7 @@ def reference_round(memory_id, epoch, agents, votes, cfg, net, behaviors):
         deliveries=deliveries,
         dropped=net.dropped - dropped_before,
         undelivered=undelivered,
-        elapsed_virtual_s=net.delivered_latency_s - latency_before,
+        elapsed_virtual_s=net.clock - started_s,
     )
 
 
@@ -175,12 +174,7 @@ class TestRunRoundMatchesReference:
             assert got == want
             assert net._rng.getstate() == ref.rng.getstate()
             assert net._seq == ref.seq
-            assert (net.clock, net.delivered, net.dropped, net.delivered_latency_s) == (
-                ref.clock,
-                ref.delivered,
-                ref.dropped,
-                ref.delivered_latency_s,
-            )
+            assert (net.clock, net.delivered, net.dropped) == (ref.clock, ref.delivered, ref.dropped)
             assert net.pending() == 0
             if len(agents) > 4 * cfg.f + 1:
                 continue

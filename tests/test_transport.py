@@ -86,7 +86,7 @@ class TestSimulatedNetwork:
             net.broadcast(msg(epoch=i), "abc"[i % 3], ("abc"[(i + 1) % 3],))
         out = []
         while (event := net.poll()) is not None:
-            out.append((event.msg.epoch, event.sender, event.dest, event.time_s, event.latency_s))
+            out.append((event.msg.epoch, event.sender, event.dest, event.time_s))
         return out, net.dropped
 
     def test_identical_seeds_produce_identical_traces(self):
@@ -114,7 +114,7 @@ class TestSimulatedNetwork:
             assert net.pending() == i + 1 and net.dropped == 0
         epochs = []
         while (event := net.poll()) is not None:
-            assert event.latency_s == pytest.approx(0.003)
+            assert net.clock == event.time_s == pytest.approx(0.003)
             epochs.append(event.msg.epoch)
         assert epochs == list(range(20))
 
@@ -122,9 +122,11 @@ class TestSimulatedNetwork:
         cfg = NetworkConfig(latency_min_ms=2.0, latency_max_ms=7.0, drop_prob=0.0, seed=3)
         net = SimulatedNetwork(cfg)
         for i in range(100):
+            sent_s = net.clock
             net.broadcast(msg(epoch=i), "a", ("b",))
-        while (event := net.poll()) is not None:
-            assert 0.002 <= event.latency_s <= 0.007
+            event = net.poll()
+            assert sent_s + 0.002 <= event.time_s <= sent_s + 0.007
+        assert net.clock > 100 * 0.002
 
     def test_poll_advances_the_clock(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=0.0, seed=5))
@@ -141,7 +143,7 @@ class TestSimulatedNetwork:
         fixed = SimulatedNetwork(NetworkConfig(latency_min_ms=2.0, latency_max_ms=2.0, drop_prob=0.0))
         fixed.broadcast(msg(), "a", ("a",))
         assert fixed.pending() == 1 and fixed.dropped == 0
-        assert fixed.poll().latency_s == pytest.approx(0.002)
+        assert fixed.poll().time_s == pytest.approx(0.002)
 
     def test_drain_reports_and_clears(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=0.0, seed=0))
@@ -156,12 +158,13 @@ class TestSimulatedNetwork:
         for i in range(200):
             net.broadcast(msg(epoch=i), "a", ("b",))
         scheduled = net.pending()
-        total_latency = 0.0
+        times = []
         while (event := net.poll()) is not None:
-            total_latency += event.latency_s
-        assert net.delivered == scheduled
+            times.append(event.time_s)
+            assert net.clock == event.time_s
+        assert times == sorted(times)
+        assert net.delivered == scheduled == len(times)
         assert net.dropped == 200 - scheduled
-        assert net.delivered_latency_s == pytest.approx(total_latency)
 
 
 class TestResolveBehavior:

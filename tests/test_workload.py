@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import uuid
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -91,6 +92,37 @@ class TestWorkloadSpec:
     def test_invalid_fields_rejected(self, field, value):
         with pytest.raises(ValueError):
             WorkloadSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("initial_items", 2.5),
+            ("accesses_per_interaction", True),
+            ("dimension", 64.0),
+            ("seed", 1.5),
+            ("arrivals_per_epoch", (0.9, 1.9)),
+            ("arrivals_per_epoch", (1, 2.0)),
+            ("arrivals_per_epoch", 2.5),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        # int() truncated (0.9, 1.9) to (0, 1); a float initial_items or
+        # seed built a spec that numpy then refused mid-run.
+        with pytest.raises(ValueError, match=f"^{field} must be (an integer|integers), got {re.escape(repr(value))}$"):
+            WorkloadSpec(**{field: value})
+
+    def test_numpy_integer_counts_become_python_ints(self):
+        ws = WorkloadSpec(
+            initial_items=np.int64(5),
+            arrivals_per_epoch=(np.int32(1), np.int64(2)),
+            accesses_per_interaction=np.int64(2),
+            dimension=np.int16(4),
+            seed=np.uint8(3),
+        )
+        counts = (ws.initial_items, *ws.arrivals_per_epoch, ws.accesses_per_interaction, ws.dimension, ws.seed)
+        assert counts == (5, 1, 2, 2, 4, 3)
+        assert {type(v) for v in counts} == {int}
+        assert WorkloadSpec(arrivals_per_epoch=np.int64(7)).arrivals_per_epoch == (7, 7)
 
     def test_from_items_builds(self):
         ws = spec_from_items(WorkloadSpec, {"initial_items": 10, "access_skew": 1.3}, "workload.")
