@@ -35,7 +35,7 @@ from .core import (
 )
 from .epoch import EpochReport, SimulationResult, run_simulation
 from .transport import NetworkConfig
-from .workload import WorkloadSpec, default_agents
+from .workload import WorkloadSpec, default_agents, horizon_problem
 
 SCENARIOS = ("baseline_no_faults", "byzantine_f1", "cache_profile", "custom")
 
@@ -92,36 +92,33 @@ def _compose_run(
     scenario: str,
     seed: int,
     file_items: tuple[dict, dict, dict],
+    epochs: int,
 ) -> tuple[ProtocolConfig, WorkloadSpec, NetworkConfig, tuple]:
     """Scenario preset, overlaid by the config file, stamped with the run seed.
 
     The run seed wins over any seed keys in the file so --seeds sweeps stay
     meaningful; everything else in the file overrides the preset. Every
-    problem with the result, the fault bound on the scenario's roster
-    included, is raised in one ConfigError, one problem per line.
+    problem with the result, the fault bound on the scenario's roster and
+    the clock horizon of an `epochs`-epoch run included, is raised in one
+    ConfigError, one problem per line, in the file's key order whatever the
+    preset.
     """
-    protocol: dict = {}
-    workload: dict = {}
-    network: dict = {}
+    protocol, workload, network = (dict(items) for items in file_items)
     faults: dict[str, FaultProfile] = {}
     if scenario == "byzantine_f1":
         kind = FaultKind.SILENT_HALF if seed % 2 == 0 else FaultKind.EQUIVOCATE_HALF
         faults[_FAULTY_AGENT] = FaultProfile(kind=kind, coin_seed=seed)
-        network["drop_prob"] = BYZANTINE_DROP_PROB
+        network.setdefault("drop_prob", BYZANTINE_DROP_PROB)
     elif scenario == "cache_profile":
-        workload["access_skew"] = CACHE_PROFILE_SKEW
-
-    file_protocol, file_workload, file_network = file_items
-    protocol.update(file_protocol)
-    workload.update(file_workload)
-    network.update(file_network)
+        workload.setdefault("access_skew", CACHE_PROFILE_SKEW)
     workload["seed"] = seed
     network["seed"] = seed
 
     # The protocol's range checks and fault bound judge its well-typed keys.
     typed, problems = _typed_items(ProtocolConfig, protocol)
+    rejected = protocol.keys() - typed.keys()
     cfg = ProtocolConfig(**typed)
-    problems.extend(message for _, message in config_violations(cfg, protocol.keys() - typed.keys()))
+    problems.extend(message for _, message in config_violations(cfg, rejected))
 
     def build(make, *args):
         try:
@@ -134,6 +131,10 @@ def _compose_run(
     build(validate_roster, cfg, agents)
     spec = build(spec_from_items, WorkloadSpec, workload, "workload.")
     net_cfg = build(spec_from_items, NetworkConfig, network, "network.")
+    # The horizon is judged only once the workload and epoch_interactions are valid.
+    judged = spec is not None and "epoch_interactions" not in rejected and cfg.epoch_interactions >= 1
+    if judged and (problem := horizon_problem(spec, cfg.epoch_interactions, epochs)):
+        problems.append(problem)
     if problems:
         raise ConfigError("\n".join(problems))
     return cfg, spec, net_cfg, agents
@@ -185,7 +186,7 @@ def _run_seed(args: argparse.Namespace, seed: int, file_items: tuple[dict, dict,
     The run's result lives only in this frame, so a sweep frees each seed's
     history before the next seed starts.
     """
-    cfg, spec, net_cfg, agents = _compose_run(args.scenario, seed, file_items)
+    cfg, spec, net_cfg, agents = _compose_run(args.scenario, seed, file_items, args.epochs)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_simulation(
         cfg,
@@ -207,10 +208,13 @@ def _run_seed(args: argparse.Namespace, seed: int, file_items: tuple[dict, dict,
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    """Check a file the way `run --scenario custom` does, listing every problem."""
+    """Check a file the way `run --scenario custom` does, listing every problem.
+
+    With no epoch count, the clock horizon is checked for one epoch.
+    """
     file_items = _split_namespaces(_read_config_file(args.config))
     try:
-        _compose_run("custom", 0, file_items)
+        _compose_run("custom", 0, file_items, 1)
     except ConfigError as exc:
         print(exc)
         return 2

@@ -11,10 +11,13 @@ undecided then times out and the memory is kept for re-evaluation next epoch.
 run_round keeps one round's state in lists indexed by node position: the
 coordinator is position 0 and the active agents follow, sorted by id. Every
 node runs the same handler; the coordinator and silent agents simply have no
-vote to send. Each node tallies PREPAREs and COMMITs per vote as a bitmask of
-sender positions, and a message on the network is the tuple (kind, sender
-bit, vote index), so a delivery costs a few list and integer operations. The
-coordinator's PbftInstance is built once, when the round ends.
+vote to send. Messages are addressed to node positions, never to ids, so an
+agent id may equal the coordinator's without aliasing it; the sender's id
+still goes to the network, which breaks equal arrival times by it. Each node
+tallies PREPAREs and COMMITs per vote as a bitmask of sender positions, and a
+message on the network is the tuple (kind, sender bit, vote index), so a
+delivery costs a few list and integer operations. The coordinator's
+PbftInstance is built once, when the round ends.
 """
 
 from __future__ import annotations
@@ -180,8 +183,7 @@ def run_round(
         logger.warning("instance (%s, %d) started with zero active agents; undecidable", memory_id, epoch)
     ids = [DEFAULT_COORDINATOR_ID] + [a.agent_id for a in active]
     n = len(ids)
-    index = {node_id: i for i, node_id in enumerate(ids)}
-    peers = [ids[:i] + ids[i + 1 :] for i in range(n)]
+    peers = [[j for j in range(n) if j != i] for i in range(n)]
     # The vote index each node puts on the wire; None for the coordinator and
     # for silent agents, which never PREPARE or COMMIT.
     wire: list[int | None] = [None]
@@ -199,13 +201,12 @@ def run_round(
     decision: list[int | None] = [None] * n
 
     delivered_before, dropped_before, clock_before = net.delivered, net.dropped, net.clock
-    net.broadcast((_EVALUATE, 1, None), ids[0], ids[1:])
+    net.broadcast((_EVALUATE, 1, None), ids[0], peers[0])
 
     poll = net.poll
     broadcast = net.broadcast
     while (event := poll()) is not None:
-        node = index[event.dest]
-        kind, bit, vote = event.msg
+        node, (kind, bit, vote) = event
         if kind == _EVALUATE:
             vote = wire[node]
             if vote is None:

@@ -252,8 +252,9 @@ def validate_config(cfg: ProtocolConfig) -> ProtocolConfig:
 def validate_roster(cfg: ProtocolConfig, agents: Sequence[AgentProfile]) -> None:
     """Raise FaultBoundViolation unless f is an integer ≥ 0, 3f+1 ≤ N ≤ 4f+1, 2f+1 are active and ids are distinct.
 
-    N is the roster's size, inactive agents included. An agent id is a node
-    address on the consensus network, so it must be unique.
+    N is the roster's size, inactive agents included. Ids are not network
+    addresses (a round addresses nodes by position), but votes, fault
+    behaviours and the audit are keyed by id, so ids must be distinct.
     """
     if not _is_integer(cfg.f):
         raise FaultBoundViolation(f"f must be an integer, got {cfg.f!r}")

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .consensus import ConsensusTimeout, finalize, run_round
-from .core import AgentProfile, MemoryRecord, ProtocolConfig, Vote, validate_config, validate_roster
+from .core import AgentProfile, ConfigError, MemoryRecord, ProtocolConfig, Vote, validate_config, validate_roster
 from .decay import combined_decay
 from .relevance import ContextProfile, RelevanceScorer, relevance
 from .store import MemoryStore, _check_now
@@ -36,6 +36,7 @@ from .workload import (
     default_agents,
     epoch_traffic,
     generate_initial,
+    horizon_problem,
     make_context,
     traffic_stream,
 )
@@ -249,7 +250,8 @@ def run_simulation(
     cfg.epoch_interactions interactions. The baseline series is the footprint
     a no-forgetting twin would have (initial plus cumulative arrivals). Agents
     score with the default scorer. A roster outside 3f+1 ≤ N ≤ 4f+1 or with
-    under 2f+1 active agents raises FaultBoundViolation.
+    under 2f+1 active agents raises FaultBoundViolation, and a run whose clock
+    could overflow (horizon_problem) raises ConfigError, both before any epoch.
     """
     validate_config(cfg)
     if epochs < 1:
@@ -257,6 +259,8 @@ def run_simulation(
     if agents is None:
         agents = default_agents()
     validate_roster(cfg, agents)
+    if problem := horizon_problem(spec, cfg.epoch_interactions, epochs):
+        raise ConfigError(problem)
     net = SimulatedNetwork(net_cfg or NetworkConfig())
 
     context = make_context(spec)

@@ -13,7 +13,7 @@ import random
 import struct
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import ClassVar, NamedTuple, Sequence
+from typing import ClassVar, Sequence
 
 from .consensus import _CONSENSUS_KINDS, DEFAULT_COORDINATOR_ID, Behavior, MessageKind, PbftMessage
 from .core import FaultKind, FaultProfile, Vote
@@ -21,7 +21,6 @@ from .core import FaultKind, FaultProfile, Vote
 __all__ = [
     "NetworkConfig",
     "resolve_behavior",
-    "Delivery",
     "SimulatedNetwork",
     "Frame",
     "CodecError",
@@ -62,48 +61,33 @@ class NetworkConfig:
             raise ValueError("\n".join(problems))
 
 
-class Delivery(NamedTuple):
-    """One scheduled message and the virtual instant it arrives.
-
-    The network's heap holds these tuples directly, so they order by
-    (time_s, sender, seq); seq is unique per sender, so no two compare equal.
-    Polling a delivery moves the network's clock to its time_s.
-    """
-
-    time_s: float
-    sender: str
-    seq: int
-    dest: str
-    msg: object
-
-
-_new_delivery = tuple.__new__  # builds a Delivery without its Python-level __new__
-
-
 class SimulatedNetwork:
     """Single-owner event queue with seeded latency and drops.
 
-    Delivery order is (timestamp, sender, per-sender sequence): deterministic
-    for a fixed seed and submission sequence. Any string is an address. Every
-    message, one addressed to its own sender included, draws a drop and, if
-    kept, a latency.
+    The heap holds plain (time_s, sender, seq, dest, msg) tuples, where seq
+    counts every send on this network, so delivery order is (timestamp,
+    sender, send number): deterministic for a fixed seed and submission
+    sequence, and no two entries compare equal. Senders are strings and
+    destinations whatever the caller addresses; run_round uses node
+    positions. Every message, one addressed to its own sender included,
+    draws a drop and, if kept, a latency.
     """
 
     def __init__(self, config: NetworkConfig | None = None):
         self.config = config or NetworkConfig()
         self._rng = random.Random(self.config.seed)
-        self._heap: list[Delivery] = []
-        self._seq: dict[str, int] = {}
+        self._heap: list[tuple] = []
+        self._seq = 0
         self.clock = 0.0
         self.delivered = 0
         self.dropped = 0
 
-    def broadcast(self, msg: object, sender: str, dests: Sequence[str]) -> None:
+    def broadcast(self, msg: object, sender: str, dests: Sequence) -> None:
         """Send one message to each destination in order.
 
-        Per destination the sender's sequence number is bumped, then one
-        random() draw decides a drop (counted in `dropped`) and a kept message
-        draws its latency uniformly from the band.
+        Per destination the send counter is bumped, then one random() draw
+        decides a drop (counted in `dropped`) and a kept message draws its
+        latency uniformly from the band.
         """
         heap = self._heap
         draw = self._rng.random
@@ -112,24 +96,22 @@ class SimulatedNetwork:
         lo = self.config.latency_min_ms
         width = self.config.latency_max_ms - lo
         clock = self.clock
-        seq = self._seq.get(sender, 0)
+        seq = self._seq
         for dest in dests:
             seq += 1
             if draw() < drop_prob:
                 self.dropped += 1
                 continue
-            latency_s = (lo + width * draw()) / 1000.0
-            heappush(heap, _new_delivery(Delivery, (clock + latency_s, sender, seq, dest, msg)))
-        self._seq[sender] = seq
+            heappush(heap, (clock + (lo + width * draw()) / 1000.0, sender, seq, dest, msg))
+        self._seq = seq
 
-    def poll(self) -> Delivery | None:
-        """Deliver the next scheduled message, advancing the virtual clock."""
+    def poll(self) -> tuple | None:
+        """Deliver the next scheduled message as (dest, msg), advancing the virtual clock to its time."""
         if not self._heap:
             return None
-        delivery = heappop(self._heap)
-        self.clock = delivery.time_s
+        self.clock, _, _, dest, msg = heappop(self._heap)
         self.delivered += 1
-        return delivery
+        return dest, msg
 
     def pending(self) -> int:
         return len(self._heap)

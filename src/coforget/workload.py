@@ -10,6 +10,7 @@ corpus, context, and traffic never share state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Callable, Mapping, Sequence
@@ -25,6 +26,7 @@ __all__ = [
     "AGENT_IDS",
     "EmptyPopulation",
     "WorkloadSpec",
+    "horizon_problem",
     "make_context",
     "generate_initial",
     "make_arrivals",
@@ -111,10 +113,38 @@ class WorkloadSpec:
             )
         if not 0.0 <= self.history_window_s < math.inf:
             problems.append(f"history_window_s must be >= 0 and finite, got {self.history_window_s}")
+        elif self.history_window_s == 0.0 and math.copysign(1.0, self.history_window_s) < 0:
+            # -0.0 passes the range check but is the high end of the corpus's uniform t_last draw.
+            object.__setattr__(self, "history_window_s", 0.0)
         if not 0.0 < self.interaction_interval_s < math.inf:
             problems.append(f"interaction_interval_s must be > 0 and finite, got {self.interaction_interval_s}")
         if problems:
             raise ValueError("\n".join(problems))
+
+
+# The run clock's exact end must stay below this: K sequential float sums of
+# positive steps carry a relative error under K*2^-53 / (1 - K*2^-53), which is
+# below 1 for any run of fewer than 2^52 interactions, so no partial sum of a
+# run that passes horizon_problem rounds to inf.
+_HORIZON_LIMIT_S = sys.float_info.max / 2
+
+
+def horizon_problem(spec: WorkloadSpec, epoch_interactions: int, epochs: int) -> str | None:
+    """The problem line if a run of `epochs` epochs could overflow its clock, else None.
+
+    The clock starts at history_window_s and accumulates one interaction_interval_s
+    per interaction, epoch_interactions of them per epoch.
+    """
+    try:
+        end_s = spec.history_window_s + epochs * epoch_interactions * spec.interaction_interval_s
+    except OverflowError:  # the interaction count itself is past the float range
+        end_s = math.inf
+    if end_s < _HORIZON_LIMIT_S:
+        return None
+    return (
+        f"run clock overflows: workload.history_window_s + {epochs} epoch(s) * epoch_interactions"
+        f" * workload.interaction_interval_s = {end_s:.6g} s, must stay below {_HORIZON_LIMIT_S:.6g} s"
+    )
 
 
 # --- corpus generation -----------------------------------------------------------

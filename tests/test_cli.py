@@ -314,6 +314,36 @@ class TestRunErrors:
         assert "dimension must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_zero_history_window_runs(self, tmp_path, check_outputs):
+        # -0.0 passes the window's range check; the run must treat it as 0.0.
+        path = write_config(tmp_path, small_run_with("workload.history_window_s = -0.0\n"))
+        assert run_cli("validate", path) == 0
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", "custom", "--config", path, "--epochs", 2, "--out", out) == 0
+        assert check_outputs(out).problems == []
+
+    def test_validate_rejects_one_epoch_that_overflows_the_clock(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_run_with("workload.interaction_interval_s = 1e308\n"))
+        assert run_cli("validate", path) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "run clock overflows: workload.history_window_s + 1 epoch(s) * epoch_interactions"
+            " * workload.interaction_interval_s = inf s, must stay below 8.98847e+307 s"
+        ]
+
+    def test_run_rejects_a_clock_overflow_before_any_output(self, tmp_path, capsys):
+        # One epoch of 20 interactions ends near 2e307 s, which validate
+        # accepts; five overflow the clock's margin.
+        path = write_config(tmp_path, small_run_with("workload.interaction_interval_s = 1e306\n"))
+        assert run_cli("validate", path) == 0
+        out = tmp_path / "out"
+        for extra in ((), ("--seeds", 2)):
+            assert run_cli("run", "--config", path, "--epochs", 5, "--out", out, *extra) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "config error: run clock overflows: workload.history_window_s + 5 epoch(s) * epoch_interactions"
+                " * workload.interaction_interval_s = 1e+308 s, must stay below 8.98847e+307 s"
+            ]
+            assert not out.exists()
+
 
 class TestRunOutputs:
     def run_small(self, tmp_path, out_name="out", epochs=3, seed=0, *extra):

@@ -16,6 +16,7 @@ import random
 import pytest
 
 from coforget.consensus import (
+    DEFAULT_COORDINATOR_ID,
     Behavior,
     ConsensusTimeout,
     MessageKind,
@@ -392,6 +393,16 @@ class TestRunRound:
         assert result.dropped == 4
         with pytest.raises(ConsensusTimeout):
             finalize(result.instance, cast(self.all_forget()), ROSTER, CFG)
+
+    def test_an_agent_named_like_the_coordinator_is_its_own_node(self):
+        # Nodes are addressed by position, so the agent does not alias node 0.
+        roster = ROSTER[:3] + (AgentProfile(DEFAULT_COORDINATOR_ID),)
+        votes = {a.agent_id: Vote.FORGET for a in roster}
+        result = run_round("m", 0, roster, votes, CFG, lossless_net())
+        assert result.decision is Vote.FORGET
+        assert result.commit_count == 4
+        assert result.undelivered == 0
+        assert result.agent_decisions == votes
 
     def test_inactive_agent_is_excluded(self):
         roster = ROSTER[:3] + (AgentProfile("percept-2", active=False),)

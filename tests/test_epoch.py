@@ -16,7 +16,7 @@ import pytest
 
 import coforget.consensus
 import coforget.epoch
-from coforget.core import AgentProfile, FaultBoundViolation, ProtocolConfig, MemoryRecord
+from coforget.core import AgentProfile, ConfigError, FaultBoundViolation, ProtocolConfig, MemoryRecord
 from coforget.decay import decay_score
 from coforget.epoch import EpochReport, run_epoch, run_simulation
 from coforget.relevance import ContextProfile, ExternalScorer, relevance
@@ -430,6 +430,30 @@ class TestRunSimulation:
         with pytest.raises(FaultBoundViolation, match="'a' appears more than once"):
             run_simulation(self.SIM_CFG, self.SPEC, 5, agents=agents)
         assert epochs_run == []
+
+    def test_rejects_a_clock_overflow_before_any_epoch(self, monkeypatch):
+        # 20 interactions of 1e306 s per epoch: one epoch ends near 2e307 s,
+        # five past the clock's margin below the largest float.
+        epochs_run = []
+        monkeypatch.setattr(coforget.epoch, "run_epoch", lambda *a, **k: epochs_run.append(a))
+        spec = replace(self.SPEC, interaction_interval_s=1e306)
+        with pytest.raises(ConfigError, match="^run clock overflows: .* 5 epoch"):
+            run_simulation(self.SIM_CFG, spec, 5)
+        assert epochs_run == []
+
+    def test_an_agent_named_like_the_coordinator_decides_rounds(self):
+        # Far-context memories with fast decay, so most are proposed; the
+        # roster decides every round, as it does with the agent renamed.
+        cfg = replace(self.SIM_CFG, decay_scales=(10.0, 60.0, 600.0))
+        spec = replace(self.SPEC, relevance_mix=0.0)
+        results = [
+            run_simulation(cfg, spec, 3, agents=[replace(AGENTS[0], agent_id=name), *AGENTS[1:]])
+            for name in (coforget.consensus.DEFAULT_COORDINATOR_ID, "a")
+        ]
+        for result in results:
+            assert result.summary.pbft_success_rate == 1.0
+            assert sum(r.deleted for r in result.reports) > 0
+        assert [r.deleted for r in results[0].reports] == [r.deleted for r in results[1].reports]
 
     def test_identical_runs_are_identical(self):
         a = run_simulation(self.SIM_CFG, self.SPEC, 4)

@@ -1,5 +1,5 @@
 """Golden outputs: small CLI runs shaped like the three benchmark workloads,
-and a two-seed sweep of the default preset.
+one with tied message latencies, and a two-seed sweep of the default preset.
 
 Each run writes report.json, epochs.csv, audit.jsonl and metadata.csv, and
 each file's sha256 must match the constant recorded below. The sweep writes
@@ -15,26 +15,18 @@ before the benchmark runs.
 
 The ``.cfg`` overlays are inlined copies of ``perfbench/workloads/*.cfg``;
 the epoch counts are cut so the three runs take about 1.5 s together, and
-the sweep about 0.3 s.
+the sweep about 0.3 s. The tied-latency run gives every message the same 2 ms
+latency, so a broadcast's messages arrive together and the network's tie order
+(sender id, then send number) decides what each node sees first.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
 from coforget.cli import main
-
-# perfbench is not a package on the import path, so load its checker by file;
-# dataclasses resolve their module through sys.modules.
-_CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
-_spec = importlib.util.spec_from_file_location("perfbench_checks", _CHECKS)
-checks = sys.modules.setdefault(_spec.name, importlib.util.module_from_spec(_spec))
-_spec.loader.exec_module(checks)
 
 FORGET_STORM = """\
 decay_scales = 10, 60, 600
@@ -47,6 +39,11 @@ workload.dimension = 64
 HOT_READS = """\
 epoch_interactions = 1000
 workload.accesses_per_interaction = 4
+"""
+
+TIED_LATENCY = """\
+network.latency_min_ms = 2
+network.latency_max_ms = 2
 """
 
 # name -> (scenario, overlay, epochs, seed, {file: sha256})
@@ -87,11 +84,23 @@ GOLDEN = {
             "metadata.csv": "29ea4de213f436fec7475a1be9b21fd6c52b34ffd51ac979a148d0f1d26e6b6b",
         },
     ),
+    "tied_latency": (
+        "byzantine_f1",
+        TIED_LATENCY,
+        12,
+        1,
+        {
+            "report.json": "7fa300c470704634cd23a7f8c06e3b2bd26be588fe33bd7c6c6b2c0ff883bcef",
+            "epochs.csv": "cd99e5cb250810525a8d38cc0bde4fbf04db9108a626ee48134351c92968ea52",
+            "audit.jsonl": "418af6b86272abcb562777ec3d6eca3ef404ac969dc9d465375a1984e462eee5",
+            "metadata.csv": "b947e32c11ab8f1918f8f2f3c415ed3a270f6b39fb4d25d6d97b1424839c61b3",
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_outputs_match_recorded_digests(tmp_path, name):
+def test_outputs_match_recorded_digests(tmp_path, check_outputs, name):
     scenario, overlay, epochs, seed, digests = GOLDEN[name]
     config = tmp_path / f"{name}.cfg"
     config.write_text(overlay, encoding="utf-8")
@@ -101,7 +110,7 @@ def test_outputs_match_recorded_digests(tmp_path, name):
     assert main(argv) == 0
     actual = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
     assert actual == digests
-    assert checks.check_outputs(out).problems == []
+    assert check_outputs(out).problems == []
 
 
 # baseline_no_faults, the default preset, at --epochs 12 --seed 3 --seeds 2:
@@ -122,7 +131,7 @@ SWEEP = {
 }
 
 
-def test_default_preset_sweep_matches_recorded_digests(tmp_path):
+def test_default_preset_sweep_matches_recorded_digests(tmp_path, check_outputs):
     out = tmp_path / "out"
     argv = ["run", "--scenario", "baseline_no_faults", "--epochs", "12"]
     argv += ["--seed", "3", "--seeds", "2", "--out", str(out)]
@@ -134,4 +143,4 @@ def test_default_preset_sweep_matches_recorded_digests(tmp_path):
     }
     assert actual == SWEEP
     for seed_dir in SWEEP:
-        assert checks.check_outputs(out / seed_dir).problems == []
+        assert check_outputs(out / seed_dir).problems == []

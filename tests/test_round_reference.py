@@ -3,8 +3,8 @@
 The reference follows the consensus module docstring with plain message
 objects, dict[Vote, set] tallies and its own (time, sender, seq) heap fed from
 a random.Random seeded like the simulated network: one random() drop draw per
-destination, then a uniform latency for a kept message, with the sender's
-sequence number bumped for dropped messages too. Rosters of 4, 7 and 10
+destination, then a uniform latency for a kept message, with the network's
+one send counter bumped for dropped messages too. Rosters of 4, 7 and 10
 agents with f = (N-1)//3, and of 7 agents with f = 1, up to f faulty agents,
 lossy networks and tied latencies must give an equal RoundResult and leave
 the network in the same state, round after round on one network. A round's
@@ -42,7 +42,7 @@ class ReferenceNetwork:
     config: NetworkConfig
     rng: random.Random = field(init=False)
     heap: list = field(default_factory=list)
-    seq: dict = field(default_factory=dict)
+    seq: int = 0
     clock: float = 0.0
     delivered: int = 0
     dropped: int = 0
@@ -51,12 +51,12 @@ class ReferenceNetwork:
         self.rng = random.Random(self.config.seed)
 
     def send(self, msg: PbftMessage, dest: str) -> None:
-        self.seq[msg.sender] = seq = self.seq.get(msg.sender, 0) + 1
+        self.seq += 1
         if self.rng.random() < self.config.drop_prob:
             self.dropped += 1
             return
         latency_s = self.rng.uniform(self.config.latency_min_ms, self.config.latency_max_ms) / 1000.0
-        heapq.heappush(self.heap, (self.clock + latency_s, msg.sender, seq, dest, msg))
+        heapq.heappush(self.heap, (self.clock + latency_s, msg.sender, self.seq, dest, msg))
 
     def poll(self) -> tuple[str, PbftMessage]:
         time_s, _, _, dest, msg = heapq.heappop(self.heap)

@@ -83,10 +83,12 @@ class TestSimulatedNetwork:
     def trace(self, seed: int, drop_prob: float) -> tuple[list, int]:
         net = SimulatedNetwork(NetworkConfig(drop_prob=drop_prob, seed=seed))
         for i in range(40):
-            net.broadcast(msg(epoch=i), "abc"[i % 3], ("abc"[(i + 1) % 3],))
+            sender = "abc"[i % 3]
+            net.broadcast(msg(epoch=i, sender=sender), sender, ("abc"[(i + 1) % 3],))
         out = []
         while (event := net.poll()) is not None:
-            out.append((event.msg.epoch, event.sender, event.dest, event.time_s))
+            dest, m = event
+            out.append((m.epoch, m.sender, dest, net.clock))
         return out, net.dropped
 
     def test_identical_seeds_produce_identical_traces(self):
@@ -114,8 +116,8 @@ class TestSimulatedNetwork:
             assert net.pending() == i + 1 and net.dropped == 0
         epochs = []
         while (event := net.poll()) is not None:
-            assert net.clock == event.time_s == pytest.approx(0.003)
-            epochs.append(event.msg.epoch)
+            assert net.clock == pytest.approx(0.003)
+            epochs.append(event[1].epoch)
         assert epochs == list(range(20))
 
     def test_latency_stays_in_band(self):
@@ -124,15 +126,15 @@ class TestSimulatedNetwork:
         for i in range(100):
             sent_s = net.clock
             net.broadcast(msg(epoch=i), "a", ("b",))
-            event = net.poll()
-            assert sent_s + 0.002 <= event.time_s <= sent_s + 0.007
+            assert net.poll() is not None
+            assert sent_s + 0.002 <= net.clock <= sent_s + 0.007
         assert net.clock > 100 * 0.002
 
     def test_poll_advances_the_clock(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=0.0, seed=5))
         net.broadcast(msg(), "a", ("b",))
-        event = net.poll()
-        assert net.clock == event.time_s > 0.0
+        assert net.poll() == ("b", msg())
+        assert net.clock > 0.0
 
     def test_a_message_to_its_own_sender_is_not_special(self):
         # It draws a drop like any other message, and a kept one a latency.
@@ -143,7 +145,8 @@ class TestSimulatedNetwork:
         fixed = SimulatedNetwork(NetworkConfig(latency_min_ms=2.0, latency_max_ms=2.0, drop_prob=0.0))
         fixed.broadcast(msg(), "a", ("a",))
         assert fixed.pending() == 1 and fixed.dropped == 0
-        assert fixed.poll().time_s == pytest.approx(0.002)
+        assert fixed.poll() == ("a", msg())
+        assert fixed.clock == pytest.approx(0.002)
 
     def test_drain_reports_and_clears(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=0.0, seed=0))
@@ -159,9 +162,8 @@ class TestSimulatedNetwork:
             net.broadcast(msg(epoch=i), "a", ("b",))
         scheduled = net.pending()
         times = []
-        while (event := net.poll()) is not None:
-            times.append(event.time_s)
-            assert net.clock == event.time_s
+        while net.poll() is not None:
+            times.append(net.clock)
         assert times == sorted(times)
         assert net.delivered == scheduled == len(times)
         assert net.dropped == 200 - scheduled

@@ -124,6 +124,13 @@ class TestWorkloadSpec:
         assert {type(v) for v in counts} == {int}
         assert WorkloadSpec(arrivals_per_epoch=np.int64(7)).arrivals_per_epoch == (7, 7)
 
+    def test_negative_zero_history_window_becomes_zero(self):
+        # -0.0 passes the range check, but as the high end of the corpus's
+        # t_last draw it is below the low end 0.0.
+        ws = WorkloadSpec(initial_items=3, dimension=4, history_window_s=-0.0)
+        assert math.copysign(1.0, ws.history_window_s) == 1.0
+        assert [r.t_last for r in generate_initial(ws)] == [0.0, 0.0, 0.0]
+
     def test_from_items_builds(self):
         ws = spec_from_items(WorkloadSpec, {"initial_items": 10, "access_skew": 1.3}, "workload.")
         assert ws.initial_items == 10
