@@ -6,9 +6,10 @@
 Each run writes report.json (the run summary and baseline footprints),
 epochs.csv (one row of numeric columns per epoch), audit.jsonl (one line per
 per-memory consensus record) and metadata.csv (the store's final persisted
-snapshot), so each epoch row and audit entry has one home. Identical config
-and seed produce byte-identical outputs. Exit codes: 0 success, 2 config
-error, 3 I/O error.
+snapshot), so each epoch row and audit entry has one home. The summary's
+pbft_success_rate is the share of epochs.csv rows with consensus_failed == 0.
+Identical config and seed produce byte-identical outputs. Exit codes: 0
+success, 2 config error (argparse usage errors included), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -131,9 +132,11 @@ def _compose_run(
     build(validate_roster, cfg, agents)
     spec = build(spec_from_items, WorkloadSpec, workload, "workload.")
     net_cfg = build(spec_from_items, NetworkConfig, network, "network.")
-    # The horizon is judged only once the workload and epoch_interactions are valid.
+    # The horizons are judged only once the workload and epoch_interactions
+    # are valid; a rejected network config is judged at 0 ms, which cannot overflow.
     judged = spec is not None and "epoch_interactions" not in rejected and cfg.epoch_interactions >= 1
-    if judged and (problem := horizon_problem(spec, cfg.epoch_interactions, epochs)):
+    latency_max_ms = net_cfg.latency_max_ms if net_cfg is not None else 0.0
+    if judged and (problem := horizon_problem(spec, cfg.epoch_interactions, epochs, latency_max_ms)):
         problems.append(problem)
     if problems:
         raise ConfigError("\n".join(problems))
@@ -194,7 +197,6 @@ def _run_seed(args: argparse.Namespace, seed: int, file_items: tuple[dict, dict,
         args.epochs,
         agents=agents,
         net_cfg=net_cfg,
-        strict_pbft=args.strict_pbft_success,
         snapshot_path=out_dir / "metadata.csv",
     )
     _write_outputs(out_dir, args.scenario, seed, args.epochs, result)
@@ -242,11 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run K seeds (seed..seed+K-1), one sibling output directory each",
     )
     run.add_argument("--out", type=Path, default=Path("coforget-out"))
-    run.add_argument(
-        "--strict-pbft-success",
-        action="store_true",
-        help="exclude epochs with zero consensus instances from the success rate",
-    )
 
     validate = sub.add_parser("validate", help="check a config file and list every violation")
     validate.add_argument("config", type=Path)

@@ -240,7 +240,6 @@ def run_simulation(
     *,
     agents: Sequence[AgentProfile] | None = None,
     net_cfg: NetworkConfig | None = None,
-    strict_pbft: bool = False,
     snapshot_path=None,
 ) -> SimulationResult:
     """Interleave the access workload with epoch executions.
@@ -248,10 +247,12 @@ def run_simulation(
     The virtual clock starts at the end of the historical window and advances
     one interaction interval per interaction; an epoch fires every
     cfg.epoch_interactions interactions. The baseline series is the footprint
-    a no-forgetting twin would have (initial plus cumulative arrivals). Agents
-    score with the default scorer. A roster outside 3f+1 ≤ N ≤ 4f+1 or with
-    under 2f+1 active agents raises FaultBoundViolation, and a run whose clock
-    could overflow (horizon_problem) raises ConfigError, both before any epoch.
+    a no-forgetting twin would have (initial plus cumulative arrivals), and
+    the summary is aggregate's, so its pbft_success_rate counts every epoch.
+    Agents score with the default scorer. A roster outside 3f+1 ≤ N ≤ 4f+1 or
+    with under 2f+1 active agents raises FaultBoundViolation, and a run whose
+    run or network clock could overflow (horizon_problem) raises ConfigError,
+    both before any epoch.
     """
     validate_config(cfg)
     if epochs < 1:
@@ -259,9 +260,10 @@ def run_simulation(
     if agents is None:
         agents = default_agents()
     validate_roster(cfg, agents)
-    if problem := horizon_problem(spec, cfg.epoch_interactions, epochs):
+    net_cfg = net_cfg or NetworkConfig()
+    if problem := horizon_problem(spec, cfg.epoch_interactions, epochs, net_cfg.latency_max_ms):
         raise ConfigError(problem)
-    net = SimulatedNetwork(net_cfg or NetworkConfig())
+    net = SimulatedNetwork(net_cfg)
 
     context = make_context(spec)
     store = MemoryStore.from_config(cfg, spec.dimension, start_time=spec.history_window_s)
@@ -304,5 +306,5 @@ def run_simulation(
 
     start = reports[0].memories_start
     baselines = [start + added for added in accumulate(r.additions for r in reports)]
-    summary = aggregate(reports, strict_pbft=strict_pbft)
+    summary = aggregate(reports)
     return SimulationResult(reports=reports, summary=summary, baseline_footprints=baselines)

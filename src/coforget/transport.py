@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 from typing import ClassVar, Sequence
 
 from .consensus import _CONSENSUS_KINDS, DEFAULT_COORDINATOR_ID, Behavior, MessageKind, PbftMessage
-from .core import FaultKind, FaultProfile, Vote
+from .core import FaultKind, FaultProfile, Vote, _is_integer
 
 __all__ = [
     "NetworkConfig",
@@ -53,6 +53,13 @@ class NetworkConfig:
 
     def __post_init__(self) -> None:
         problems = []
+        # random.Random seeds with a negative int's absolute value, so -3 would alias 3.
+        if not _is_integer(self.seed):
+            problems.append(f"seed must be an integer, got {self.seed!r}")
+        elif self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
+        else:
+            object.__setattr__(self, "seed", int(self.seed))
         if not 0.0 <= self.latency_min_ms <= self.latency_max_ms < math.inf:
             problems.append(f"latency band invalid: [{self.latency_min_ms}, {self.latency_max_ms}]")
         if not 0.0 <= self.drop_prob <= 1.0:

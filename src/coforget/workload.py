@@ -122,29 +122,45 @@ class WorkloadSpec:
             raise ValueError("\n".join(problems))
 
 
-# The run clock's exact end must stay below this: K sequential float sums of
+# Each clock's exact end must stay below this: K sequential float sums of
 # positive steps carry a relative error under K*2^-53 / (1 - K*2^-53), which is
-# below 1 for any run of fewer than 2^52 interactions, so no partial sum of a
-# run that passes horizon_problem rounds to inf.
+# below 1 for any run of fewer than 2^52 steps, so no partial sum of a run
+# that passes horizon_problem rounds to inf.
 _HORIZON_LIMIT_S = sys.float_info.max / 2
 
 
-def horizon_problem(spec: WorkloadSpec, epoch_interactions: int, epochs: int) -> str | None:
-    """The problem line if a run of `epochs` epochs could overflow its clock, else None.
+def horizon_problem(spec: WorkloadSpec, epoch_interactions: int, epochs: int, latency_max_ms: float) -> str | None:
+    """The problem lines if a run of `epochs` epochs could overflow a clock, else None.
 
-    The clock starts at history_window_s and accumulates one interaction_interval_s
-    per interaction, epoch_interactions of them per epoch.
+    The run clock starts at history_window_s and accumulates one
+    interaction_interval_s per interaction, epoch_interactions of them per
+    epoch. The network clock starts at 0 and a consensus round advances it by
+    at most 3 * latency_max_ms / 1000 s, since EVALUATE -> PREPARE -> COMMIT
+    is the longest causal chain; epoch e runs at most one round per live
+    memory, and it starts with at most initial_items + e * (the arrival
+    range's high end) of them.
     """
+    problems = []
     try:
         end_s = spec.history_window_s + epochs * epoch_interactions * spec.interaction_interval_s
     except OverflowError:  # the interaction count itself is past the float range
         end_s = math.inf
-    if end_s < _HORIZON_LIMIT_S:
-        return None
-    return (
-        f"run clock overflows: workload.history_window_s + {epochs} epoch(s) * epoch_interactions"
-        f" * workload.interaction_interval_s = {end_s:.6g} s, must stay below {_HORIZON_LIMIT_S:.6g} s"
-    )
+    if not end_s < _HORIZON_LIMIT_S:
+        problems.append(
+            f"run clock overflows: workload.history_window_s + {epochs} epoch(s) * epoch_interactions"
+            f" * workload.interaction_interval_s = {end_s:.6g} s, must stay below {_HORIZON_LIMIT_S:.6g} s"
+        )
+    rounds = epochs * spec.initial_items + spec.arrivals_per_epoch[1] * (epochs * (epochs - 1) // 2)
+    try:
+        end_s = rounds * (latency_max_ms / 1000 * 3)
+    except OverflowError:  # the round count itself is past the float range
+        end_s = math.inf
+    if not end_s < _HORIZON_LIMIT_S:
+        problems.append(
+            f"network clock overflows: {rounds} round(s) in {epochs} epoch(s) * 3 * network.latency_max_ms"
+            f" / 1000 = {end_s:.6g} s, must stay below {_HORIZON_LIMIT_S:.6g} s"
+        )
+    return "\n".join(problems) or None
 
 
 # --- corpus generation -----------------------------------------------------------
@@ -332,23 +348,19 @@ class SummaryMetrics:
     final_baseline_footprint: int
 
 
-def aggregate(reports: Sequence, *, strict_pbft: bool = False) -> SummaryMetrics:
+def aggregate(reports: Sequence) -> SummaryMetrics:
     """Fold epoch reports into the headline metrics.
 
     The baseline is the footprint a no-forgetting twin would end with: the
-    first epoch's starting population plus every epoch's arrivals. An epoch
-    succeeds when every consensus instance it started decided; with no
-    instances it counts as success by default, or is excluded from the
-    denominator under strict_pbft.
+    first epoch's starting population plus every epoch's arrivals. The PBFT
+    success rate is the share of epochs with consensus_failed == 0, so an
+    epoch that started no consensus instance counts as a success.
     """
     if not reports:
         raise ValueError("aggregate requires at least one epoch report")
     final_baseline = reports[0].memories_start + sum(r.additions for r in reports)
     final_footprint = reports[-1].memories_end
     reduction = 1.0 - final_footprint / final_baseline if final_baseline > 0 else 0.0
-
-    counted = [r for r in reports if not strict_pbft or r.consensus_reached + r.consensus_failed > 0]
-    success_rate = sum(r.consensus_failed == 0 for r in counted) / len(counted) if counted else 1.0
 
     hits = sum(report.cache_hits for report in reports)
     misses = sum(report.cache_misses for report in reports)
@@ -358,7 +370,7 @@ def aggregate(reports: Sequence, *, strict_pbft: bool = False) -> SummaryMetrics
     return SummaryMetrics(
         epochs=len(reports),
         footprint_reduction=reduction,
-        pbft_success_rate=success_rate,
+        pbft_success_rate=sum(r.consensus_failed == 0 for r in reports) / len(reports),
         cache_hit_rate=hit_rate,
         mean_deletion_rate=sum(r.deletion_rate for r in reports) / len(reports),
         total_deleted=sum(r.deleted for r in reports),

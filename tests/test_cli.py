@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -40,8 +41,7 @@ workload.dimension = 16
 """
 
 # byzantine_f1 on a small store over a lossier network: at seed 0 over 30
-# epochs, 14 epochs propose nothing and 4 have a round time out, so the
-# default and the strict success rate differ.
+# epochs, 10 epochs propose nothing and 6 have a round time out.
 SPARSE_LOSSY = """\
 workload.initial_items = 40
 workload.arrivals_per_epoch = 0..3
@@ -58,6 +58,10 @@ workload.arrivals_per_epoch = 60..80
 workload.relevance_mix = 0.0
 workload.dimension = 64
 """
+
+# FORGET_STORM over a network whose every hop takes 1e308 ms: one epoch's
+# 500 rounds alone would end near 1.5e308 s, past the clock's margin.
+FORGET_STORM_SLOW_NET = FORGET_STORM + "network.latency_min_ms = 1e308\nnetwork.latency_max_ms = 1e308\n"
 
 OUTPUT_FILES = ("report.json", "epochs.csv", "audit.jsonl", "metadata.csv")
 
@@ -344,6 +348,35 @@ class TestRunErrors:
             ]
             assert not out.exists()
 
+    def test_validate_rejects_one_epoch_that_overflows_the_network_clock(self, tmp_path, capsys):
+        path = write_config(tmp_path, FORGET_STORM_SLOW_NET)
+        assert run_cli("validate", path) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "network clock overflows: 500 round(s) in 1 epoch(s) * 3 * network.latency_max_ms"
+            " / 1000 = 1.5e+308 s, must stay below 8.98847e+307 s"
+        ]
+
+    def test_run_rejects_a_network_clock_overflow_before_any_output(self, tmp_path, capsys):
+        # Unchecked, this run wrote elapsed_virtual_s values of inf and nan from epoch 3 on.
+        path = write_config(tmp_path, FORGET_STORM_SLOW_NET)
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", "custom", "--config", path, "--epochs", 6, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: network clock overflows: 4200 round(s) in 6 epoch(s) * 3 * network.latency_max_ms"
+            " / 1000 = inf s, must stay below 8.98847e+307 s"
+        ]
+        assert not out.exists()
+
+    def test_a_slow_network_within_the_horizon_runs_finite(self, tmp_path, check_outputs):
+        # At most 8,600 rounds of 3e303 s each in 10 epochs: about 2.6e307 s.
+        path = write_config(tmp_path, FORGET_STORM_SLOW_NET.replace("1e308", "1e306"))
+        assert run_cli("validate", path) == 0
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", "custom", "--config", path, "--epochs", 10, "--out", out) == 0
+        elapsed = [e["elapsed_virtual_s"] for e in epoch_rows(out)]
+        assert len(elapsed) == 10 and all(math.isfinite(s) for s in elapsed)
+        assert check_outputs(out).problems == []
+
 
 class TestRunOutputs:
     def run_small(self, tmp_path, out_name="out", epochs=3, seed=0, *extra):
@@ -452,33 +485,30 @@ class TestRunOutputs:
             report = json.loads((seed_dir / "report.json").read_text())
             assert report["seed"] == seed
 
-    def test_strict_pbft_success_excludes_vacuous_epochs(self, tmp_path):
+    def test_success_rate_counts_every_epoch(self, tmp_path, check_outputs):
+        # An epoch that proposes nothing has no timed-out round, so it counts as a success.
         config = write_config(tmp_path, SPARSE_LOSSY)
-        reports = {}
-        rows = {}
-        for strict in (False, True):
-            out = tmp_path / f"strict-{strict}"
-            flag = ["--strict-pbft-success"] if strict else []
-            code = run_cli(
-                "run", "--scenario", "byzantine_f1", "--config", config,
-                "--epochs", 30, "--seed", 0, "--out", out, *flag,
-            )
-            assert code == 0
-            reports[strict] = json.loads((out / "report.json").read_text())
-            rows[strict] = epoch_rows(out)
-        # The flag changes only the success rate's denominator, not the run.
-        for name in ("epochs.csv", "audit.jsonl", "metadata.csv"):
-            assert (tmp_path / "strict-False" / name).read_bytes() == (tmp_path / "strict-True" / name).read_bytes()
-        epochs = rows[False]
-        assert rows[True] == epochs
-        started = [e for e in epochs if e["consensus_reached"] + e["consensus_failed"] > 0]
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--scenario", "byzantine_f1", "--config", config,
+            "--epochs", 30, "--seed", 0, "--out", out,
+        )
+        assert code == 0
+        epochs = epoch_rows(out)
+        vacuous = [e for e in epochs if e["consensus_reached"] + e["consensus_failed"] == 0]
         failed = [e for e in epochs if e["consensus_failed"] > 0]
-        assert (len(epochs), len(started), len(failed)) == (30, 20, 6)
-        plain = reports[False]["summary"]["pbft_success_rate"]
-        strict = reports[True]["summary"]["pbft_success_rate"]
-        assert plain == (len(epochs) - len(failed)) / len(epochs)
-        assert strict == (len(started) - len(failed)) / len(started)
-        assert (round(plain, 4), strict) == (0.8, 0.7)
+        assert (len(epochs), len(vacuous), len(failed)) == (30, 10, 6)
+        rate = json.loads((out / "report.json").read_text())["summary"]["pbft_success_rate"]
+        assert rate == (len(epochs) - len(failed)) / len(epochs) == 0.8
+        assert check_outputs(out).problems == []
+
+    def test_strict_pbft_success_flag_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--epochs", 1, "--out", out, "--strict-pbft-success")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --strict-pbft-success" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_custom_scenario_runs_with_config(self, tmp_path):
         config = write_config(tmp_path)

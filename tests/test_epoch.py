@@ -441,6 +441,17 @@ class TestRunSimulation:
             run_simulation(self.SIM_CFG, spec, 5)
         assert epochs_run == []
 
+    def test_rejects_a_network_clock_overflow_before_any_epoch(self, monkeypatch):
+        # perfbench's forget_storm store over 1e308 ms hops: one epoch's 500
+        # rounds could end near 1.5e308 s; unchecked, epoch 3 reported inf.
+        epochs_run = []
+        monkeypatch.setattr(coforget.epoch, "run_epoch", lambda *a, **k: epochs_run.append(a))
+        spec = WorkloadSpec(initial_items=500, arrivals_per_epoch=(60, 80), dimension=64)
+        net_cfg = NetworkConfig(latency_min_ms=1e308, latency_max_ms=1e308)
+        with pytest.raises(ConfigError, match="^network clock overflows: 4200 round.* 6 epoch"):
+            run_simulation(CFG, spec, 6, net_cfg=net_cfg)
+        assert epochs_run == []
+
     def test_an_agent_named_like_the_coordinator_decides_rounds(self):
         # Far-context memories with fast decay, so most are proposed; the
         # roster decides every round, as it does with the agent renamed.

@@ -7,6 +7,7 @@ import random
 import struct
 import uuid
 
+import numpy as np
 import pytest
 
 from coforget.consensus import MessageKind, Behavior, PbftMessage
@@ -64,6 +65,20 @@ class TestNetworkConfig:
     def test_drop_prob_bounds(self, p):
         with pytest.raises(ValueError, match="drop_prob"):
             NetworkConfig(drop_prob=p)
+
+    @pytest.mark.parametrize(
+        "seed, problem",
+        [(-3, "seed must be >= 0, got -3"), (1.5, "seed must be an integer, got 1.5"),
+         (True, "seed must be an integer, got True")],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed, problem):
+        # random.Random seeds with the absolute value, so -3 ran the network of seed 3.
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            NetworkConfig(seed=seed)
+
+    def test_numpy_integer_seed_is_kept_as_int(self):
+        cfg = NetworkConfig(seed=np.int64(7))
+        assert type(cfg.seed) is int and cfg.seed == 7
 
     def test_from_items_builds(self):
         cfg = spec_from_items(NetworkConfig, {"drop_prob": 0.1, "seed": 7}, "network.")

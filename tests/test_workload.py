@@ -26,6 +26,7 @@ from coforget.workload import (
     default_agents,
     epoch_traffic,
     generate_initial,
+    horizon_problem,
     make_arrivals,
     make_context,
     traffic_stream,
@@ -479,6 +480,23 @@ class TestDefaultAgents:
         assert by_id["planner-1"].fault.kind is FaultKind.HONEST
 
 
+class TestHorizonProblem:
+    def test_network_clock_bound_counts_every_live_memory(self):
+        # 10 epochs start with at most 1000, 1020, ..., 1180 memories: 10,900 rounds.
+        ws = WorkloadSpec(arrivals_per_epoch=(10, 20))
+        assert horizon_problem(ws, 100, 10, 1e306) is None
+        problem = horizon_problem(ws, 100, 10, 1e307)
+        assert problem.startswith("network clock overflows: 10900 round(s) in 10 epoch(s)")
+
+    def test_round_count_past_the_float_range(self):
+        problem = horizon_problem(WorkloadSpec(history_window_s=0.0), 0, 10**200, 5.0)
+        assert problem.startswith("network clock overflows: ") and " = inf s" in problem
+
+    def test_both_clocks_report_one_line_each(self):
+        lines = horizon_problem(WorkloadSpec(interaction_interval_s=1e308), 100, 1, 1e308).splitlines()
+        assert [line.partition(":")[0] for line in lines] == ["run clock overflows", "network clock overflows"]
+
+
 class TestAggregate:
     def test_requires_reports(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -507,19 +525,8 @@ class TestAggregate:
         ]
         summary = aggregate(reports)
         assert summary.pbft_success_rate == pytest.approx(2 / 3)
-
-    def test_strict_mode_excludes_vacuous_epochs(self):
-        reports = [
-            FakeReport(consensus_reached=0, consensus_failed=0),
-            FakeReport(consensus_reached=5, consensus_failed=0),
-            FakeReport(consensus_reached=4, consensus_failed=1),
-        ]
-        summary = aggregate(reports, strict_pbft=True)
-        assert summary.pbft_success_rate == pytest.approx(1 / 2)
-
-    def test_strict_mode_with_no_instances_at_all(self):
-        summary = aggregate([FakeReport()], strict_pbft=True)
-        assert summary.pbft_success_rate == 1.0
+        # A run with no instances at all succeeded in every epoch.
+        assert aggregate([FakeReport(), FakeReport()]).pbft_success_rate == 1.0
 
     def test_success_rate_example(self):
         reports = [FakeReport(consensus_reached=1) for _ in range(480)]
