@@ -18,8 +18,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -52,19 +50,10 @@ CACHE_PROFILE_SKEW = 1.3
 _FAULTY_AGENT = "planner-2"
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("COFORGET_LOG", "").strip()
-    if not level_name:
-        return
-    level = getattr(logging, level_name.upper(), None)
-    if not isinstance(level, int):
-        level = logging.INFO
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
 def _read_config_file(path: Path) -> dict:
+    """Parse a UTF-8 config file; a leading byte order mark is dropped."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
@@ -251,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":

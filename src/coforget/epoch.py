@@ -17,7 +17,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .consensus import ConsensusTimeout, finalize, run_round
-from .core import AgentProfile, ConfigError, MemoryRecord, ProtocolConfig, Vote, validate_config, validate_roster
+from .core import (
+    AgentProfile,
+    ConfigError,
+    MemoryRecord,
+    ProtocolConfig,
+    Vote,
+    _is_integer,
+    validate_config,
+    validate_roster,
+)
 from .decay import combined_decay
 from .relevance import ContextProfile, RelevanceScorer, relevance
 from .store import MemoryStore, _check_now
@@ -105,9 +114,14 @@ def run_epoch(
     object scored against, so each memory is scored once per put and pair;
     only this epoch's pairs keep a column. The epoch makes no reads, so its
     cache counts are 0. A NaN, infinite or negative `now` raises before any
-    phase, so the store is left as it was.
+    phase, and so do the checks run_simulation makes: validate_config on
+    `cfg` and validate_roster on `agents` (FaultBoundViolation for a roster
+    outside 3f+1 ≤ N ≤ 4f+1, under 2f+1 active or with a repeated id). Either
+    way the store and the network are left as they were.
     """
     _check_now(now)
+    validate_config(cfg)
+    validate_roster(cfg, agents)
     scan = store.scan_t_last()
     memories_start = len(scan)
     ids = [memory_id for memory_id, _ in scan]
@@ -154,7 +168,7 @@ def run_epoch(
     # Phase 3: one consensus round per proposed memory, then the quorum gate.
     clock_before = net.clock
     audits: list[MemoryAudit] = []
-    q = quorum_threshold(agents, cfg.alpha) if active else 0.0
+    q = quorum_threshold(agents, cfg.alpha)
     for memory_id in sorted(proposed):
         i = row_of[memory_id]
         # agent_votes follows the active roster, which is sorted by id.
@@ -249,14 +263,15 @@ def run_simulation(
     cfg.epoch_interactions interactions. The baseline series is the footprint
     a no-forgetting twin would have (initial plus cumulative arrivals), and
     the summary is aggregate's, so its pbft_success_rate counts every epoch.
-    Agents score with the default scorer. A roster outside 3f+1 ≤ N ≤ 4f+1 or
-    with under 2f+1 active agents raises FaultBoundViolation, and a run whose
-    run or network clock could overflow (horizon_problem) raises ConfigError,
-    both before any epoch.
+    Agents score with the default scorer. An `epochs` that is not an integer
+    (a bool or float included) or is below 1 raises ValueError. A roster
+    outside 3f+1 ≤ N ≤ 4f+1 or with under 2f+1 active agents raises
+    FaultBoundViolation, and a run whose run or network clock could overflow
+    (horizon_problem) raises ConfigError. All three raise before any epoch.
     """
     validate_config(cfg)
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not _is_integer(epochs) or epochs < 1:
+        raise ValueError(f"epochs must be an integer >= 1, got {epochs!r}")
     if agents is None:
         agents = default_agents()
     validate_roster(cfg, agents)

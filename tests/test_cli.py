@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -66,6 +69,7 @@ FORGET_STORM_SLOW_NET = FORGET_STORM + "network.latency_min_ms = 1e308\nnetwork.
 OUTPUT_FILES = ("report.json", "epochs.csv", "audit.jsonl", "metadata.csv")
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def small_run_with(line: str) -> str:
@@ -213,6 +217,39 @@ class TestValidate:
             assert err.startswith("config error: ")
             assert str(path) in err
         assert not out.exists()
+
+    def test_non_utf8_byte_after_a_bom_is_reported_at_its_file_offset(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xef\xbb\xbfalpha = \xff\n")
+        assert run_cli("validate", path) == 2
+        assert capsys.readouterr().err == f"config error: config file is not UTF-8: {path} (byte 11)\n"
+
+    def test_a_file_with_a_byte_order_mark_validates(self, tmp_path, capsys):
+        # The mark must not become part of the first key.
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + SMALL_RUN.encode("utf-8"))
+        assert run_cli("validate", path) == 0
+        assert capsys.readouterr().out == f"config valid: {path}\n"
+
+    def test_validate_sets_up_no_logging(self, tmp_path):
+        # A fresh interpreter, because pytest installs handlers on the root
+        # logger; whatever the environment says, main must leave it untouched.
+        path = write_config(tmp_path)
+        script = (
+            "import logging, sys\n"
+            "from coforget.cli import main\n"
+            "code = main(['validate', sys.argv[1]])\n"
+            "root = logging.getLogger()\n"
+            "print(code, len(root.handlers), logging.getLevelName(root.level))\n"
+        )
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "COFORGET_LOG": "debug", "PYTHONPATH": pythonpath}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"config valid: {path}", "0 0 WARNING"]
+        assert proc.stderr == ""
 
     def test_readme_config_example_is_valid(self, tmp_path, capsys):
         text = README.read_text(encoding="utf-8")
@@ -449,6 +486,14 @@ class TestRunOutputs:
         last = epoch_rows(out)[-1]
         assert len(rows) == report["summary"]["final_footprint"] - last["additions"]
         assert list(rows[0]) == ["id", "agent_id", "timestamp", "salience"]
+
+    def test_a_byte_order_mark_changes_no_output(self, tmp_path):
+        plain = self.run_small(tmp_path, out_name="plain", epochs=3, seed=1)
+        bom = write_config(tmp_path, "\ufeff" + SMALL_RUN, "bom.cfg")
+        marked = tmp_path / "marked"
+        assert run_cli("run", "--config", bom, "--epochs", 3, "--seed", 1, "--out", marked) == 0
+        for name in OUTPUT_FILES:
+            assert (marked / name).read_bytes() == (plain / name).read_bytes(), name
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         first = self.run_small(tmp_path, out_name="a", epochs=3, seed=2)

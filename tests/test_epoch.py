@@ -13,10 +13,20 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as hst
 
 import coforget.consensus
 import coforget.epoch
-from coforget.core import AgentProfile, ConfigError, FaultBoundViolation, ProtocolConfig, MemoryRecord
+from coforget.core import (
+    AgentProfile,
+    ConfigError,
+    FaultBoundViolation,
+    InvalidQuorumFraction,
+    MemoryRecord,
+    ProtocolConfig,
+    validate_roster,
+)
 from coforget.decay import decay_score
 from coforget.epoch import EpochReport, run_epoch, run_simulation
 from coforget.relevance import ContextProfile, ExternalScorer, relevance
@@ -392,6 +402,81 @@ class TestRunEpochOutcomes:
         assert (st.hits, st.misses) == counters
 
 
+@hst.composite
+def rosters(draw):
+    """f in 0..2 and 1 to 8 agents with any active flags, at most one id repeated."""
+    f = draw(hst.integers(0, 2))
+    # The second branch draws N inside the 3f+1..4f+1 band, so more rosters run.
+    n = draw(hst.integers(1, 8) | hst.integers(3 * f + 1, min(4 * f + 1, 8)))
+    flags = draw(hst.lists(hst.booleans(), min_size=n, max_size=n))
+    ids = [f"agent-{i}" for i in range(n)]
+    if n > 1 and draw(hst.booleans()):
+        copy, original = draw(hst.lists(hst.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        ids[copy] = ids[original]
+    return f, [AgentProfile(agent_id, active=flag) for agent_id, flag in zip(ids, flags)]
+
+
+class TestRunEpochChecks:
+    """run_epoch refuses what run_simulation refuses, before any phase."""
+
+    @staticmethod
+    def far_store_and_net():
+        # Far, old memories, so a roster that runs proposes them all, and one
+        # put left pending in the write buffer.
+        st = fresh_store([record(f"m{i}", cos=-0.5, t_last=0.0) for i in range(5)], now=0.0)
+        st.put(record("pending", cos=-0.5, t_last=0.0), 0.0)
+        return st, lossless()
+
+    @staticmethod
+    def state(st, net):
+        columns = {key: dict(column) for key, column in st.relevance_columns.items()}
+        return (
+            st.scan_t_last(),
+            list(st.buffer.pending),
+            dict(st.table.rows),
+            columns,
+            (net.clock, net.delivered, net.dropped),
+        )
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rosters())
+    def test_run_epoch_rejects_exactly_the_rosters_validate_roster_rejects(self, drawn):
+        f, agents = drawn
+        cfg = replace(CFG, f=f)
+        try:
+            validate_roster(cfg, agents)
+        except FaultBoundViolation as exc:
+            expected = str(exc)
+        else:
+            expected = None
+        event("runs" if expected is None else "rejected")
+        st, net = self.far_store_and_net()
+        before = self.state(st, net)
+        try:
+            run_epoch(st, agents, context(), cfg, net, now=1e6)
+        except FaultBoundViolation as exc:
+            assert str(exc) == expected
+            assert self.state(st, net) == before
+        else:
+            assert expected is None
+
+    def test_repeated_agent_id_deletes_nothing(self):
+        # Run, this roster would count planner-1's weight twice in Q and
+        # delete all 20 far, old memories.
+        agents = [AGENTS[0], AGENTS[0], *AGENTS[2:]]
+        st = fresh_store([record(f"m{i}", cos=-0.5, t_last=0.0) for i in range(20)], now=0.0)
+        with pytest.raises(FaultBoundViolation, match="'planner-1' appears more than once"):
+            run_epoch(st, agents, context(), CFG, lossless(), now=1e6)
+        assert st.count() == 20
+
+    def test_invalid_quorum_fraction_raises_before_any_phase(self):
+        st, net = self.far_store_and_net()
+        before = self.state(st, net)
+        with pytest.raises(InvalidQuorumFraction, match="alpha"):
+            run_epoch(st, AGENTS, context(), replace(CFG, alpha=0.3), net, now=1e6)
+        assert self.state(st, net) == before
+
+
 class TestRunSimulation:
     SPEC = WorkloadSpec(
         initial_items=60,
@@ -405,6 +490,19 @@ class TestRunSimulation:
     def test_rejects_bad_epoch_count(self):
         with pytest.raises(ValueError, match="epochs"):
             run_simulation(self.SIM_CFG, self.SPEC, 0)
+
+    @pytest.mark.parametrize("epochs", [True, 2.0, 2.5])
+    def test_rejects_a_bool_or_float_epoch_count_before_any_work(self, epochs, monkeypatch):
+        # The count is judged before the corpus is drawn.
+        built = []
+        monkeypatch.setattr(coforget.epoch, "generate_initial", lambda *a: built.append(a))
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            run_simulation(self.SIM_CFG, self.SPEC, epochs)
+        assert built == []
+
+    def test_numpy_integer_epoch_count_runs(self):
+        result = run_simulation(self.SIM_CFG, self.SPEC, np.int64(2))
+        assert [r.epoch_index for r in result.reports] == [0, 1]
 
     def test_rejects_a_roster_outside_the_fault_bound(self):
         # N is the roster's size: f = 1 needs 4 or 5 agents, f = 0 at most 1.
