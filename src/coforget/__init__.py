@@ -14,7 +14,9 @@ from .consensus import (
     PbftMessage,
     RoundResult,
     finalize,
+    gate,
     run_round,
+    run_rounds,
 )
 from .core import (
     AgentProfile,
@@ -63,6 +65,7 @@ from .voting import (
     AgentVote,
     NoActiveAgents,
     UnknownAgent,
+    forget_sum,
     quorum_threshold,
     vote_rule,
     weighted_forget_score,

@@ -1,9 +1,10 @@
 """Epoch orchestration: decay, voting, consensus, and committed deletion.
 
 One epoch evaluates a fixed snapshot of the store in four phases: score decay
-for every memory, collect votes and the proposal set, run one consensus round
-per proposed memory, then delete and persist. Arrivals queued during the
-epoch window join the store only after Phase 4, so the snapshot never shifts
+for every memory, collect votes and the proposal set, run every proposed
+memory's consensus round in one call into the round engine (run_rounds) and
+gate each decision, then delete and persist. Arrivals queued during the epoch
+window join the store only after Phase 4, so the snapshot never shifts
 underfoot. run_simulation interleaves these epochs with the access workload
 and tracks the no-forgetting counterfactual in parallel.
 """
@@ -16,10 +17,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .consensus import ConsensusTimeout, finalize, run_round
+from .consensus import gate, run_rounds
 from .core import (
     AgentProfile,
     ConfigError,
+    FaultKind,
     MemoryRecord,
     ProtocolConfig,
     Vote,
@@ -37,7 +39,7 @@ from .transport import (
     propose_forgetting,
     resolve_behavior,
 )
-from .voting import AgentVote, quorum_threshold, vote_rule, weighted_forget_score
+from .voting import forget_sum, quorum_threshold, vote_rule
 from .workload import (
     SummaryMetrics,
     WorkloadSpec,
@@ -107,8 +109,12 @@ def run_epoch(
 
     `scorer` is one scorer for every agent or a mapping from agent id to that
     agent's scorer; None, or an agent the mapping omits, means the default.
-    `arrivals` enter the store after deletion commits. Consensus timeouts
-    retain the memory and are recorded per-memory rather than raised.
+    `arrivals` enter the store after deletion commits. Phase 3 makes one
+    run_rounds call for all proposed memories, in id order, on `net`; the
+    engine applies the wire rule, and each memory's decision goes through
+    consensus.gate, the deletion rule finalize applies too. Consensus
+    timeouts retain the memory and are recorded per-memory rather than
+    raised.
     Relevance is cached in `store.relevance_columns` under (scorer, context),
     the scorer object an agent uses (None for the default) and the context
     object scored against, so each memory is scored once per put and pair;
@@ -165,53 +171,36 @@ def run_epoch(
         for memory_id in propose_forgetting(sorted(wanted), agent_id, coordinator, epoch=epoch_index):
             proposed[memory_id] = None
 
-    # Phase 3: one consensus round per proposed memory, then the quorum gate.
+    # Phase 3: one engine call runs every proposed memory's round, in id
+    # order, and the gate turns each decision into the memory's fate. A
+    # memory's votes are its row across the forget columns, whose order
+    # (agent_votes follows the active roster) is the agents' id order. Only a
+    # faulty agent flips a fault coin; an honest one needs no behavior.
+    order = sorted(proposed)
+    forget_by_memory = np.stack([forget for _, forget in agent_votes.values()], axis=1)
+    rows = forget_by_memory[[row_of[memory_id] for memory_id in order]].tolist()
+    faulty = [(k, a.fault) for k, a in enumerate(active) if a.fault.kind is not FaultKind.HONEST]
+    instances = [
+        (votes, {k: resolve_behavior(fault, epoch_index, memory_id) for k, fault in faulty})
+        for memory_id, votes in zip(order, rows)
+    ]
     clock_before = net.clock
-    audits: list[MemoryAudit] = []
+    outcomes = run_rounds(list(agent_votes), instances, cfg, net)
     q = quorum_threshold(agents, cfg.alpha)
-    for memory_id in sorted(proposed):
-        i = row_of[memory_id]
-        # agent_votes follows the active roster, which is sorted by id.
-        cast = [
-            AgentVote(
-                agent_id=agent_id,
-                memory_id=memory_id,
-                vote=Vote.FORGET if forget[i] else Vote.KEEP,
-                combined_score=float(combined[i]),
-            )
-            for agent_id, (combined, forget) in agent_votes.items()
-        ]
-        behaviors = {
-            profile.agent_id: resolve_behavior(profile.fault, epoch_index, memory_id)
-            for profile in active
-        }
-        result = run_round(
-            memory_id,
-            epoch_index,
-            agents,
-            {agent_vote.agent_id: agent_vote.vote for agent_vote in cast},
-            cfg,
-            net,
-            behaviors=behaviors,
-        )
-        # finalize is the deletion gate: consensus forget deletes only when
-        # S_m >= Q; consensus keep and a timeout retain the memory.
-        try:
-            forget = finalize(result.instance, cast, agents, cfg) is Vote.FORGET
-        except ConsensusTimeout:
-            forget = False
-            decision = "timeout"
-        else:
-            decision = result.decision.value
+    weights = [profile.weight * profile.confidence for profile in active]
+    vote_names = (Vote.KEEP.value, Vote.FORGET.value)
+    audits: list[MemoryAudit] = []
+    for memory_id, votes, (decision, commit_count, *_) in zip(order, rows, outcomes):
+        s_m = forget_sum(weights, votes)
         audits.append(
             MemoryAudit(
                 memory_id=memory_id,
-                votes=tuple((agent_vote.agent_id, agent_vote.vote.value) for agent_vote in cast),
-                decision=decision,
-                s_m=weighted_forget_score(cast, agents),
+                votes=tuple(zip(agent_votes, [vote_names[forget] for forget in votes])),
+                decision="timeout" if decision is None else decision.value,
+                s_m=s_m,
                 q=q,
-                commit_count=result.commit_count,
-                outcome="deleted" if forget else "retained",
+                commit_count=commit_count,
+                outcome="deleted" if gate(decision, s_m, q) is Vote.FORGET else "retained",
             )
         )
 

@@ -75,7 +75,7 @@ class SimulatedNetwork:
     counts every send on this network, so delivery order is (timestamp,
     sender, send number): deterministic for a fixed seed and submission
     sequence, and no two entries compare equal. Senders are strings and
-    destinations whatever the caller addresses; run_round uses node
+    destinations whatever the caller addresses; run_rounds uses node
     positions. Every message, one addressed to its own sender included,
     draws a drop and, if kept, a latency.
     """
@@ -222,35 +222,9 @@ def encode_frame(frame: Frame) -> bytes:
     return b"".join(parts)
 
 
-class _Cursor:
-    """Bounds-checked reader over one frame body."""
-
-    def __init__(self, body: bytes):
-        self._body = body
-        self._pos = 0
-
-    def take(self, n: int) -> bytes:
-        end = self._pos + n
-        if end > len(self._body):
-            raise TruncatedFrame(
-                f"frame body ends at {len(self._body)} bytes but field needs {end}"
-            )
-        chunk = self._body[self._pos : end]
-        self._pos = end
-        return chunk
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def text(self) -> str:
-        raw = self.take(self.u16())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid utf-8 in frame field: {exc}") from exc
-
-    def leftover(self) -> int:
-        return len(self._body) - self._pos
+def _truncated(size: int, need: int) -> TruncatedFrame:
+    """The error for a field that runs past the frame; both offsets count from the frame's start."""
+    return TruncatedFrame(f"frame body ends at {size - 4} bytes but field needs {need - 4}")
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -258,39 +232,74 @@ def decode_frame(data: bytes) -> Frame:
 
     Malformed input always raises a CodecError subclass: TruncatedFrame for
     short or over-declared input, UnknownMessageKind for a bad kind byte,
-    OversizeFrame for bodies past the limit.
+    OversizeFrame for bodies past the limit. Fields are read in frame order
+    by offset, each bounds-checked before it is read, so the first bad field
+    decides the error.
     """
-    if len(data) < 4:
-        raise TruncatedFrame(f"need 4 length bytes, got {len(data)}")
-    (body_len,) = _U32.unpack(data[:4])
+    size = len(data)
+    if size < 4:
+        raise TruncatedFrame(f"need 4 length bytes, got {size}")
+    (body_len,) = _U32.unpack_from(data)
     if body_len > MAX_FRAME_BYTES:
         raise OversizeFrame(f"declared body {body_len} bytes exceeds {MAX_FRAME_BYTES}")
-    if len(data) - 4 < body_len:
-        raise TruncatedFrame(f"declared body {body_len} bytes, got {len(data) - 4}")
-    if len(data) - 4 > body_len:
-        raise CodecError(f"{len(data) - 4 - body_len} trailing bytes after frame")
-    cur = _Cursor(data[4:])
-    kind_byte, epoch = _HEAD.unpack(cur.take(_HEAD.size))
+    if size - 4 < body_len:
+        raise TruncatedFrame(f"declared body {body_len} bytes, got {size - 4}")
+    if size - 4 > body_len:
+        raise CodecError(f"{size - 4 - body_len} trailing bytes after frame")
+    pos = 4 + _HEAD.size
+    if pos > size:
+        raise _truncated(size, pos)
+    kind_byte, epoch = _HEAD.unpack_from(data, 4)
     try:
         kind = MessageKind(kind_byte)
     except ValueError as exc:
         raise UnknownMessageKind(f"unknown frame kind byte {kind_byte:#04x}") from exc
-    sender = cur.text()
-    id_count = cur.u16()
-    memory_ids = tuple(cur.text() for _ in range(id_count))
-    vote_byte = cur.take(1)[0]
+    u16 = _U16.unpack_from
+    memory_ids: list[str] = []
+    try:
+        # The sender, the id count, then the ids; each text is [u16 len][UTF-8].
+        start = pos + 2
+        if start > size:
+            raise _truncated(size, start)
+        pos = start + u16(data, pos)[0]
+        if pos > size:
+            raise _truncated(size, pos)
+        sender = data[start:pos].decode("utf-8")
+        start = pos + 2
+        if start > size:
+            raise _truncated(size, start)
+        (id_count,) = u16(data, pos)
+        pos = start
+        for _ in range(id_count):
+            start = pos + 2
+            if start > size:
+                raise _truncated(size, start)
+            pos = start + u16(data, pos)[0]
+            if pos > size:
+                raise _truncated(size, pos)
+            memory_ids.append(data[start:pos].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid utf-8 in frame field: {exc}") from exc
+    if pos + 1 > size:
+        raise _truncated(size, pos + 1)
+    vote_byte = data[pos]
     if vote_byte not in _BYTE_TO_VOTE:
         raise CodecError(f"unknown vote code {vote_byte}")
-    signature = cur.take(cur.u16())
-    if cur.leftover():
-        raise CodecError(f"{cur.leftover()} unparsed bytes inside declared frame body")
+    start = pos + 3
+    if start > size:
+        raise _truncated(size, start)
+    pos = start + u16(data, pos + 1)[0]
+    if pos > size:
+        raise _truncated(size, pos)
+    if pos < size:
+        raise CodecError(f"{size - pos} unparsed bytes inside declared frame body")
     return Frame(
         kind=kind,
         epoch=epoch,
         sender=sender,
-        memory_ids=memory_ids,
+        memory_ids=tuple(memory_ids),
         vote=_BYTE_TO_VOTE[vote_byte],
-        signature=signature,
+        signature=data[start:pos],
     )
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "AgentVote",
     "vote_rule",
     "quorum_threshold",
+    "forget_sum",
     "weighted_forget_score",
     "decide",
 ]
@@ -65,6 +66,18 @@ def quorum_threshold(agents: Sequence[AgentProfile], alpha: float) -> float:
     return alpha * total
 
 
+def forget_sum(weights: Iterable[float], forgets: Iterable[bool]) -> float:
+    """S_m's sum: each forget vote's weight*confidence, added in order from 0.0.
+
+    `weights` and `forgets` run in parallel over the active agents that voted.
+    """
+    total = 0.0
+    for weight, forget in zip(weights, forgets):
+        if forget:
+            total += weight
+    return total
+
+
 def weighted_forget_score(votes: Iterable[AgentVote], agents: Sequence[AgentProfile]) -> float:
     """S_m: sum of weight*confidence over active agents voting forget.
 
@@ -72,7 +85,8 @@ def weighted_forget_score(votes: Iterable[AgentVote], agents: Sequence[AgentProf
     """
     roster = {agent.agent_id: agent for agent in agents}
     seen: set[str] = set()
-    total = 0.0
+    weights: list[float] = []
+    forgets: list[bool] = []
     for vote in votes:
         agent = roster.get(vote.agent_id)
         if agent is None:
@@ -80,11 +94,10 @@ def weighted_forget_score(votes: Iterable[AgentVote], agents: Sequence[AgentProf
         if vote.agent_id in seen:
             raise ValueError(f"duplicate vote from agent {vote.agent_id!r}")
         seen.add(vote.agent_id)
-        if not agent.active:
-            continue
-        if vote.vote is Vote.FORGET:
-            total += agent.weight * agent.confidence
-    return total
+        if agent.active:
+            weights.append(agent.weight * agent.confidence)
+            forgets.append(vote.vote is Vote.FORGET)
+    return forget_sum(weights, forgets)
 
 
 def decide(s_m: float, q: float) -> Vote:

@@ -54,11 +54,9 @@ def test_child_runs_and_reports_its_counters(tmp_path, trace):
     assert counters["store"]["upserts"] > 0
     assert counters["net"]["delivered"] > 0
     if trace:
-        # Only a traced run wraps run_round, so only it counts round deliveries.
-        assert counters["rounds"]["deliveries"] > 0
-        # A span is listed only once called; run_epoch gates every round through finalize.
+        # A span is listed only once called; run_epoch runs each epoch's rounds in one run_rounds call.
         spans = set(result["spans"])
-        assert {"store.MemoryStore.scan_t_last", "consensus.run_round", "consensus.finalize"} <= spans
+        assert {"store.MemoryStore.scan_t_last", "consensus.run_rounds"} <= spans
 
 
 def _span_names_perfbench_reads() -> set[str]:

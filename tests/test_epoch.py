@@ -18,21 +18,25 @@ from hypothesis import strategies as hst
 
 import coforget.consensus
 import coforget.epoch
+from coforget.consensus import ConsensusTimeout, finalize, run_round
 from coforget.core import (
     AgentProfile,
     ConfigError,
     FaultBoundViolation,
+    FaultKind,
+    FaultProfile,
     InvalidQuorumFraction,
     MemoryRecord,
     ProtocolConfig,
+    Vote,
     validate_roster,
 )
 from coforget.decay import decay_score
-from coforget.epoch import EpochReport, run_epoch, run_simulation
+from coforget.epoch import EpochReport, MemoryAudit, run_epoch, run_simulation
 from coforget.relevance import ContextProfile, ExternalScorer, relevance
 from coforget.store import MemoryStore, MetadataTable
-from coforget.transport import NetworkConfig, SimulatedNetwork
-from coforget.voting import vote_rule
+from coforget.transport import NetworkConfig, SimulatedNetwork, resolve_behavior
+from coforget.voting import AgentVote, quorum_threshold, vote_rule, weighted_forget_score
 from coforget.workload import WorkloadSpec, default_agents
 
 DIM = 8
@@ -166,23 +170,18 @@ class TestRunEpochOutcomes:
         assert st.count() == 4
         assert all(a.decision == "timeout" for a in report.per_memory_audit)
 
-    def test_elapsed_time_is_the_clock_advance_over_the_rounds(self, monkeypatch):
-        rounds = []
-
-        def recording_run_round(*args, **kwargs):
-            rounds.append(coforget.consensus.run_round(*args, **kwargs))
-            return rounds[-1]
-
-        monkeypatch.setattr(coforget.epoch, "run_round", recording_run_round)
+    def test_elapsed_time_is_the_clock_advance_over_the_rounds(self):
         net = SimulatedNetwork(NetworkConfig(drop_prob=0.1, seed=3))
+        twin = SimulatedNetwork(NetworkConfig(drop_prob=0.1, seed=3))
         for now in (1e6, 2e6):
             st = fresh_store([record(f"m{i}", cos=0.0, t_last=0.0) for i in range(6)], now=0.0)
-            rounds.clear()
+            _, rounds = per_memory_phase3(st, AGENTS, context(), CFG, twin, now=now)
             clock_before = net.clock
             report = run_epoch(st, AGENTS, context(), CFG, net, now=now)
             assert report.proposed == len(rounds) == 6
             assert report.elapsed_virtual_s == net.clock - clock_before > 0.0
             assert report.elapsed_virtual_s == pytest.approx(sum(r.elapsed_virtual_s for r in rounds), rel=1e-12)
+            assert net.clock == twin.clock
         # No proposal, no round: the clock stands still.
         clock_before = net.clock
         st = fresh_store([record("fresh", cos=-0.5, t_last=100.0)], now=100.0)
@@ -414,6 +413,114 @@ def rosters(draw):
         copy, original = draw(hst.lists(hst.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         ids[copy] = ids[original]
     return f, [AgentProfile(agent_id, active=flag) for agent_id, flag in zip(ids, flags)]
+
+
+def per_memory_phase3(store, agents, ctx, cfg, net, *, scorer=None, now, epoch_index=0):
+    """Phase 3 one memory at a time, the way run_epoch ran it before its one engine call.
+
+    Each snapshot memory's votes come from the scalar decay and relevance of
+    its record. Each proposed memory, in id order, gets one AgentVote list, a
+    fault coin for every active agent, one run_round on `net`, and finalize,
+    weighted_forget_score and quorum_threshold for its audit line. Returns
+    the audit lines and the rounds.
+    """
+    active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
+    casts = {}
+    for memory_id, t_last in store.scan_t_last():
+        rec = store.record(memory_id)
+        d = decay_score(t_last, now, cfg).combined
+        cast = []
+        for profile in active:
+            agent_scorer = scorer.get(profile.agent_id) if isinstance(scorer, dict) else scorer
+            combined, forget = vote_rule(d, relevance(rec, ctx, agent_scorer), cfg)
+            cast.append(AgentVote(profile.agent_id, memory_id, Vote.FORGET if forget else Vote.KEEP, combined))
+        if any(v.vote is Vote.FORGET for v in cast):
+            casts[memory_id] = cast
+    q = quorum_threshold(agents, cfg.alpha)
+    audits, rounds = [], []
+    for memory_id in sorted(casts):
+        cast = casts[memory_id]
+        behaviors = {p.agent_id: resolve_behavior(p.fault, epoch_index, memory_id) for p in active}
+        result = run_round(
+            memory_id, epoch_index, agents, {v.agent_id: v.vote for v in cast}, cfg, net, behaviors=behaviors
+        )
+        try:
+            forget = finalize(result.instance, cast, agents, cfg) is Vote.FORGET
+            decision = result.decision.value
+        except ConsensusTimeout:
+            forget, decision = False, "timeout"
+        audits.append(
+            MemoryAudit(
+                memory_id=memory_id,
+                votes=tuple((v.agent_id, v.vote.value) for v in cast),
+                decision=decision,
+                s_m=weighted_forget_score(cast, agents),
+                q=q,
+                commit_count=result.commit_count,
+                outcome="deleted" if forget else "retained",
+            )
+        )
+        rounds.append(result)
+    return audits, rounds
+
+
+def network_state(net: SimulatedNetwork) -> tuple:
+    return net.clock, net.delivered, net.dropped, net._seq, net._rng.getstate(), net.pending()
+
+
+class TestPhase3MatchesThePerMemoryPath:
+    """run_epoch's one engine call against per_memory_phase3 on a twin network."""
+
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("fault", [None, FaultKind.SILENT_HALF, FaultKind.EQUIVOCATE_HALF])
+    def test_audits_counts_and_network_state_match(self, fault, drop_prob):
+        # N = 5 with f = 1: one agent inactive, one faulty. Two agents share a
+        # scorer object, one has its own and "c" is left to the default.
+        faulty = FaultProfile(fault, coin_seed=11) if fault else FaultProfile()
+        roster = (
+            AgentProfile("a", weight=1.5, confidence=0.9),
+            AgentProfile("b", weight=1.0, confidence=0.8, fault=faulty),
+            AgentProfile("c", weight=2.0),
+            AgentProfile("coordinator", weight=1.0, confidence=0.7),
+            AgentProfile("idle", weight=3.0, active=False),
+        )
+        shared = ExternalScorer(lambda m, c: (int(m.id[1:]) % 4) / 4)
+        scorer = {
+            "a": shared,
+            "coordinator": shared,
+            "b": ExternalScorer(lambda m, c: (int(m.id[1:]) % 3) / 3),
+            "idle": shared,
+        }
+        rng = np.random.default_rng(5)
+        st = fresh_store(
+            [
+                record(f"m{i}", cos=float(rng.uniform(-0.5, 0.95)), t_last=float(rng.uniform(0.0, 1e4)))
+                for i in range(40)
+            ],
+            now=1e4,
+        )
+        net_cfg = NetworkConfig(drop_prob=drop_prob, seed=9)
+        net, twin = SimulatedNetwork(net_cfg), SimulatedNetwork(net_cfg)
+        decisions, outcomes = set(), set()
+        for epoch_index, now in enumerate((2e4, 6e4)):
+            want, rounds = per_memory_phase3(
+                st, roster, context(), CFG, twin, scorer=scorer, now=now, epoch_index=epoch_index
+            )
+            clock_before = net.clock
+            report = run_epoch(st, roster, context(), CFG, net, scorer=scorer, now=now, epoch_index=epoch_index)
+            assert report.per_memory_audit == want
+            assert report.proposed == len(rounds)
+            assert report.consensus_failed == sum(not r.decided for r in rounds)
+            assert report.consensus_reached == sum(r.decided for r in rounds)
+            assert report.elapsed_virtual_s == net.clock - clock_before
+            assert network_state(net) == network_state(twin)
+            decisions.update(audit.decision for audit in want)
+            outcomes.update(audit.outcome for audit in want)
+        # The cases must reach the paths they compare.
+        if drop_prob == 1.0:
+            assert (decisions, outcomes) == ({"timeout"}, {"retained"})
+        else:
+            assert (decisions, outcomes) == ({"forget", "keep", "timeout"}, {"deleted", "retained"})
 
 
 class TestRunEpochChecks:

@@ -1,4 +1,4 @@
-"""run_round against a straight-line reference round.
+"""run_round and the run_rounds engine against a straight-line reference round.
 
 The reference follows the consensus module docstring with plain message
 objects, dict[Vote, set] tallies and its own (time, sender, seq) heap fed from
@@ -8,7 +8,9 @@ one send counter bumped for dropped messages too. Rosters of 4, 7 and 10
 agents with f = (N-1)//3, and of 7 agents with f = 1, up to f faulty agents,
 lossy networks and tied latencies must give an equal RoundResult and leave
 the network in the same state, round after round on one network. A round's
-elapsed time is how far the network clock moved while it ran.
+elapsed time is how far the network clock moved while it ran. A sequence of
+instances run through one run_rounds call must match the reference run once
+per instance on a twin network.
 
 Observer agreement is asserted only where N <= 4f+1. A COMMIT carries its
 sender's own vote, so two 2f+1 commit quorums for different votes need only
@@ -32,6 +34,7 @@ from coforget.consensus import (
     PbftMessage,
     RoundResult,
     run_round,
+    run_rounds,
 )
 from coforget.core import AgentProfile, ProtocolConfig, Vote
 from coforget.transport import NetworkConfig, SimulatedNetwork
@@ -186,3 +189,61 @@ class TestRunRoundMatchesReference:
                 if behaviors.get(agent_id) is not Behavior.EQUIVOCATE
             )
             assert len({d for d in observers.values() if d is not None}) <= 1
+
+
+@hst.composite
+def sequences(draw):
+    n = draw(hst.sampled_from([4, 7, 10]))
+    f = (n - 1) // 3
+    ids = sorted(draw(hst.lists(AGENT_IDS, min_size=n, max_size=n, unique=True)))
+    faulty = draw(hst.lists(hst.sampled_from(ids), max_size=f, unique=True))
+    low, high = draw(hst.sampled_from([(1.0, 5.0), (2.0, 2.0), (0.0, 0.0)]))
+    net_cfg = NetworkConfig(
+        latency_min_ms=low,
+        latency_max_ms=high,
+        drop_prob=draw(hst.sampled_from([0.0, 0.05, 0.3])),
+        seed=draw(hst.integers(0, 2**32)),
+    )
+    instances = [
+        (
+            {agent_id: draw(hst.sampled_from([Vote.KEEP, Vote.FORGET])) for agent_id in ids},
+            {agent_id: draw(hst.sampled_from(list(Behavior))) for agent_id in faulty},
+        )
+        for _ in range(draw(hst.integers(1, 8)))
+    ]
+    return ProtocolConfig(f=f), ids, net_cfg, instances
+
+
+class TestRunRoundsMatchesReference:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=sequences())
+    def test_one_engine_call_matches_the_reference_round_by_round(self, case):
+        cfg, ids, net_cfg, instances = case
+        agents = tuple(AgentProfile(agent_id) for agent_id in ids)
+        net = SimulatedNetwork(net_cfg)
+        ref = ReferenceNetwork(net_cfg)
+        vote_index = {Vote.KEEP: 0, Vote.FORGET: 1}
+        got = run_rounds(
+            ids,
+            [
+                (
+                    [vote_index[votes[agent_id]] for agent_id in ids],
+                    {ids.index(agent_id): behavior for agent_id, behavior in behaviors.items()},
+                )
+                for votes, behaviors in instances
+            ],
+            cfg,
+            net,
+        )
+        assert len(got) == len(instances)
+        for k, ((votes, behaviors), outcome) in enumerate(zip(instances, got)):
+            want = reference_round(f"m{k}", 0, agents, votes, cfg, ref, behaviors)
+            decision, commit_count, undelivered, decisions = outcome[:4]
+            assert (decision, commit_count, undelivered) == (want.decision, want.commit_count, want.undelivered)
+            assert {
+                agent_id: None if d is None else (Vote.KEEP, Vote.FORGET)[d] for agent_id, d in zip(ids, decisions[1:])
+            } == want.agent_decisions
+        assert (net.clock, net.delivered, net.dropped) == (ref.clock, ref.delivered, ref.dropped)
+        assert net._seq == ref.seq
+        assert net._rng.getstate() == ref.rng.getstate()
+        assert net.pending() == 0
