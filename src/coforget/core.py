@@ -67,7 +67,7 @@ class FaultProfile:
 
     silent_half suppresses the agent's outbound messages in 50% of consensus
     rounds; equivocate_half inverts the agent's wire vote in 50% of rounds.
-    Coin draws are resolved per (agent, epoch, memory) by the transport layer.
+    The transport layer draws an agent's coins per epoch, one per round.
     """
 
     kind: FaultKind = FaultKind.HONEST
@@ -78,6 +78,9 @@ class FaultProfile:
         # "honest" would fall through to equivocation.
         if not isinstance(self.kind, FaultKind):
             raise TypeError(f"fault kind must be a FaultKind, got {self.kind!r}")
+        # The coins' numpy seed takes only non-negative integers.
+        if not _is_integer(self.coin_seed) or self.coin_seed < 0:
+            raise ValueError(f"coin_seed must be an integer >= 0, got {self.coin_seed!r}")
 
 
 _FLOAT64 = np.dtype(np.float64)

@@ -110,7 +110,8 @@ def run_epoch(
     `scorer` is one scorer for every agent or a mapping from agent id to that
     agent's scorer; None, or an agent the mapping omits, means the default.
     `arrivals` enter the store after deletion commits. Phase 3 makes one
-    run_rounds call for all proposed memories, in id order, on `net`; the
+    run_rounds call for all proposed memories, in id order, on `net`, with
+    each faulty agent's fault coins from one resolve_behavior call; the
     engine applies the wire rule, and each memory's decision goes through
     consensus.gate, the deletion rule finalize applies too. Consensus
     timeouts retain the memory and are recorded per-memory rather than
@@ -175,27 +176,30 @@ def run_epoch(
     # order, and the gate turns each decision into the memory's fate. A
     # memory's votes are its row across the forget columns, whose order
     # (agent_votes follows the active roster) is the agents' id order. Only a
-    # faulty agent flips a fault coin; an honest one needs no behavior.
+    # faulty agent flips fault coins; an honest one stays behavior code 0.
     order = sorted(proposed)
     forget_by_memory = np.stack([forget for _, forget in agent_votes.values()], axis=1)
-    rows = forget_by_memory[[row_of[memory_id] for memory_id in order]].tolist()
-    faulty = [(k, a.fault) for k, a in enumerate(active) if a.fault.kind is not FaultKind.HONEST]
-    instances = [
-        (votes, {k: resolve_behavior(fault, epoch_index, memory_id) for k, fault in faulty})
-        for memory_id, votes in zip(order, rows)
-    ]
+    votes = forget_by_memory[[row_of[memory_id] for memory_id in order]]
+    behaviors = np.zeros(votes.shape, dtype=np.int8)
+    for k, profile in enumerate(active):
+        if profile.fault.kind is not FaultKind.HONEST:
+            behaviors[:, k] = resolve_behavior(profile.fault, epoch_index, len(order))
     clock_before = net.clock
-    outcomes = run_rounds(list(agent_votes), instances, cfg, net)
+    decisions, commit_counts, _, _ = run_rounds(votes, behaviors, cfg, net)
     q = quorum_threshold(agents, cfg.alpha)
     weights = [profile.weight * profile.confidence for profile in active]
     vote_names = (Vote.KEEP.value, Vote.FORGET.value)
+    decided_votes = (Vote.KEEP, Vote.FORGET, None)  # by vote index; -1, a timeout, picks None
     audits: list[MemoryAudit] = []
-    for memory_id, votes, (decision, commit_count, *_) in zip(order, rows, outcomes):
-        s_m = forget_sum(weights, votes)
+    for memory_id, row, decided, commit_count in zip(
+        order, votes.tolist(), decisions[:, 0].tolist(), commit_counts.tolist()
+    ):
+        decision = decided_votes[decided]
+        s_m = forget_sum(weights, row)
         audits.append(
             MemoryAudit(
                 memory_id=memory_id,
-                votes=tuple(zip(agent_votes, [vote_names[forget] for forget in votes])),
+                votes=tuple(zip(agent_votes, [vote_names[forget] for forget in row])),
                 decision="timeout" if decision is None else decision.value,
                 s_m=s_m,
                 q=q,

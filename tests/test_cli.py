@@ -542,9 +542,9 @@ class TestRunOutputs:
         epochs = epoch_rows(out)
         vacuous = [e for e in epochs if e["consensus_reached"] + e["consensus_failed"] == 0]
         failed = [e for e in epochs if e["consensus_failed"] > 0]
-        assert (len(epochs), len(vacuous), len(failed)) == (30, 10, 6)
+        assert (len(epochs), len(vacuous), len(failed)) == (30, 12, 2)
         rate = json.loads((out / "report.json").read_text())["summary"]["pbft_success_rate"]
-        assert rate == (len(epochs) - len(failed)) / len(epochs) == 0.8
+        assert rate == (len(epochs) - len(failed)) / len(epochs) == 28 / 30
         assert check_outputs(out).problems == []
 
     def test_strict_pbft_success_flag_is_a_usage_error(self, tmp_path, capsys):

@@ -143,6 +143,13 @@ class TestFaultProfile:
         for kind in FaultKind:
             assert FaultProfile(kind=kind, coin_seed=3).kind is kind
 
+    @pytest.mark.parametrize("coin_seed", [-1, 1.5, True, "3"])
+    def test_rejects_a_coin_seed_numpy_cannot_seed_with(self, coin_seed):
+        # The coins come from np.random.default_rng((coin_seed, epoch)), which
+        # raised mid-epoch on a negative seed.
+        with pytest.raises(ValueError, match="coin_seed"):
+            FaultProfile(kind=FaultKind.SILENT_HALF, coin_seed=coin_seed)
+
 
 class TestAgentProfile:
     def test_defaults(self):

@@ -18,7 +18,7 @@ from hypothesis import strategies as hst
 
 import coforget.consensus
 import coforget.epoch
-from coforget.consensus import ConsensusTimeout, finalize, run_round
+from coforget.consensus import Behavior, ConsensusTimeout, finalize, run_round
 from coforget.core import (
     AgentProfile,
     ConfigError,
@@ -419,10 +419,11 @@ def per_memory_phase3(store, agents, ctx, cfg, net, *, scorer=None, now, epoch_i
     """Phase 3 one memory at a time, the way run_epoch ran it before its one engine call.
 
     Each snapshot memory's votes come from the scalar decay and relevance of
-    its record. Each proposed memory, in id order, gets one AgentVote list, a
-    fault coin for every active agent, one run_round on `net`, and finalize,
-    weighted_forget_score and quorum_threshold for its audit line. Returns
-    the audit lines and the rounds.
+    its record. Each proposed memory, in id order, gets one AgentVote list,
+    every active agent's fault coin for its round (resolve_behavior gives an
+    agent's coins for the epoch's rounds in that order), one run_round on
+    `net`, and finalize, weighted_forget_score and quorum_threshold for its
+    audit line. Returns the audit lines and the rounds.
     """
     active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
     casts = {}
@@ -438,9 +439,10 @@ def per_memory_phase3(store, agents, ctx, cfg, net, *, scorer=None, now, epoch_i
             casts[memory_id] = cast
     q = quorum_threshold(agents, cfg.alpha)
     audits, rounds = [], []
-    for memory_id in sorted(casts):
+    coins = {p.agent_id: resolve_behavior(p.fault, epoch_index, len(casts)).tolist() for p in active}
+    for index, memory_id in enumerate(sorted(casts)):
         cast = casts[memory_id]
-        behaviors = {p.agent_id: resolve_behavior(p.fault, epoch_index, memory_id) for p in active}
+        behaviors = {agent_id: list(Behavior)[codes[index]] for agent_id, codes in coins.items()}
         result = run_round(
             memory_id, epoch_index, agents, {v.agent_id: v.vote for v in cast}, cfg, net, behaviors=behaviors
         )
@@ -465,7 +467,7 @@ def per_memory_phase3(store, agents, ctx, cfg, net, *, scorer=None, now, epoch_i
 
 
 def network_state(net: SimulatedNetwork) -> tuple:
-    return net.clock, net.delivered, net.dropped, net._seq, net._rng.getstate(), net.pending()
+    return net.clock, net.delivered, net.dropped, net._rng.bit_generator.state
 
 
 class TestPhase3MatchesThePerMemoryPath:

@@ -16,8 +16,10 @@ before the benchmark runs.
 The ``.cfg`` overlays are inlined copies of ``perfbench/workloads/*.cfg``;
 the epoch counts are cut so the three runs take about 1.5 s together, and
 the sweep about 0.3 s. The tied-latency run gives every message the same 2 ms
-latency, so a broadcast's messages arrive together and the network's tie order
-(sender id, then send number) decides what each node sees first.
+latency, so a broadcast's messages arrive together and the round engine's tie
+order decides what each node sees first: equal arrival times break by kind
+(EVALUATE, then PREPARE, then COMMIT), then by sender position (the
+coordinator, then the agents in id order).
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ GOLDEN = {
         12,
         1,
         {
-            "report.json": "6f61cc3b4f37d8d4cf5903bc4d65ee74055eb279d716df954c42914c6785b991",
-            "epochs.csv": "4123c4ad755bbbde85abcfbfa2c50000bf2456d1f35f9057eaa0836172f903ac",
-            "audit.jsonl": "20bd7e67fdba2c54899e07382e7e57c1fc4c8f037a31bc655eaefb43c6c8392a",
-            "metadata.csv": "ad1580679e206acb4b780347f8a0856186773356329a22754c185e167a2e4637",
+            "report.json": "1151fec4358f26b3ff24e941d5ce4df11e376a7cff87bb7a86f0ea842572f7cf",
+            "epochs.csv": "aa18c35fa26d63af9d75f83367638252663e4b85d31b76967ee26fd1d129a9df",
+            "audit.jsonl": "2a94ebf6ad1ccd8b31d536a250090440b7ac99374edd0bb3bc69ffb0d5bab964",
+            "metadata.csv": "17353591fea2cea6d14a3b392fe4f342c4bee844de8f8f83a2f378c8ab26e9bb",
         },
     ),
     "long_horizon": (
@@ -66,10 +68,10 @@ GOLDEN = {
         12,
         0,
         {
-            "report.json": "7900c426675988209a80647c1cd1ad729e1c32123b0fcf332a1bc73773d1d3db",
-            "epochs.csv": "ffbb302976b67be61fae5fa2185e28c5de9758c85a29c81268cd5193a4786bb6",
-            "audit.jsonl": "0b8712e8360ad52cb2fcb3bdc79f8021b3fa1777a709d164dad9926c0bee1c2d",
-            "metadata.csv": "bc7a2c9905c13ef032faadeb3904abed8c23af854b2d40652589bf1d84b63e18",
+            "report.json": "5d500aadd0c639e787568bdde87a59f830003d02302b3a2446cbdbab5e97f8ab",
+            "epochs.csv": "30cdbba5475c90bf8a9db23c3c737ad49af38d0b1b8273274755d72004cf4aee",
+            "audit.jsonl": "4ee4676d162f198a1df85b7c2e306695a6c9ba975e786c1a338e99fac43fd114",
+            "metadata.csv": "319877ee3872bd94236141085df0d8b3e3309313eea2e7156af77eb15914481b",
         },
     ),
     "hot_reads": (
@@ -79,8 +81,8 @@ GOLDEN = {
         0,
         {
             "report.json": "a86e121515ad7705f4016d5eb632fc924959c008ba0180348fac47dedc7d31d1",
-            "epochs.csv": "7bc3c002f7a240e50dac4eb1e14fa16c688ca513b2aef092e6e67ccc696dc4df",
-            "audit.jsonl": "13298970013cd40f4a7b447238707d59efb11997343e6fe292253bac39fa5f15",
+            "epochs.csv": "1f9ed6dc3827fbab605ed9b05b8daef28476e7666fd0dc16ed03445126e06638",
+            "audit.jsonl": "330963c442a962c9c16ed2e741b4771042bd44b073aa8c73c1c2ff2495f734b1",
             "metadata.csv": "29ea4de213f436fec7475a1be9b21fd6c52b34ffd51ac979a148d0f1d26e6b6b",
         },
     ),
@@ -90,10 +92,10 @@ GOLDEN = {
         12,
         1,
         {
-            "report.json": "7fa300c470704634cd23a7f8c06e3b2bd26be588fe33bd7c6c6b2c0ff883bcef",
-            "epochs.csv": "cd99e5cb250810525a8d38cc0bde4fbf04db9108a626ee48134351c92968ea52",
-            "audit.jsonl": "418af6b86272abcb562777ec3d6eca3ef404ac969dc9d465375a1984e462eee5",
-            "metadata.csv": "b947e32c11ab8f1918f8f2f3c415ed3a270f6b39fb4d25d6d97b1424839c61b3",
+            "report.json": "941756702c54f58b33eea2cce91777fef24208ba9b30787dc19632307517c467",
+            "epochs.csv": "1b0e4b423b9e2f1c3bfd58e9a727effc434a44b1dccc27d54958744ad934da23",
+            "audit.jsonl": "92074bdf226e0e5f37cecbe62717e6ffe3cc4b37678f3ae8045c24ecc9bb4415",
+            "metadata.csv": "e805b6901e6653a2d18a3e366a7be7bdd3b41ab913decc8b9c0f1f04599d65d9",
         },
     ),
 }
@@ -118,14 +120,14 @@ def test_outputs_match_recorded_digests(tmp_path, check_outputs, name):
 SWEEP = {
     "seed-3": {
         "report.json": "1ea79d0ede7f419c385889b16f3a24ace8626bb6b0fc0051877b62d501f12e9d",
-        "epochs.csv": "6f5f3b427ccd58abcc2e61fba650d351018f65c9a6ffdd55d7689422c43a25fd",
-        "audit.jsonl": "4e12530d8033229cffb056fe6f1e25bfe021b1b46d4df9729489930a3283be0f",
+        "epochs.csv": "f55cd42d720e450abe2300f3681d0c6b2ee973073f3232196e1b256b51c32612",
+        "audit.jsonl": "8526f828bc8678d94088d41168a55a78dc2f19d899f4cefe96d9e8c82ad98cbb",
         "metadata.csv": "c67cd9314df460c9d825f20d95f2efa1c67db48368fccbcfe5d5638baea4d81c",
     },
     "seed-4": {
         "report.json": "b592fbb562b2542ae29d28b857720ffd2759a07013410a2e72ce8cd1c9f5b11b",
-        "epochs.csv": "5a9e90679a022692b2dc1419a0d5711632a7dc01b0ff7f1988e71148fe0d5018",
-        "audit.jsonl": "35e70dc70cb1bc71d01e05c8c2138a6d3cd553c9f5ffe91b136d1c75edfe6fb7",
+        "epochs.csv": "527ef511ebc849f8bc1df474301a69095f55591ec7ec7f308d18a252a46b850c",
+        "audit.jsonl": "7641d6bd1ad5fad0071db151c3490a1331772aaa0dde9215ac80feeef217e29e",
         "metadata.csv": "1fd75546c1c8a46e4e82c39e95c7d1e9537a13feca69f5a4c70ff6cd6a007a2d",
     },
 }

@@ -31,10 +31,6 @@ from coforget.transport import (
 )
 
 
-def msg(epoch: int = 0, sender: str = "a", vote: Vote = Vote.KEEP) -> PbftMessage:
-    return PbftMessage(MessageKind.PREPARE, epoch, "m", sender, vote=vote)
-
-
 class TestNetworkConfig:
     def test_defaults_are_valid(self):
         cfg = NetworkConfig()
@@ -95,135 +91,100 @@ class TestNetworkConfig:
 
 
 class TestSimulatedNetwork:
-    def trace(self, seed: int, drop_prob: float) -> tuple[list, int]:
-        net = SimulatedNetwork(NetworkConfig(drop_prob=drop_prob, seed=seed))
-        for i in range(40):
-            sender = "abc"[i % 3]
-            net.broadcast(msg(epoch=i, sender=sender), sender, ("abc"[(i + 1) % 3],))
-        out = []
-        while (event := net.poll()) is not None:
-            dest, m = event
-            out.append((m.epoch, m.sender, dest, net.clock))
-        return out, net.dropped
+    """The draw layout: one drop and one latency uniform per potential message."""
 
-    def test_identical_seeds_produce_identical_traces(self):
-        first = self.trace(seed=11, drop_prob=0.2)
-        second = self.trace(seed=11, drop_prob=0.2)
-        assert first == second
+    def test_block_shape(self):
+        net = SimulatedNetwork(NetworkConfig(seed=3))
+        kept, latency_s = net.draw(5, 4)
+        # Per round: 4 EVALUATEs, then 4 PREPARE and 4 COMMIT rows, 4 destinations each.
+        assert kept.shape == latency_s.shape == (5, 9, 4)
+        assert kept.dtype == bool and latency_s.dtype == np.float64
+        assert (net.clock, net.delivered, net.dropped) == (0.0, 0, 0)
+
+    def test_layout_is_drops_then_latencies_per_round(self):
+        cfg = NetworkConfig(latency_min_ms=2.0, latency_max_ms=7.0, drop_prob=0.3, seed=11)
+        kept, latency_s = SimulatedNetwork(cfg).draw(3, 2)
+        u = np.random.default_rng(11).random((3, 2, 5, 2))
+        assert np.array_equal(kept, u[:, 0] >= 0.3)
+        assert np.array_equal(latency_s, (2.0 + 5.0 * u[:, 1]) / 1000.0)
+
+    def test_one_call_equals_one_call_per_round(self):
+        cfg = NetworkConfig(drop_prob=0.2, seed=7)
+        block, single = SimulatedNetwork(cfg), SimulatedNetwork(cfg)
+        kept, latency_s = block.draw(6, 3)
+        rounds = [single.draw(1, 3) for _ in range(6)]
+        assert np.array_equal(kept, np.concatenate([k for k, _ in rounds]))
+        assert np.array_equal(latency_s, np.concatenate([lat for _, lat in rounds]))
+        assert block._rng.bit_generator.state == single._rng.bit_generator.state
+
+    def test_identical_seeds_produce_identical_draws(self):
+        first, second = (SimulatedNetwork(NetworkConfig(drop_prob=0.2, seed=11)).draw(4, 4) for _ in range(2))
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_different_seeds_diverge(self):
-        assert self.trace(seed=1, drop_prob=0.0) != self.trace(seed=2, drop_prob=0.0)
+        _, one = SimulatedNetwork(NetworkConfig(seed=1)).draw(2, 4)
+        _, two = SimulatedNetwork(NetworkConfig(seed=2)).draw(2, 4)
+        assert not np.array_equal(one, two)
 
-    def test_full_loss_drops_everything(self):
-        net = SimulatedNetwork(NetworkConfig(drop_prob=1.0, seed=0))
-        for i in range(10):
-            net.broadcast(msg(epoch=i), "a", ("b",))
-            assert net.dropped == i + 1 and net.pending() == 0
-        assert net.dropped == 10
-        assert net.pending() == 0
-        assert net.poll() is None
+    @pytest.mark.parametrize("drop_prob, share_kept", [(0.0, 1.0), (1.0, 0.0)])
+    def test_no_loss_and_full_loss(self, drop_prob, share_kept):
+        kept, _ = SimulatedNetwork(NetworkConfig(drop_prob=drop_prob, seed=0)).draw(50, 4)
+        assert kept.mean() == share_kept
 
-    def test_lossless_constant_latency_is_fifo(self):
-        cfg = NetworkConfig(latency_min_ms=3.0, latency_max_ms=3.0, drop_prob=0.0, seed=0)
-        net = SimulatedNetwork(cfg)
-        for i in range(20):
-            net.broadcast(msg(epoch=i), "a", ("b",))
-            assert net.pending() == i + 1 and net.dropped == 0
-        epochs = []
-        while (event := net.poll()) is not None:
-            assert net.clock == pytest.approx(0.003)
-            epochs.append(event[1].epoch)
-        assert epochs == list(range(20))
+    def test_drop_rate_follows_drop_prob(self):
+        kept, _ = SimulatedNetwork(NetworkConfig(drop_prob=0.3, seed=9)).draw(200, 4)
+        assert 0.28 <= 1.0 - kept.mean() <= 0.32
 
     def test_latency_stays_in_band(self):
-        cfg = NetworkConfig(latency_min_ms=2.0, latency_max_ms=7.0, drop_prob=0.0, seed=3)
-        net = SimulatedNetwork(cfg)
-        for i in range(100):
-            sent_s = net.clock
-            net.broadcast(msg(epoch=i), "a", ("b",))
-            assert net.poll() is not None
-            assert sent_s + 0.002 <= net.clock <= sent_s + 0.007
-        assert net.clock > 100 * 0.002
+        _, latency_s = SimulatedNetwork(NetworkConfig(latency_min_ms=2.0, latency_max_ms=7.0, seed=3)).draw(50, 4)
+        assert 0.002 <= latency_s.min() and latency_s.max() <= 0.007
+        _, fixed = SimulatedNetwork(NetworkConfig(latency_min_ms=3.0, latency_max_ms=3.0)).draw(5, 4)
+        assert (fixed == 0.003).all()
 
-    def test_poll_advances_the_clock(self):
-        net = SimulatedNetwork(NetworkConfig(drop_prob=0.0, seed=5))
-        net.broadcast(msg(), "a", ("b",))
-        assert net.poll() == ("b", msg())
-        assert net.clock > 0.0
-
-    def test_a_message_to_its_own_sender_is_not_special(self):
-        # It draws a drop like any other message, and a kept one a latency.
-        lossy = SimulatedNetwork(NetworkConfig(drop_prob=1.0, seed=0))
-        lossy.broadcast(msg(), "a", ("a",))
-        assert lossy.pending() == 0
-        assert lossy.dropped == 1
-        fixed = SimulatedNetwork(NetworkConfig(latency_min_ms=2.0, latency_max_ms=2.0, drop_prob=0.0))
-        fixed.broadcast(msg(), "a", ("a",))
-        assert fixed.pending() == 1 and fixed.dropped == 0
-        assert fixed.poll() == ("a", msg())
-        assert fixed.clock == pytest.approx(0.002)
-
-    def test_drain_reports_and_clears(self):
-        net = SimulatedNetwork(NetworkConfig(drop_prob=0.0, seed=0))
-        for i in range(7):
-            net.broadcast(msg(epoch=i), "a", ("b",))
-        assert net.drain() == 7
-        assert net.pending() == 0
-        assert net.poll() is None
-
-    def test_counters_are_consistent(self):
-        net = SimulatedNetwork(NetworkConfig(drop_prob=0.3, seed=9))
-        for i in range(200):
-            net.broadcast(msg(epoch=i), "a", ("b",))
-        scheduled = net.pending()
-        times = []
-        while net.poll() is not None:
-            times.append(net.clock)
-        assert times == sorted(times)
-        assert net.delivered == scheduled == len(times)
-        assert net.dropped == 200 - scheduled
+    def test_no_agents_draw_nothing(self):
+        net = SimulatedNetwork(NetworkConfig(seed=5))
+        kept, latency_s = net.draw(4, 0)
+        assert kept.shape == latency_s.shape == (4, 1, 0)
+        assert net._rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
 class TestResolveBehavior:
+    HONEST, SILENT, EQUIVOCATE = (list(Behavior).index(b) for b in Behavior)
+
     def test_honest_fault_is_always_honest(self):
         fault = FaultProfile(FaultKind.HONEST, coin_seed=3)
-        assert all(resolve_behavior(fault, e, f"m{e}") is Behavior.HONEST for e in range(50))
+        assert all((resolve_behavior(fault, e, 50) == self.HONEST).all() for e in range(5))
 
     def test_coin_matches_seeded_oracle(self):
         fault = FaultProfile(FaultKind.SILENT_HALF, coin_seed=42)
-        for epoch in range(100):
-            mid = f"mem-{epoch}"
-            coin = random.Random(f"42:{epoch}:{mid}").random() < 0.5
-            expected = Behavior.SILENT if coin else Behavior.HONEST
-            assert resolve_behavior(fault, epoch, mid) is expected
+        for epoch in range(20):
+            coin = np.random.default_rng((42, epoch)).random(30) < 0.5
+            expected = np.where(coin, self.SILENT, self.HONEST)
+            assert np.array_equal(resolve_behavior(fault, epoch, 30), expected)
 
-    def test_coin_is_deterministic_across_calls(self):
+    def test_one_coin_per_round_in_round_order(self):
         fault = FaultProfile(FaultKind.EQUIVOCATE_HALF, coin_seed=7)
-        first = [resolve_behavior(fault, 3, f"m{i}") for i in range(30)]
-        second = [resolve_behavior(fault, 3, f"m{i}") for i in range(30)]
-        assert first == second
+        assert np.array_equal(resolve_behavior(fault, 3, 12)[:5], resolve_behavior(fault, 3, 5))
+        assert resolve_behavior(fault, 3, 0).shape == (0,)
 
     def test_silent_half_frequency_near_half(self):
         fault = FaultProfile(FaultKind.SILENT_HALF, coin_seed=0)
-        hits = sum(
-            resolve_behavior(fault, 0, f"mem-{i}") is Behavior.SILENT for i in range(10_000)
-        )
+        hits = (resolve_behavior(fault, 0, 10_000) == self.SILENT).sum()
         assert 0.48 <= hits / 10_000 <= 0.52
 
     def test_fault_kinds_share_the_same_coin(self):
-        silent = FaultProfile(FaultKind.SILENT_HALF, coin_seed=5)
-        equiv = FaultProfile(FaultKind.EQUIVOCATE_HALF, coin_seed=5)
-        for i in range(100):
-            a = resolve_behavior(silent, 2, f"m{i}") is Behavior.SILENT
-            b = resolve_behavior(equiv, 2, f"m{i}") is Behavior.EQUIVOCATE
-            assert a == b
+        silent = resolve_behavior(FaultProfile(FaultKind.SILENT_HALF, coin_seed=5), 2, 100)
+        equiv = resolve_behavior(FaultProfile(FaultKind.EQUIVOCATE_HALF, coin_seed=5), 2, 100)
+        assert set(silent.tolist()) == {self.HONEST, self.SILENT}
+        assert np.array_equal(silent == self.SILENT, equiv == self.EQUIVOCATE)
 
-    def test_coin_varies_with_epoch_and_memory(self):
-        fault = FaultProfile(FaultKind.SILENT_HALF, coin_seed=0)
-        by_epoch = {resolve_behavior(fault, e, "m") for e in range(50)}
-        by_memory = {resolve_behavior(fault, 0, f"m{i}") for i in range(50)}
-        assert by_epoch == {Behavior.SILENT, Behavior.HONEST}
-        assert by_memory == {Behavior.SILENT, Behavior.HONEST}
+    def test_coin_varies_with_epoch_and_seed(self):
+        def coins(seed, epoch):
+            return resolve_behavior(FaultProfile(FaultKind.SILENT_HALF, coin_seed=seed), epoch, 8).tobytes()
+
+        by_epoch = {coins(0, e) for e in range(20)}
+        by_seed = {coins(s, 0) for s in range(20)}
+        assert len(by_epoch) > 10 and len(by_seed) > 10
 
 
 class TestCodecRoundTrip:
