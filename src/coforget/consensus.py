@@ -166,8 +166,11 @@ class RoundResult:
 _VOTES = (Vote.KEEP, Vote.FORGET, None)
 _BEHAVIOR_CODE = {behavior: code for code, behavior in enumerate(Behavior)}
 _SILENT, _EQUIVOCATE = _BEHAVIOR_CODE[Behavior.SILENT], _BEHAVIOR_CODE[Behavior.EQUIVOCATE]
-# Rounds per network draw and per set of arrays; this bounds the engine's memory.
-_BLOCK_ROUNDS = 64
+# Potential messages, A(2A+1) a round, per network draw and per set of
+# arrays: a block holds as many rounds as fit, and at least one. This bounds
+# the engine's memory; the draw layout keeps results independent of it.
+# 2**12 holds 113 rounds at A = 4, so a typical epoch is one block.
+_BLOCK_MESSAGES = 2**12
 # Compared with (rounds, 1, A) wire votes, it splits them into a keep and a forget row.
 _BY_VOTE = np.array([[0], [1]], dtype=np.int8)
 
@@ -234,8 +237,9 @@ def run_rounds(votes: np.ndarray, behaviors: np.ndarray, cfg: ProtocolConfig, ne
     prepare_at = max(2 * cfg.f, 1)
     quorum = 2 * cfg.f + 1
     clock = net.clock
-    for start in range(0, rounds, _BLOCK_ROUNDS):
-        w = wire[start : start + _BLOCK_ROUNDS]
+    block_rounds = max(1, _BLOCK_MESSAGES // max(1, agents * (2 * agents + 1)))
+    for start in range(0, rounds, block_rounds):
+        w = wire[start : start + block_rounds]
         size = len(w)
         block = slice(start, start + size)
         kept, latency = net.draw(size, agents)

@@ -87,11 +87,18 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 def make_embedding(values: Iterable[float]) -> np.ndarray:
-    """Build a read-only, finite float64 vector, the canonical embedding form (kept as is if already).
+    """Build a read-only, contiguous, finite float64 vector, the canonical embedding form (kept as is if already).
 
     A NaN or inf component would score relevance 1.0, so that memory could never be forgotten.
+    Contiguity keeps a dot product on one summation path, so a norm computed
+    as sqrt(v.dot(v)) equals np.linalg.norm's to the bit.
     """
-    if type(values) is np.ndarray and values.dtype is _FLOAT64 and not values.flags.writeable:
+    if (
+        type(values) is np.ndarray
+        and values.dtype is _FLOAT64
+        and not values.flags.writeable
+        and values.flags.c_contiguous
+    ):
         arr = values
     else:
         arr = np.array(values if isinstance(values, np.ndarray) else list(values), dtype=np.float64)

@@ -139,11 +139,13 @@ def run_epoch(
 
     # Phase 2: independent evaluation, one relevance column and one vote
     # column per scorer object. Agents sharing a scorer get identical (D, R),
-    # so its column is computed once and attributed to each of them.
+    # so its column, its sorted forget list and their row_of entries are
+    # computed once and attributed to each of them.
     active = sorted((a for a in agents if a.active), key=lambda a: a.agent_id)
     columns = store.relevance_columns
-    by_scorer: dict[tuple[RelevanceScorer | None, ContextProfile], tuple[np.ndarray, np.ndarray]] = {}
-    agent_votes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    by_scorer: dict[tuple[RelevanceScorer | None, ContextProfile], tuple[np.ndarray, list[str]]] = {}
+    agent_votes: dict[str, tuple[np.ndarray, list[str]]] = {}
+    row_of: dict[str, int] = {}
     for profile in active:
         agent_scorer = scorer.get(profile.agent_id) if isinstance(scorer, Mapping) else scorer
         key = (agent_scorer, context)
@@ -154,23 +156,22 @@ def run_epoch(
                 if i not in column:
                     column[i] = relevance(store.record(i), context, agent_scorer)
             r = np.fromiter(map(column.__getitem__, ids), dtype=np.float64, count=len(ids))
-            by_scorer[key] = vote_rule(decay, r, cfg)
+            _, forget = vote_rule(decay, r, cfg)
+            rows = np.flatnonzero(forget).tolist()
+            wanted = dict(zip(map(ids.__getitem__, rows), rows))
+            row_of.update(wanted)
+            by_scorer[key] = (forget, sorted(wanted))
         agent_votes[profile.agent_id] = by_scorer[key]
     for stale in columns.keys() - by_scorer.keys():
         del columns[stale]
 
-    # Agents ship their forget lists, in id order, to this epoch's coordinator;
-    # the proposal set is the union of acknowledged proposals.
+    # Each agent ships its forget list, in id order, to this epoch's
+    # coordinator; the proposal set is the union of acknowledged proposals.
     coordinator = CoordinatorEndpoint()
-    proposed: dict[str, None] = {}
-    row_of: dict[str, int] = {}
-    for agent_id, (_, forget) in agent_votes.items():
-        wanted = {ids[i]: i for i in np.flatnonzero(forget).tolist()}
-        if not wanted:
-            continue
-        row_of.update(wanted)
-        for memory_id in propose_forgetting(sorted(wanted), agent_id, coordinator, epoch=epoch_index):
-            proposed[memory_id] = None
+    proposed: set[str] = set()
+    for agent_id, (_, wanted) in agent_votes.items():
+        if wanted:
+            proposed.update(propose_forgetting(wanted, agent_id, coordinator, epoch=epoch_index))
 
     # Phase 3: one engine call runs every proposed memory's round, in id
     # order, and the gate turns each decision into the memory's fate. A
@@ -178,7 +179,7 @@ def run_epoch(
     # (agent_votes follows the active roster) is the agents' id order. Only a
     # faulty agent flips fault coins; an honest one stays behavior code 0.
     order = sorted(proposed)
-    forget_by_memory = np.stack([forget for _, forget in agent_votes.values()], axis=1)
+    forget_by_memory = np.stack([forget for forget, _ in agent_votes.values()], axis=1)
     votes = forget_by_memory[[row_of[memory_id] for memory_id in order]]
     behaviors = np.zeros(votes.shape, dtype=np.int8)
     for k, profile in enumerate(active):
@@ -190,23 +191,29 @@ def run_epoch(
     weights = [profile.weight * profile.confidence for profile in active]
     vote_names = (Vote.KEEP.value, Vote.FORGET.value)
     decided_votes = (Vote.KEEP, Vote.FORGET, None)  # by vote index; -1, a timeout, picks None
-    audits: list[MemoryAudit] = []
-    for memory_id, row, decided, commit_count in zip(
-        order, votes.tolist(), decisions[:, 0].tolist(), commit_counts.tolist()
-    ):
+
+    def audit_fields(pattern: bytes) -> tuple[tuple[tuple[str, str], ...], str, float, str]:
+        """(votes, decision, S_m, outcome) for one (vote row, decided index) pattern."""
+        *row, decided = np.frombuffer(pattern, dtype=np.int8).tolist()
         decision = decided_votes[decided]
         s_m = forget_sum(weights, row)
-        audits.append(
-            MemoryAudit(
-                memory_id=memory_id,
-                votes=tuple(zip(agent_votes, [vote_names[forget] for forget in row])),
-                decision="timeout" if decision is None else decision.value,
-                s_m=s_m,
-                q=q,
-                commit_count=commit_count,
-                outcome="deleted" if gate(decision, s_m, q) is Vote.FORGET else "retained",
-            )
+        return (
+            tuple(zip(agent_votes, [vote_names[forget] for forget in row])),
+            "timeout" if decision is None else decision.value,
+            s_m,
+            "deleted" if gate(decision, s_m, q) is Vote.FORGET else "retained",
         )
+
+    # Only the id and the commit count are a memory's own; the rest of its
+    # audit follows from its vote row and decision, so it is built once per
+    # distinct pair, keyed by the pair's int8 bytes, and the audits share it.
+    table = np.column_stack([votes, decisions[:, :1]])
+    patterns = table.view(np.dtype((np.void, table.shape[1])))[:, 0].tolist()
+    fields = {pattern: audit_fields(pattern) for pattern in set(patterns)}
+    audits: list[MemoryAudit] = []
+    for memory_id, pattern, commit_count in zip(order, patterns, commit_counts.tolist()):
+        memory_votes, decision, s_m, outcome = fields[pattern]
+        audits.append(MemoryAudit(memory_id, memory_votes, decision, s_m, q, commit_count, outcome))
 
     # Phase 4: delete, persist, then admit the queued arrivals.
     deleted = store.delete([audit.memory_id for audit in audits if audit.outcome == "deleted"])

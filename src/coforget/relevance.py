@@ -7,8 +7,10 @@ the scoring backend.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +34,27 @@ class DimensionMismatch(ValueError):
     """Memory and context embeddings have different lengths."""
 
 
+_TINY = sys.float_info.min  # the least normal float
+
+
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """`v` and its Euclidean norm, with `v` divided by its largest |component| if need be.
+
+    Only a squared norm that is not a normal finite float, which a vector
+    beyond about 1e±154 gives, needs the division; it keeps the cosine's
+    scale invariance, and every other vector is returned as is, with the norm
+    np.linalg.norm gives. np.vdot is v.dot(v) without the overflow warning.
+    """
+    squared = np.vdot(v, v)
+    if not _TINY <= squared < math.inf:
+        peak = np.abs(v).max()
+        if peak == 0.0:
+            return v, 0.0
+        v = v / peak
+        squared = v.dot(v)
+    return v, math.sqrt(squared)
+
+
 # eq=False: equality and hashing go by identity; generated ones would raise on the ndarray.
 @dataclass(frozen=True, eq=False)
 class ContextProfile:
@@ -46,6 +69,11 @@ class ContextProfile:
         if not np.any(emb):
             raise ValueError("context embedding must be a non-zero vector")
 
+    @functools.cached_property
+    def _scaled_embedding(self) -> tuple[np.ndarray, float]:
+        """The embedding and its norm as the cosine scorer uses them, computed once."""
+        return _scaled(self.embedding)
+
 
 class RelevanceScorer:
     """Interface: a deterministic pure function (memory, context) -> [0, 1]."""
@@ -55,22 +83,23 @@ class RelevanceScorer:
 
 
 class CosineContextScorer(RelevanceScorer):
-    """Default scorer: (cosine + 1) / 2, clamped to [0, 1]."""
+    """Default scorer: (cosine + 1) / 2, clamped to [0, 1].
+
+    The context's norm is computed once per ContextProfile.
+    """
 
     def score(self, memory: MemoryRecord, context: ContextProfile) -> float:
-        a = memory.embedding
-        b = context.embedding
-        if a.shape[0] != b.shape[0]:
+        b, norm_b = context._scaled_embedding
+        if memory.embedding.shape[0] != b.shape[0]:
             raise DimensionMismatch(
-                f"memory embedding has length {a.shape[0]}, context has {b.shape[0]}"
+                f"memory embedding has length {memory.embedding.shape[0]}, context has {b.shape[0]}"
             )
-        norm_a = float(np.linalg.norm(a))
+        a, norm_a = _scaled(memory.embedding)
         if norm_a == 0.0:
             # A zero memory embedding carries no directional information.
             logger.debug("zero memory embedding for %s; relevance defaults to 0.5", memory.id)
             return 0.5
-        norm_b = float(np.linalg.norm(b))
-        cos = float(np.dot(a, b)) / (norm_a * norm_b)
+        cos = float(a.dot(b)) / (norm_a * norm_b)
         return (max(-1.0, min(1.0, cos)) + 1.0) / 2.0
 
 

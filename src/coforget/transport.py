@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -343,22 +345,21 @@ def propose_forgetting(
     if not memory_ids:
         raise ValueError("memory id list must be non-empty")
     room = MAX_FRAME_BYTES - _FIXED_BODY - len(agent_id.encode("utf-8"))
-    chunks: list[list[str]] = [[]]
-    used = 0
-    for memory_id in memory_ids:
-        cost = 2 + len(memory_id.encode("utf-8"))
-        if chunks[-1] and used + cost > room:
-            chunks.append([])
-            used = 0
-        chunks[-1].append(memory_id)
-        used += cost
+    # Greedy split: a frame takes ids while their [u16 len][UTF-8] bytes fit
+    # in `room`, and at least one. With cost[i] the bytes of ids 0..i and
+    # `sent` those of the ids before `start`, a frame ends at the first later
+    # id whose cost passes sent + room.
+    cost = list(accumulate(map((2).__add__, map(len, map(str.encode, memory_ids)))))
     acked: dict[str, None] = {}
-    for chunk in chunks:
+    start = sent = 0
+    while start < len(cost):
+        end = bisect_right(cost, sent + room, start + 1)
         request = encode_frame(
-            Frame(kind=MessageKind.PROPOSE, epoch=epoch, sender=agent_id, memory_ids=tuple(chunk))
+            Frame(kind=MessageKind.PROPOSE, epoch=epoch, sender=agent_id, memory_ids=tuple(memory_ids[start:end]))
         )
         response = decode_frame(endpoint.handle_frame(request))
         if response.kind is not MessageKind.PROPOSE_ACK:
             raise CodecError(f"expected PROPOSE_ACK, got {response.kind.name}")
         acked.update(dict.fromkeys(response.memory_ids))
+        start, sent = end, cost[end - 1]
     return list(acked)

@@ -117,6 +117,11 @@ def test_make_embedding_keeps_canonical_arrays_and_copies_the_rest():
     frozen = make_embedding(writeable)
     assert frozen is not writeable and writeable.flags.writeable
     np.testing.assert_array_equal(make_embedding(np.array([1, 2], dtype=np.int32)), canonical)
+    # A strided read-only view is copied, so every embedding is contiguous.
+    strided = make_embedding([1.0, 0.0, 2.0, 0.0])[::2]
+    contiguous = make_embedding(strided)
+    assert contiguous is not strided and contiguous.flags.c_contiguous
+    np.testing.assert_array_equal(contiguous, canonical)
     with pytest.raises(ValueError, match="one-dimensional"):
         make_embedding(make_embedding([1.0]).reshape(1, 1))
 

@@ -13,8 +13,9 @@ arrival. Rosters of 4, 7 and 10 agents with f = (N-1)//3, and of 7 agents
 with f = 1, up to f faulty agents, lossy networks and tied or zero latencies
 must give an equal RoundResult and leave the network in the same state,
 round after round on one network. A sequence of instances run through one
-run_rounds call, more than one 64-round block included, must match the
-reference run once per instance on a twin network.
+run_rounds call, with blocks of 1, 7 or the default number of rounds, must
+match the reference run once per instance on a twin network, and the block
+size must not change any of the engine's outputs or the network's state.
 
 Observer agreement is asserted only where N <= 4f+1. A COMMIT carries its
 sender's own vote, so two 2f+1 commit quorums for different votes need only
@@ -25,11 +26,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
+from coforget import consensus
 from coforget.consensus import (
     DEFAULT_COORDINATOR_ID,
     Behavior,
@@ -210,7 +213,7 @@ def sequences(draw):
         drop_prob=draw(hst.sampled_from([0.0, 0.05, 0.3])),
         seed=draw(hst.integers(0, 2**32)),
     )
-    # Up to 8 instances, or enough to cross one or two 64-round block boundaries.
+    # Up to 8 instances, or enough to cross many 7-round block boundaries.
     count = draw(hst.integers(1, 8) | hst.integers(60, 140))
     instances = [
         (
@@ -219,7 +222,17 @@ def sequences(draw):
         )
         for _ in range(count)
     ]
-    return ProtocolConfig(f=f), ids, net_cfg, instances
+    return ProtocolConfig(f=f), ids, net_cfg, instances, draw(hst.sampled_from(BLOCK_ROUNDS))
+
+
+# Rounds per engine block under test; None keeps the default message budget.
+BLOCK_ROUNDS = [1, 7, None]
+
+
+def blocks_of(rounds: int | None, agents: int):
+    """Patch run_rounds' message budget so that a block holds `rounds` rounds of `agents` agents."""
+    budget = consensus._BLOCK_MESSAGES if rounds is None else rounds * agents * (2 * agents + 1)
+    return mock.patch.object(consensus, "_BLOCK_MESSAGES", budget)
 
 
 def engine_arrays(ids, instances):
@@ -243,7 +256,7 @@ def chained_blocking():
     ids = [f"a{i}" for i in range(1, 6)]
     forget = (np.random.default_rng(1278).random((8, 5)) < 0.5).tolist()
     instances = [({agent_id: (Vote.KEEP, Vote.FORGET)[v] for agent_id, v in zip(ids, row)}, {}) for row in forget]
-    return ProtocolConfig(f=1), ids, NetworkConfig(latency_min_ms=0.0, drop_prob=0.1, seed=1278), instances
+    return ProtocolConfig(f=1), ids, NetworkConfig(latency_min_ms=0.0, drop_prob=0.1, seed=1278), instances, None
 
 
 class TestRunRoundsMatchesReference:
@@ -251,11 +264,14 @@ class TestRunRoundsMatchesReference:
     @given(case=sequences())
     @example(case=chained_blocking())
     def test_one_engine_call_matches_the_reference_round_by_round(self, case):
-        cfg, ids, net_cfg, instances = case
+        cfg, ids, net_cfg, instances, block_rounds = case
         agents = tuple(AgentProfile(agent_id) for agent_id in ids)
         net = SimulatedNetwork(net_cfg)
         ref = ReferenceNetwork(net_cfg)
-        decisions, commit_counts, prepare_tally, commit_tally = run_rounds(*engine_arrays(ids, instances), cfg, net)
+        with blocks_of(block_rounds, len(ids)):
+            decisions, commit_counts, prepare_tally, commit_tally = run_rounds(
+                *engine_arrays(ids, instances), cfg, net
+            )
         assert len(decisions) == len(commit_counts) == len(instances)
         votes = (Vote.KEEP, Vote.FORGET)
         for k, (votes_by_id, behaviors) in enumerate(instances):
@@ -271,6 +287,50 @@ class TestRunRoundsMatchesReference:
         assert network_state(net) == network_state(ref)
         # Plain Python numbers, as perfbench writes them to JSON.
         assert (type(net.clock), type(net.delivered), type(net.dropped)) == (float, int, int)
+
+
+@hst.composite
+def epochs(draw):
+    """An epoch's (votes, behaviors) engine arrays, mostly forget votes, with its config and network."""
+    agents = draw(hst.sampled_from([4, 7, 13]))
+    f = (agents - 1) // 3
+    rounds = draw(hst.integers(1, 40) | hst.just(482))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32)))
+    votes = (rng.random((rounds, agents)) < 0.9).astype(np.int8)
+    behaviors = np.zeros((rounds, agents), dtype=np.int8)
+    for k in rng.choice(agents, size=draw(hst.integers(0, f)), replace=False).tolist():
+        behaviors[:, k] = (rng.random(rounds) < 0.5) * draw(hst.sampled_from([1, 2]))
+    low, high = draw(hst.sampled_from(LATENCY_BANDS))
+    net_cfg = NetworkConfig(
+        latency_min_ms=low,
+        latency_max_ms=high,
+        drop_prob=draw(hst.sampled_from([0.0, 0.01, 0.3])),
+        seed=draw(hst.integers(0, 2**32)),
+    )
+    return votes, behaviors, ProtocolConfig(f=f), net_cfg
+
+
+class TestBlockSize:
+    def test_a_forget_storm_sized_epoch_spans_more_than_one_default_block(self):
+        # forget_storm's epoch 0 runs 482 rounds with 4 agents.
+        assert consensus._BLOCK_MESSAGES // (4 * (2 * 4 + 1)) < 482
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=epochs())
+    def test_block_size_changes_no_output(self, case):
+        votes, behaviors, cfg, net_cfg = case
+        runs = []
+        for block_rounds in BLOCK_ROUNDS:
+            net = SimulatedNetwork(net_cfg)
+            with blocks_of(block_rounds, votes.shape[1]):
+                arrays = run_rounds(votes, behaviors, cfg, net)
+            runs.append((arrays, network_state(net)))
+        (want, want_state), *others = runs
+        for arrays, state in others:
+            assert state == want_state
+            for got, expected in zip(arrays, want):
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
 
 
 class TestZeroActiveAgents:

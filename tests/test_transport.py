@@ -9,6 +9,8 @@ import uuid
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from coforget.consensus import MessageKind, Behavior, PbftMessage
 from coforget.core import ConfigError, FaultKind, FaultProfile, Vote, spec_from_items
@@ -344,6 +346,104 @@ class TestCodecErrors:
                 decode_frame(bytes(mutated))
             except CodecError:
                 pass  # Any codec failure is acceptable; other exceptions are not.
+
+
+def greedy_chunks(memory_ids, agent_id):
+    """The frames propose_forgetting sends, by a plain greedy loop over the ids: the oracle.
+
+    A frame takes ids while their [u16 len][UTF-8] bytes fit in the body's
+    room, and always at least one.
+    """
+    room = MAX_FRAME_BYTES - (len(encode_frame(Frame(MessageKind.PROPOSE, 0, agent_id, ()))) - 4)
+    chunks = [[]]
+    used = 0
+    for memory_id in memory_ids:
+        cost = 2 + len(memory_id.encode("utf-8"))
+        if chunks[-1] and used + cost > room:
+            chunks.append([])
+            used = 0
+        chunks[-1].append(memory_id)
+        used += cost
+    return [tuple(chunk) for chunk in chunks]
+
+
+class FrameLog(CoordinatorEndpoint):
+    """An endpoint that keeps each PROPOSE frame's ids as sent, repeats included."""
+
+    def __init__(self):
+        super().__init__()
+        self.frames = []
+
+    def handle_frame(self, data):
+        self.frames.append(decode_frame(data).memory_ids)
+        return super().handle_frame(data)
+
+
+def fill(room_left: int, char: str) -> str:
+    """An id of `char` repeats, padded with ASCII, whose [u16 len][UTF-8] cost is room_left bytes."""
+    width = len(char.encode("utf-8"))
+    repeats = (room_left - 2) // width
+    return char * repeats + "x" * (room_left - 2 - repeats * width)
+
+
+class TestProposalChunking:
+    # The acknowledgement echoes a frame's ids from the coordinator's id, so a
+    # sender id shorter than that one could fill a PROPOSE whose PROPOSE_ACK
+    # would not fit; these senders are at least as long.
+    AGENT = "planner-0001"
+    ROOM = MAX_FRAME_BYTES - (len(encode_frame(Frame(MessageKind.PROPOSE, 0, AGENT, ()))) - 4)
+
+    def sent(self, ids):
+        endpoint = FrameLog()
+        acked = propose_forgetting(ids, self.AGENT, endpoint)
+        assert acked == list(dict.fromkeys(ids))
+        return endpoint.frames
+
+    @pytest.mark.parametrize("char", ["a", "\u00e9", "\u20ac", "\U0001d11e"])  # 1 to 4 UTF-8 bytes
+    @pytest.mark.parametrize("over", [-1, 0, 1])
+    def test_a_frame_filled_to_the_byte(self, char, over):
+        head = [f"{char}{i:04d}" for i in range(1000)]
+        used = sum(2 + len(memory_id.encode("utf-8")) for memory_id in head)
+        ids = head + [fill(self.ROOM - used + over, char), "tail-1", "tail-2"]
+        frames = self.sent(ids)
+        assert frames == greedy_chunks(ids, self.AGENT)
+        # At the room exactly, the filler closes the first frame; one byte over, it opens the next.
+        assert len(frames[0]) == len(head) + (over <= 0)
+
+    def test_an_id_repeated_across_a_frame_boundary(self):
+        head = [f"m{i:05d}" for i in range(self.ROOM // 8)]  # 8 bytes each: as many as fit
+        frames = self.sent(head + head[-3:] + ["last"])
+        assert len(frames) == 2
+        assert frames[0][-1] == head[-1] and frames[1][0] == head[-3]
+        assert frames == greedy_chunks(head + head[-3:] + ["last"], self.AGENT)
+
+    def test_one_id_larger_than_a_frame_still_raises(self):
+        with pytest.raises(OversizeFrame):
+            propose_forgetting([fill(self.ROOM + 1, "a")], self.AGENT, CoordinatorEndpoint())
+        endpoint = FrameLog()
+        with pytest.raises(OversizeFrame):
+            propose_forgetting(["m1", "m2", fill(self.ROOM + 1, "\u20ac"), "m3"], self.AGENT, endpoint)
+        assert endpoint.frames == [("m1", "m2")]
+        # An id that fills the room exactly goes out alone.
+        ids = [fill(self.ROOM, "\u20ac"), "m1"]
+        assert self.sent(ids) == greedy_chunks(ids, self.AGENT) == [tuple(ids[:1]), tuple(ids[1:])]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=hst.lists(
+            hst.tuples(hst.sampled_from(["a", "\u00e9", "\u20ac", "\U0001d11e"]), hst.integers(1, 12000)),
+            min_size=1,
+            max_size=12,
+        ),
+        picks=hst.lists(hst.integers(0, 11), min_size=1, max_size=30),
+        agent_id=hst.sampled_from(["planner-0001", "planner-\u20ac\u20ac\u20ac", "x" * 300]),
+    )
+    def test_frames_match_the_greedy_loop(self, pool, picks, agent_id):
+        ids = [char * length for char, length in pool]
+        ids = [ids[pick % len(ids)] for pick in picks]
+        endpoint = FrameLog()
+        assert propose_forgetting(ids, agent_id, endpoint) == list(dict.fromkeys(ids))
+        assert endpoint.frames == greedy_chunks(ids, agent_id)
 
 
 class TestProposalRpc:
