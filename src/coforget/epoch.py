@@ -166,12 +166,12 @@ def run_epoch(
         del columns[stale]
 
     # Each agent ships its forget list, in id order, to this epoch's
-    # coordinator; the proposal set is the union of acknowledged proposals.
+    # coordinator; the proposal set is the union of the ids its log received.
     coordinator = CoordinatorEndpoint()
-    proposed: set[str] = set()
     for agent_id, (_, wanted) in agent_votes.items():
         if wanted:
-            proposed.update(propose_forgetting(wanted, agent_id, coordinator, epoch=epoch_index))
+            propose_forgetting(wanted, agent_id, coordinator, epoch=epoch_index)
+    proposed = {memory_id for _, memory_ids in coordinator.received for memory_id in memory_ids}
 
     # Phase 3: one engine call runs every proposed memory's round, in id
     # order, and the gate turns each decision into the memory's fate. A

@@ -312,8 +312,9 @@ def decode(data: bytes) -> PbftMessage:
 class CoordinatorEndpoint:
     """In-process coordinator side of the forgetting-proposal RPC.
 
-    Receives PROPOSE frames, records who proposed what, and acknowledges the
-    order-preserving deduplicated id list as DEFAULT_COORDINATOR_ID.
+    Logs each PROPOSE frame in `received` as (sender, ids as sent), repeats
+    included, and replies as DEFAULT_COORDINATOR_ID with a PROPOSE_ACK that
+    carries no ids. The log is the epoch's proposal record.
     """
 
     def __init__(self) -> None:
@@ -323,11 +324,8 @@ class CoordinatorEndpoint:
         frame = decode_frame(data)
         if frame.kind is not MessageKind.PROPOSE:
             raise CodecError(f"endpoint expects PROPOSE, got {frame.kind.name}")
-        acked = tuple(dict.fromkeys(frame.memory_ids))
-        self.received.append((frame.sender, acked))
-        return encode_frame(
-            Frame(kind=MessageKind.PROPOSE_ACK, epoch=frame.epoch, sender=DEFAULT_COORDINATOR_ID, memory_ids=acked)
-        )
+        self.received.append((frame.sender, frame.memory_ids))
+        return encode_frame(Frame(MessageKind.PROPOSE_ACK, frame.epoch, DEFAULT_COORDINATOR_ID, ()))
 
 
 def propose_forgetting(
@@ -335,12 +333,11 @@ def propose_forgetting(
     agent_id: str,
     endpoint: CoordinatorEndpoint,
     epoch: int = 0,
-) -> list[str]:
-    """Send one agent's forget proposals; returns the acknowledged ids in order.
+) -> None:
+    """Send one agent's forget proposals to `endpoint`, which logs them in `received`.
 
     The ids go out in order over as many PROPOSE frames as keep each body
-    within MAX_FRAME_BYTES. An id repeated in the list, within one frame or
-    across frames, is acknowledged once.
+    within MAX_FRAME_BYTES; each frame must be answered by a PROPOSE_ACK.
     """
     if not memory_ids:
         raise ValueError("memory id list must be non-empty")
@@ -350,7 +347,6 @@ def propose_forgetting(
     # `sent` those of the ids before `start`, a frame ends at the first later
     # id whose cost passes sent + room.
     cost = list(accumulate(map((2).__add__, map(len, map(str.encode, memory_ids)))))
-    acked: dict[str, None] = {}
     start = sent = 0
     while start < len(cost):
         end = bisect_right(cost, sent + room, start + 1)
@@ -360,6 +356,4 @@ def propose_forgetting(
         response = decode_frame(endpoint.handle_frame(request))
         if response.kind is not MessageKind.PROPOSE_ACK:
             raise CodecError(f"expected PROPOSE_ACK, got {response.kind.name}")
-        acked.update(dict.fromkeys(response.memory_ids))
         start, sent = end, cost[end - 1]
-    return list(acked)

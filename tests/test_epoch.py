@@ -35,7 +35,7 @@ from coforget.decay import decay_score
 from coforget.epoch import EpochReport, MemoryAudit, run_epoch, run_simulation
 from coforget.relevance import ContextProfile, ExternalScorer, relevance
 from coforget.store import MemoryStore, MetadataTable
-from coforget.transport import NetworkConfig, SimulatedNetwork, resolve_behavior
+from coforget.transport import CoordinatorEndpoint, NetworkConfig, SimulatedNetwork, resolve_behavior
 from coforget.voting import AgentVote, quorum_threshold, vote_rule, weighted_forget_score
 from coforget.workload import WorkloadSpec, default_agents
 
@@ -105,6 +105,25 @@ class TestRunEpochOutcomes:
             assert audit.votes == tuple(
                 (a, "forget") for a in ("percept-1", "percept-2", "planner-1", "planner-2")
             )
+
+    def test_an_id_every_agent_proposes_is_proposed_once(self, monkeypatch):
+        # Each agent sends its own copy of the same forget list; the
+        # coordinator logs every copy, and the proposal set is their union.
+        endpoints = []
+
+        class Spy(CoordinatorEndpoint):
+            def __init__(self):
+                super().__init__()
+                endpoints.append(self)
+
+        monkeypatch.setattr(coforget.epoch, "CoordinatorEndpoint", Spy)
+        records = [record(f"m{i}", cos=0.0, t_last=0.0) for i in range(3)]
+        report = run_epoch(fresh_store(records, now=0.0), AGENTS, context(), CFG, lossless(), now=1e6)
+        (endpoint,) = endpoints
+        ids = ("m0", "m1", "m2")
+        assert endpoint.received == [(a, ids) for a in ("percept-1", "percept-2", "planner-1", "planner-2")]
+        assert report.proposed == 3
+        assert [audit.memory_id for audit in report.per_memory_audit] == list(ids)
 
     def test_minority_forget_stalls_and_retains(self):
         # Planners see the memory as irrelevant, percepts do not. Their forget

@@ -348,35 +348,28 @@ class TestCodecErrors:
                 pass  # Any codec failure is acceptable; other exceptions are not.
 
 
+def room(agent_id: str) -> int:
+    """The body bytes a PROPOSE frame from `agent_id` has left for its ids."""
+    return MAX_FRAME_BYTES - (len(encode_frame(Frame(MessageKind.PROPOSE, 0, agent_id, ()))) - 4)
+
+
 def greedy_chunks(memory_ids, agent_id):
     """The frames propose_forgetting sends, by a plain greedy loop over the ids: the oracle.
 
     A frame takes ids while their [u16 len][UTF-8] bytes fit in the body's
     room, and always at least one.
     """
-    room = MAX_FRAME_BYTES - (len(encode_frame(Frame(MessageKind.PROPOSE, 0, agent_id, ()))) - 4)
+    limit = room(agent_id)
     chunks = [[]]
     used = 0
     for memory_id in memory_ids:
         cost = 2 + len(memory_id.encode("utf-8"))
-        if chunks[-1] and used + cost > room:
+        if chunks[-1] and used + cost > limit:
             chunks.append([])
             used = 0
         chunks[-1].append(memory_id)
         used += cost
     return [tuple(chunk) for chunk in chunks]
-
-
-class FrameLog(CoordinatorEndpoint):
-    """An endpoint that keeps each PROPOSE frame's ids as sent, repeats included."""
-
-    def __init__(self):
-        super().__init__()
-        self.frames = []
-
-    def handle_frame(self, data):
-        self.frames.append(decode_frame(data).memory_ids)
-        return super().handle_frame(data)
 
 
 def fill(room_left: int, char: str) -> str:
@@ -386,18 +379,17 @@ def fill(room_left: int, char: str) -> str:
     return char * repeats + "x" * (room_left - 2 - repeats * width)
 
 
-class TestProposalChunking:
-    # The acknowledgement echoes a frame's ids from the coordinator's id, so a
-    # sender id shorter than that one could fill a PROPOSE whose PROPOSE_ACK
-    # would not fit; these senders are at least as long.
-    AGENT = "planner-0001"
-    ROOM = MAX_FRAME_BYTES - (len(encode_frame(Frame(MessageKind.PROPOSE, 0, AGENT, ()))) - 4)
+def sent(ids, agent_id):
+    """The ids of each PROPOSE frame propose_forgetting sends, as the endpoint logged them."""
+    endpoint = CoordinatorEndpoint()
+    assert propose_forgetting(ids, agent_id, endpoint) is None
+    assert {sender for sender, _ in endpoint.received} == {agent_id}
+    return [memory_ids for _, memory_ids in endpoint.received]
 
-    def sent(self, ids):
-        endpoint = FrameLog()
-        acked = propose_forgetting(ids, self.AGENT, endpoint)
-        assert acked == list(dict.fromkeys(ids))
-        return endpoint.frames
+
+class TestProposalChunking:
+    AGENT = "planner-1"
+    ROOM = room(AGENT)
 
     @pytest.mark.parametrize("char", ["a", "\u00e9", "\u20ac", "\U0001d11e"])  # 1 to 4 UTF-8 bytes
     @pytest.mark.parametrize("over", [-1, 0, 1])
@@ -405,28 +397,38 @@ class TestProposalChunking:
         head = [f"{char}{i:04d}" for i in range(1000)]
         used = sum(2 + len(memory_id.encode("utf-8")) for memory_id in head)
         ids = head + [fill(self.ROOM - used + over, char), "tail-1", "tail-2"]
-        frames = self.sent(ids)
+        frames = sent(ids, self.AGENT)
         assert frames == greedy_chunks(ids, self.AGENT)
         # At the room exactly, the filler closes the first frame; one byte over, it opens the next.
         assert len(frames[0]) == len(head) + (over <= 0)
 
+    @pytest.mark.parametrize("agent_id", ["p", "planner-1"])
+    def test_a_short_sender_fills_a_frame_to_the_byte(self, agent_id):
+        # The acknowledgement carries no ids, so a sender id shorter than the
+        # coordinator's may fill its PROPOSE to the byte.
+        ids = ["m1", fill(room(agent_id) - 4, "\u20ac")]
+        endpoint = CoordinatorEndpoint()
+        propose_forgetting(ids, agent_id, endpoint)
+        assert endpoint.received == [(agent_id, tuple(ids))]
+
     def test_an_id_repeated_across_a_frame_boundary(self):
         head = [f"m{i:05d}" for i in range(self.ROOM // 8)]  # 8 bytes each: as many as fit
-        frames = self.sent(head + head[-3:] + ["last"])
+        ids = head + head[-3:] + ["last"]
+        frames = sent(ids, self.AGENT)
         assert len(frames) == 2
         assert frames[0][-1] == head[-1] and frames[1][0] == head[-3]
-        assert frames == greedy_chunks(head + head[-3:] + ["last"], self.AGENT)
+        assert frames == greedy_chunks(ids, self.AGENT)
 
     def test_one_id_larger_than_a_frame_still_raises(self):
         with pytest.raises(OversizeFrame):
             propose_forgetting([fill(self.ROOM + 1, "a")], self.AGENT, CoordinatorEndpoint())
-        endpoint = FrameLog()
+        endpoint = CoordinatorEndpoint()
         with pytest.raises(OversizeFrame):
             propose_forgetting(["m1", "m2", fill(self.ROOM + 1, "\u20ac"), "m3"], self.AGENT, endpoint)
-        assert endpoint.frames == [("m1", "m2")]
+        assert endpoint.received == [(self.AGENT, ("m1", "m2"))]
         # An id that fills the room exactly goes out alone.
         ids = [fill(self.ROOM, "\u20ac"), "m1"]
-        assert self.sent(ids) == greedy_chunks(ids, self.AGENT) == [tuple(ids[:1]), tuple(ids[1:])]
+        assert sent(ids, self.AGENT) == greedy_chunks(ids, self.AGENT) == [tuple(ids[:1]), tuple(ids[1:])]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -436,31 +438,34 @@ class TestProposalChunking:
             max_size=12,
         ),
         picks=hst.lists(hst.integers(0, 11), min_size=1, max_size=30),
-        agent_id=hst.sampled_from(["planner-0001", "planner-\u20ac\u20ac\u20ac", "x" * 300]),
+        agent_id=hst.sampled_from(["p", "planner-1", "planner-0001", "planner-\u20ac\u20ac\u20ac", "x" * 300]),
     )
     def test_frames_match_the_greedy_loop(self, pool, picks, agent_id):
         ids = [char * length for char, length in pool]
         ids = [ids[pick % len(ids)] for pick in picks]
-        endpoint = FrameLog()
-        assert propose_forgetting(ids, agent_id, endpoint) == list(dict.fromkeys(ids))
-        assert endpoint.frames == greedy_chunks(ids, agent_id)
+        assert sent(ids, agent_id) == greedy_chunks(ids, agent_id)
 
 
 class TestProposalRpc:
-    def test_acks_in_submission_order(self):
+    def test_received_logs_ids_in_submission_order(self):
         endpoint = CoordinatorEndpoint()
-        acked = propose_forgetting(["m3", "m1", "m2"], "planner-1", endpoint, epoch=4)
-        assert acked == ["m3", "m1", "m2"]
+        assert propose_forgetting(["m3", "m1", "m2"], "planner-1", endpoint, epoch=4) is None
         assert endpoint.received == [("planner-1", ("m3", "m1", "m2"))]
 
-    def test_duplicates_acknowledged_once(self):
+    def test_ack_carries_no_ids(self):
+        request = encode_frame(Frame(MessageKind.PROPOSE, 4, "planner-1", ("m1", "m2")))
+        ack = decode_frame(CoordinatorEndpoint().handle_frame(request))
+        assert ack == Frame(MessageKind.PROPOSE_ACK, 4, "coordinator", ())
+
+    def test_a_repeated_id_reaches_the_log_as_sent(self):
         ids = ["a", "b", "a", "c", "b"]
-        acked = propose_forgetting(ids, "x", CoordinatorEndpoint())
-        assert acked == list(dict.fromkeys(ids))
+        assert sent(ids, "x") == [tuple(ids)]
 
     def test_empty_proposal_rejected(self):
+        endpoint = CoordinatorEndpoint()
         with pytest.raises(ValueError, match="non-empty"):
-            propose_forgetting([], "x", CoordinatorEndpoint())
+            propose_forgetting([], "x", endpoint)
+        assert endpoint.received == []
 
     def test_list_larger_than_one_frame_is_split(self):
         rng = random.Random(5)
@@ -478,16 +483,13 @@ class TestProposalRpc:
                 return super().handle_frame(data)
 
         endpoint = RecordingEndpoint()
-        assert propose_forgetting(ids, "planner-1", endpoint) == ids
+        propose_forgetting(ids, "planner-1", endpoint)
         assert len(endpoint.body_sizes) > 1
         assert max(endpoint.body_sizes) <= MAX_FRAME_BYTES
-        sent = [mid for _, acked in endpoint.received for mid in acked]
-        assert sent == ids
+        assert [mid for _, memory_ids in endpoint.received for mid in memory_ids] == ids
 
-        # An id that reappears in a later frame is acknowledged once.
-        endpoint = RecordingEndpoint()
-        assert propose_forgetting(ids + ids[:1], "planner-1", endpoint) == ids
-        assert endpoint.received[-1][1][-1] == ids[0]
+        # An id that reappears in a later frame reaches the log again, as sent.
+        assert [mid for frame in sent(ids + ids[:1], "planner-1") for mid in frame] == ids + ids[:1]
 
     def test_endpoint_rejects_non_propose_frames(self):
         endpoint = CoordinatorEndpoint()
